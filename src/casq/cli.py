@@ -134,8 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override preset SOC constant (cm^-1)")
         p.add_argument("--roots-mult", action="append", default=[],
                        metavar="N=K", help="roots per multiplicity, repeatable")
-        p.add_argument("--ms2", default=None,
-                       help="comma-separated 2*M_S blocks to solve")
         p.add_argument("--oracle", choices=["dense"], default=None)
         p.add_argument("--out", default=None, help="output directory")
 
@@ -202,21 +200,16 @@ def _load_problem(args, manifest: Manifest):
 
     roots = _parse_roots_flags(args.roots_mult)
     if roots:
-        config = replace(config, roots_per_multiplicity=roots, ms2_blocks=())
-    if args.ms2 is not None:
-        blocks = tuple(int(tok) for tok in args.ms2.split(","))
-        config = replace(config, ms2_blocks=blocks)
+        config = replace(config, roots_per_multiplicity=roots)
     manifest.data["config"] = {
         "cas": list(config.cas),
         "roots_per_multiplicity": dict(config.roots_per_multiplicity),
-        "ms2_blocks": list(config.ms2_blocks),
         "davidson": {
             "tol": config.davidson.tol,
             "max_subspace": config.davidson.max_subspace,
             "max_iter": config.davidson.max_iter,
             "guess_dim": config.davidson.guess_dim,
         },
-        "soc_enabled": config.soc_enabled,
         "spectrum": asdict(config.spectrum),
     }
     return orbitals, ints, prop, config

@@ -18,7 +18,7 @@ Run configuration: flat ``key=value`` lines, ``#`` comments.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -180,9 +180,7 @@ class RunConfig:
 
     cas: tuple[int, int]
     roots_per_multiplicity: Mapping[int, int] = field(default_factory=dict)
-    ms2_blocks: tuple[int, ...] = ()
     davidson: DavidsonOptions = field(default_factory=DavidsonOptions)
-    soc_enabled: bool = True
     spectrum: SpectrumOptions = field(default_factory=SpectrumOptions)
 
     def __post_init__(self):
@@ -197,9 +195,6 @@ class RunConfig:
         if self.davidson.guess_dim and self.davidson.guess_dim < total:
             raise ValueError(
                 f"guess_dim={self.davidson.guess_dim} < total roots {total}")
-        if not self.ms2_blocks:
-            blocks = tuple(sorted({m - 1 for m in self.roots_per_multiplicity}))
-            object.__setattr__(self, "ms2_blocks", blocks)
 
     @property
     def total_roots(self) -> int:
@@ -387,14 +382,11 @@ def parse_property_integrals(text: str, n_orb: int) -> PropertyIntegrals:
 # ---------------------------------------------------------------------------
 
 _CONFIG_KEYS = {
-    "cas_nelec", "cas_norb", "ms2_blocks", "davidson_tol",
-    "davidson_max_subspace", "davidson_max_iter", "guess_dim", "soc",
+    "cas_nelec", "cas_norb", "davidson_tol",
+    "davidson_max_subspace", "davidson_max_iter", "guess_dim",
     "spectrum_fwhm_ev", "spectrum_min_ev", "spectrum_max_ev",
     "spectrum_step_ev",
 }
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
 
 
 def parse_run_config(text: str, *, default_cas: tuple[int, int] | None = None,
@@ -427,9 +419,6 @@ def parse_run_config(text: str, *, default_cas: tuple[int, int] | None = None,
     else:
         raise ParseError("cas_nelec/cas_norb missing and no defaults available")
 
-    ms2_blocks: tuple[int, ...] = ()
-    if "ms2_blocks" in raw:
-        ms2_blocks = tuple(int(tok) for tok in raw["ms2_blocks"].split(","))
     if not roots:
         # default: ground multiplicity block, enough roots to see low states
         ms2 = default_ms2 if default_ms2 is not None else cas[0] % 2
@@ -443,13 +432,6 @@ def parse_run_config(text: str, *, default_cas: tuple[int, int] | None = None,
                             "davidson_max_iter"),
         guess_dim=_parse_int(raw.get("guess_dim", "0"), "guess_dim"),
     )
-    soc = raw.get("soc", "true").lower()
-    if soc in _TRUE:
-        soc_enabled = True
-    elif soc in _FALSE:
-        soc_enabled = False
-    else:
-        raise ParseError(f"soc={soc!r} is not a boolean")
     spectrum = SpectrumOptions(
         fwhm_ev=float(raw.get("spectrum_fwhm_ev", "0.1")),
         min_ev=float(raw.get("spectrum_min_ev", "0.0")),
@@ -457,8 +439,7 @@ def parse_run_config(text: str, *, default_cas: tuple[int, int] | None = None,
         step_ev=float(raw.get("spectrum_step_ev", "0.01")),
     )
     return RunConfig(cas=cas, roots_per_multiplicity=roots,
-                     ms2_blocks=ms2_blocks, davidson=davidson,
-                     soc_enabled=soc_enabled, spectrum=spectrum)
+                     davidson=davidson, spectrum=spectrum)
 
 
 def _parse_int(value: str, key: str, lineno: int | None = None) -> int:
@@ -467,7 +448,3 @@ def _parse_int(value: str, key: str, lineno: int | None = None) -> int:
     except ValueError:
         where = f"line {lineno}: " if lineno else ""
         raise ParseError(f"{where}{key} must be an integer, got {value!r}") from None
-
-
-def with_roots(config: RunConfig, roots: Mapping[int, int]) -> RunConfig:
-    return replace(config, roots_per_multiplicity=dict(roots), ms2_blocks=())

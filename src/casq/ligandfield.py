@@ -191,8 +191,9 @@ def build_ligand_field_model(model: LigandFieldModel):
     config = RunConfig(
         cas=(model.n_elec, 5),
         roots_per_multiplicity={ground_mult: 5},
-        davidson=DavidsonOptions(),
-        soc_enabled=model.zeta != 0.0,
+        # the SOC matrix inherits the roots' residual, and qdpt checks
+        # Kramers pairs to 1e-10 Eh
+        davidson=DavidsonOptions(tol=1e-10),
         spectrum=SpectrumOptions(),
     )
     return orbitals, ints, prop, config

@@ -2,7 +2,17 @@
 
 Determinants are stored as (alpha ops ascending)(beta ops ascending)
 acting on the vacuum, so a beta-string operator picks up one extra sign
-per alpha electron it crosses.
+per alpha electron it crosses.  Every table here is built from one
+per-string annihilation map (a_p on the k-electron strings, read
+backwards as a+_p on the (k-1)-electron strings) through the
+factorization
+
+    a+_pb a_qa = (beta a+_p) o (alpha a_q) . (-1)^(n_alpha - 1),
+
+where the crossing sign counts the alphas left after a_qa.  The
+spin-flip table of a block is the outer product of the two string maps
+for each (p, q); S- is its p = q trace, and S+ of a block is the S-
+table of the block above read with src and dst swapped.
 """
 
 from __future__ import annotations
@@ -11,74 +21,82 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detspace import CasSpace, enumerate_cas, occupied_orbitals
+from .detspace import CasSpace, _strings, enumerate_cas, occupied_orbitals
 
 
 class LadderAnnihilation(ValueError):
     """S- (or S+) maps the state to zero: M_S is already extremal."""
 
 
-def _bits_below(mask: int, p: int) -> int:
-    return (mask & ((1 << p) - 1)).bit_count()
-
-
 @lru_cache(maxsize=None)
-def _raise_links(space: CasSpace):
-    """Entries (src, dst, sign) of S+ = sum_p a+_pa a_pb into ms2+2."""
-    if space.n_alpha + 1 > space.n_orb or space.n_beta - 1 < 0:
-        return None
-    upper = enumerate_cas(space.n_elec, space.n_orb, space.ms2 + 2)
-    src, dst, sign = [], [], []
-    nb = len(space.beta_strings)
-    ub = len(upper.beta_strings)
-    n_alpha = space.n_alpha
-    for ia, a in enumerate(space.alpha_strings):
-        for ib, b in enumerate(space.beta_strings):
-            flippable = b & ~a
-            for p in occupied_orbitals(flippable):
-                a2 = a | (1 << p)
-                b2 = b ^ (1 << p)
-                # a_pb crosses n_alpha alphas + betas below p; a+_pa crosses
-                # alphas below p
-                par = n_alpha + _bits_below(b, p) + _bits_below(a, p)
-                src.append(ia * nb + ib)
-                dst.append(upper.alpha_index[a2] * ub + upper.beta_index[b2])
-                sign.append(-1.0 if par & 1 else 1.0)
-    return upper, (np.asarray(src, dtype=np.int64),
-                   np.asarray(dst, dtype=np.int64),
-                   np.asarray(sign))
+def _annihilators(n_orb: int, k: int):
+    """a_p on the k-electron strings of n_orb orbitals, one entry per p.
+
+    Entry p is (src, dst, sign): the k-string indices with p occupied,
+    the (k-1)-string index left by a_p, and (-1)^(electrons below p).
+    Removing one fixed orbital keeps the lexicographic string order, so
+    src and dst both ascend.
+    """
+    lower = {s: i for i, s in enumerate(_strings(n_orb, k - 1))}
+    maps = [([], [], []) for _ in range(n_orb)]
+    for i, s in enumerate(_strings(n_orb, k)):
+        for below, p in enumerate(occupied_orbitals(s)):
+            src, dst, sign = maps[p]
+            src.append(i)
+            dst.append(lower[s ^ (1 << p)])
+            sign.append(-1.0 if below & 1 else 1.0)
+    return tuple((np.asarray(src, dtype=np.int64),
+                  np.asarray(dst, dtype=np.int64),
+                  np.asarray(sign)) for src, dst, sign in maps)
 
 
-@lru_cache(maxsize=None)
-def _lower_links(space: CasSpace):
-    """Entries (src, dst, sign) of S- = sum_p a+_pb a_pa into ms2-2."""
-    if space.n_beta + 1 > space.n_orb or space.n_alpha - 1 < 0:
-        return None
-    lower = enumerate_cas(space.n_elec, space.n_orb, space.ms2 - 2)
-    src, dst, sign = [], [], []
+def _flip_block(space: CasSpace, lower: CasSpace, p: int, q: int):
+    """(src, dst, sign) of a+_pb a_qa from space into lower, src ascending."""
+    a_src, a_dst, a_sign = _annihilators(space.n_orb, space.n_alpha)[q]
+    # beta a+_p is a_p of the (n_beta+1)-strings read dst -> src
+    b_dst, b_src, b_sign = _annihilators(space.n_orb, space.n_beta + 1)[p]
     nb = len(space.beta_strings)
     lb = len(lower.beta_strings)
-    n_alpha = space.n_alpha
-    for ia, a in enumerate(space.alpha_strings):
-        for ib, b in enumerate(space.beta_strings):
-            flippable = a & ~b
-            for p in occupied_orbitals(flippable):
-                a2 = a ^ (1 << p)
-                b2 = b | (1 << p)
-                # a_pa crosses alphas below p; a+_pb crosses the remaining
-                # n_alpha-1 alphas + betas below p
-                par = _bits_below(a, p) + (n_alpha - 1) + _bits_below(b, p)
-                src.append(ia * nb + ib)
-                dst.append(lower.alpha_index[a2] * lb + lower.beta_index[b2])
-                sign.append(-1.0 if par & 1 else 1.0)
-    return lower, (np.asarray(src, dtype=np.int64),
-                   np.asarray(dst, dtype=np.int64),
-                   np.asarray(sign))
+    crossing = -1.0 if (space.n_alpha - 1) & 1 else 1.0
+    return ((a_src[:, None] * nb + b_src).ravel(),
+            (a_dst[:, None] * lb + b_dst).ravel(),
+            (crossing * a_sign[:, None] * b_sign).ravel())
+
+
+def _lower_space(space: CasSpace) -> CasSpace | None:
+    if space.n_beta == space.n_orb or space.n_alpha == 0:
+        return None
+    return enumerate_cas(space.n_elec, space.n_orb, space.ms2 - 2)
+
+
+@lru_cache(maxsize=None)
+def _s_minus_links(space: CasSpace):
+    """Entries (src, dst, sign) of S- = sum_p a+_pb a_pa into ms2-2.
+
+    Sorted by src, then dst, so that np.add.at accumulates every output
+    element in ascending input order whichever direction the table is read.
+    """
+    lower = _lower_space(space)
+    if lower is None:
+        return None
+    parts = [_flip_block(space, lower, p, p) for p in range(space.n_orb)]
+    src, dst, sign = (np.concatenate(col) for col in zip(*parts))
+    order = np.lexsort((dst, src))
+    return lower, (src[order], dst[order], sign[order])
+
+
+def _s_plus_links(space: CasSpace):
+    """Entries (src, dst, sign) of S+ into ms2+2: the S- table of ms2+2."""
+    if space.n_alpha == space.n_orb or space.n_beta == 0:
+        return None
+    upper = enumerate_cas(space.n_elec, space.n_orb, space.ms2 + 2)
+    _, (src, dst, sign) = _s_minus_links(upper)
+    return upper, (dst, src, sign)
 
 
 def apply_s_plus(space: CasSpace, vec: np.ndarray):
     """Unnormalized S+ image; returns (upper space, vector)."""
-    links = _raise_links(space)
+    links = _s_plus_links(space)
     if links is None:
         raise LadderAnnihilation("S+ annihilates every state of this block")
     upper, (src, dst, sign) = links
@@ -93,7 +111,7 @@ def apply_s_minus(space: CasSpace, vec: np.ndarray, *, norm_tol: float = 1e-8):
     Raises LadderAnnihilation when the image norm falls below norm_tol,
     which signals M_S = -S.
     """
-    links = _lower_links(space)
+    links = _s_minus_links(space)
     if links is None:
         raise LadderAnnihilation("S- annihilates every state of this block")
     lower, (src, dst, sign) = links
@@ -108,7 +126,7 @@ def s_squared(space: CasSpace, vec: np.ndarray) -> float:
     """<v|S^2|v> via S^2 = S-S+ + Sz(Sz+1) for a normalized v."""
     ms = space.ms2 / 2.0
     base = ms * (ms + 1.0)
-    links = _raise_links(space)
+    links = _s_plus_links(space)
     if links is None:
         return base
     upper, (src, dst, sign) = links
@@ -123,7 +141,7 @@ def s_squared_matrix(space: CasSpace, vecs: np.ndarray) -> np.ndarray:
     k = vecs.shape[1]
     ms = space.ms2 / 2.0
     base = ms * (ms + 1.0) * (vecs.T @ vecs)
-    links = _raise_links(space)
+    links = _s_plus_links(space)
     if links is None:
         return base
     upper, (src, dst, sign) = links
@@ -152,28 +170,9 @@ def flip_lower_links(space: CasSpace):
     (src, dst, sign) arrays.  Used for the Delta M_S = -1 blocks of the
     spin-orbit matrix.
     """
-    if space.n_beta + 1 > space.n_orb or space.n_alpha - 1 < 0:
+    lower = _lower_space(space)
+    if lower is None:
         return None
-    lower = enumerate_cas(space.n_elec, space.n_orb, space.ms2 - 2)
-    n_orb = space.n_orb
-    groups: list[list[list]] = [[[], [], []] for _ in range(n_orb * n_orb)]
-    nb = len(space.beta_strings)
-    lb = len(lower.beta_strings)
-    n_alpha = space.n_alpha
-    for ia, a in enumerate(space.alpha_strings):
-        for ib, b in enumerate(space.beta_strings):
-            for q in occupied_orbitals(a):
-                a2 = a ^ (1 << q)
-                par_a = _bits_below(a, q)
-                ja = lower.alpha_index[a2]
-                for p in occupied_orbitals(~b & ((1 << n_orb) - 1)):
-                    b2 = b | (1 << p)
-                    par = par_a + (n_alpha - 1) + _bits_below(b, p)
-                    g = groups[p * n_orb + q]
-                    g[0].append(ia * nb + ib)
-                    g[1].append(ja * lb + lower.beta_index[b2])
-                    g[2].append(-1.0 if par & 1 else 1.0)
-    packed = tuple((np.asarray(g[0], dtype=np.int64),
-                    np.asarray(g[1], dtype=np.int64),
-                    np.asarray(g[2])) for g in groups)
-    return lower, packed
+    n = space.n_orb
+    return lower, tuple(_flip_block(space, lower, p, q)
+                        for p in range(n) for q in range(n))

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from casq.ingest import IntegralSet
+
+# Property tests run a fixed example sequence, so the suite is
+# deterministic and its runtime bounded.
+settings.register_profile("casq", derandomize=True, deadline=None,
+                          max_examples=25)
+settings.load_profile("casq")
 
 
 def make_random_integrals(n_orb: int, seed: int, scale_g: float = 0.5,

@@ -157,16 +157,13 @@ roots_mult_2 = 5
 roots_mult_4 = 2
 davidson_tol = 1e-9
 guess_dim = 40
-soc = true
 spectrum_fwhm_ev = 0.2
 """
     cfg = parse_run_config(text)
     assert cfg.cas == (9, 5)
     assert cfg.roots_per_multiplicity == {2: 5, 4: 2}
-    assert cfg.ms2_blocks == (1, 3)
     assert cfg.davidson.tol == 1e-9
     assert cfg.davidson.guess_dim == 40
-    assert cfg.soc_enabled
     assert cfg.spectrum.fwhm_ev == 0.2
     assert cfg.total_roots == 7
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from casq.casci import assemble_multiplets, dense_solve, solve_davidson
 from casq.detspace import Determinant, enumerate_cas
@@ -20,6 +22,12 @@ from _oracles import (
     space_projector,
 )
 from conftest import make_random_integrals
+
+# Every M_S block of CAS(3,4), CAS(4,4) and CAS(5,4) that has a block
+# below it; the blocks at the two ends are in test_ladders_at_edge_blocks.
+LOWERABLE_BLOCKS = [(3, 4, -1), (3, 4, 1), (3, 4, 3),
+                    (4, 4, -2), (4, 4, 0), (4, 4, 2), (4, 4, 4),
+                    (5, 4, -1), (5, 4, 1), (5, 4, 3)]
 
 
 def test_s_squared_matches_fock_oracle():
@@ -64,7 +72,7 @@ def test_s_squared_trivial_cases():
 
 def test_apply_s_minus_matches_fock_oracle():
     rng = np.random.default_rng(5)
-    for n_elec, n_orb, ms2 in [(3, 3, 3), (3, 4, 1), (4, 4, 2)]:
+    for n_elec, n_orb, ms2 in [(3, 3, 3)] + LOWERABLE_BLOCKS:
         space = enumerate_cas(n_elec, n_orb, ms2)
         sp, sm, _ = fock_spin_ops(n_orb)
         v = rng.standard_normal(space.size)
@@ -136,21 +144,64 @@ def test_multiplicity_label():
 
 def test_flip_lower_links_match_fock_oracle():
     rng = np.random.default_rng(6)
-    space = enumerate_cas(3, 3, 1)
-    lower, groups = flip_lower_links(space)
-    n_orb = space.n_orb
-    Pv = space_projector(space)
-    Pw = space_projector(lower)
-    v = rng.standard_normal(space.size)
-    w = rng.standard_normal(lower.size)
-    for p in range(n_orb):
-        for q in range(n_orb):
-            coeff = np.zeros((2 * n_orb, 2 * n_orb))
-            coeff[n_orb + p, q] = 1.0  # a+_pb a_qa
-            ref = w @ (Pw @ fock_one_electron(coeff, n_orb).real @ Pv.T) @ v
-            src, dst, sign = groups[p * n_orb + q]
-            got = float(np.sum(sign * w[dst] * v[src])) if src.size else 0.0
-            assert got == pytest.approx(ref, abs=1e-12)
+    for n_elec, n_orb, ms2 in [(3, 3, 1)] + LOWERABLE_BLOCKS:
+        space = enumerate_cas(n_elec, n_orb, ms2)
+        lower, groups = flip_lower_links(space)
+        n_orb = space.n_orb
+        Pv = space_projector(space)
+        Pw = space_projector(lower)
+        v = rng.standard_normal(space.size)
+        w = rng.standard_normal(lower.size)
+        for p in range(n_orb):
+            for q in range(n_orb):
+                coeff = np.zeros((2 * n_orb, 2 * n_orb))
+                coeff[n_orb + p, q] = 1.0  # a+_pb a_qa
+                ref = w @ (Pw @ fock_one_electron(coeff, n_orb).real @ Pv.T) @ v
+                src, dst, sign = groups[p * n_orb + q]
+                got = float(np.sum(sign * w[dst] * v[src])) if src.size else 0.0
+                assert got == pytest.approx(ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_elec", [3, 4, 5])
+def test_ladders_at_edge_blocks(n_elec):
+    top = min(n_elec, 8 - n_elec)  # largest 2*M_S in 4 orbitals
+    bottom = enumerate_cas(n_elec, 4, -top)
+    assert flip_lower_links(bottom) is None
+    with pytest.raises(LadderAnnihilation):
+        apply_s_minus(bottom, np.ones(bottom.size))
+    upper = enumerate_cas(n_elec, 4, top)
+    with pytest.raises(LadderAnnihilation):
+        apply_s_plus(upper, np.ones(upper.size))
+
+
+@st.composite
+def cas_blocks(draw):
+    n_orb = draw(st.integers(1, 4))
+    n_elec = draw(st.integers(0, 2 * n_orb))
+    top = min(n_elec, 2 * n_orb - n_elec)
+    return n_elec, n_orb, draw(st.sampled_from(range(-top, top + 1, 2)))
+
+
+@given(cas_blocks())
+def test_s_plus_is_s_minus_of_block_above_transposed(block):
+    n_elec, n_orb, ms2 = block
+    space = enumerate_cas(n_elec, n_orb, ms2)
+    P = space_projector(space)
+    V = np.random.default_rng(7).standard_normal((space.size, 3))
+    assert np.allclose(s_squared_matrix(space, V),
+                       V.T @ P @ fock_s_squared(n_orb) @ P.T @ V, atol=1e-12)
+    if ms2 == min(n_elec, 2 * n_orb - n_elec):
+        with pytest.raises(LadderAnnihilation):
+            apply_s_plus(space, V[:, 0])
+        return
+    upper = enumerate_cas(n_elec, n_orb, ms2 + 2)
+    plus = np.column_stack([apply_s_plus(space, e)[1]
+                            for e in np.eye(space.size)])
+    minus = np.column_stack([apply_s_minus(upper, e, norm_tol=0.0)[1]
+                             for e in np.eye(upper.size)])
+    assert np.array_equal(plus, minus.T)
+    sp, _, _ = fock_spin_ops(n_orb)
+    assert np.array_equal(plus, space_projector(upper) @ sp @ P.T)
 
 
 def test_assemble_multiplets_doublet_and_quartet():
