@@ -17,35 +17,50 @@ class RdmOne:
     matrix: np.ndarray
 
 
+def _link_densities(groups, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """out[g, i, j] = sum_e sign_e bra[dst_e, :, i] . ket[src_e, :, j].
+
+    bra (rows, m, k_b) and ket (rows', m, k_k) are indexed along their
+    first axis by a link table's dst and src; the middle axis is summed
+    over.  Each group is one gather and one GEMM over all columns, so the
+    working memory per group is E_g * m * k.
+    """
+    kb, kk = bra.shape[-1], ket.shape[-1]
+    out = np.zeros((len(groups), kb, kk))
+    for g, (src, dst, sign) in enumerate(groups):
+        if src.size:
+            rows = bra[dst]
+            rows *= sign[:, None, None]
+            out[g] = rows.reshape(-1, kb).T @ ket[src].reshape(-1, kk)
+    return out
+
+
 def spin_transition_densities(space: CasSpace, bra: np.ndarray,
                               ket: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(gamma_alpha, gamma_beta) with gamma_s[p,q] = <bra|a+_ps a_qs|ket>.
+    """(gamma_alpha, gamma_beta) with gamma_s[p,q,i,j] = <bra_i|a+_ps a_qs|ket_j>.
 
-    Both vectors live in the same space.
+    bra and ket are one vector or a stack of columns, both in space; the
+    output axis of a 1-D argument is dropped, so two vectors give (n, n).
     """
     n = space.n_orb
     na = len(space.alpha_strings)
     nb = len(space.beta_strings)
-    B = np.asarray(bra).reshape(na, nb)
-    K = np.asarray(ket).reshape(na, nb)
+    bra = np.asarray(bra)
+    ket = np.asarray(ket)
+    shape = (n, n) + bra.shape[1:] + ket.shape[1:]
+    B = bra.reshape(na, nb, -1)
+    K = ket.reshape(na, nb, -1)
     a_src, _ = _string_links(space.alpha_strings, n)
     b_src, _ = _string_links(space.beta_strings, n)
-    ga = np.zeros((n, n))
-    gb = np.zeros((n, n))
-    for g, (src, dst, sign) in enumerate(a_src):
-        if src.size:
-            ga[g // n, g % n] = np.sum(sign * np.einsum(
-                "ec,ec->e", B[dst, :], K[src, :]))
-    for g, (src, dst, sign) in enumerate(b_src):
-        if src.size:
-            gb[g // n, g % n] = np.sum(sign * np.einsum(
-                "ce,ce->e", B[:, dst], K[:, src]))
-    return ga, gb
+    ga = _link_densities(a_src, B, K)
+    gb = _link_densities(b_src, np.ascontiguousarray(B.transpose(1, 0, 2)),
+                        np.ascontiguousarray(K.transpose(1, 0, 2)))
+    return ga.reshape(shape), gb.reshape(shape)
 
 
 def transition_density(space: CasSpace, bra: np.ndarray,
                        ket: np.ndarray) -> np.ndarray:
-    """Spin-traced transition density <bra|E_pq|ket>."""
+    """Spin-traced transition density <bra|E_pq|ket> (columns as above)."""
     ga, gb = spin_transition_densities(space, bra, ket)
     return ga + gb
 
@@ -58,12 +73,11 @@ def one_rdm(space: CasSpace, states: list[CiState] | list[np.ndarray],
         raise ValueError("weights must be non-negative and sum to 1")
     if len(states) != weights.size:
         raise ValueError("one weight per state required")
-    dm = np.zeros((space.n_orb, space.n_orb))
-    for w, st in zip(weights, states):
-        if w == 0.0:
-            continue
-        vec = st.coeffs if isinstance(st, CiState) else np.asarray(st)
-        dm += w * transition_density(space, vec, vec)
+    keep = weights > 0
+    vecs = np.column_stack([st.coeffs if isinstance(st, CiState)
+                            else np.asarray(st) for st in states])[:, keep]
+    dens = transition_density(space, vecs, vecs)
+    dm = np.einsum("pqii,i->pq", dens, weights[keep])
     dm = (dm + dm.T) / 2.0
     trace_err = abs(np.trace(dm) - space.n_elec)
     if trace_err > 1e-10:

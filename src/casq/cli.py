@@ -1,9 +1,10 @@
 """Command-line front end: count / casci / gtensor / spectrum.
 
-Exit codes: 0 success, 1 input error, 2 numerical non-convergence,
-3 internal invariant breach.  Every run writes out/manifest.json, on
-failure paths included.  Heavy imports happen after thread setup so that
---threads / CASQ_THREADS can pin the BLAS pool before numpy loads.
+Exit codes: 0 success, 1 input error (command-line usage errors
+included), 2 numerical non-convergence, 3 internal invariant breach.
+Every run writes out/manifest.json, on failure paths included.  Heavy
+imports happen after thread setup so that --threads / CASQ_THREADS can
+pin the BLAS pool before numpy loads.
 """
 
 from __future__ import annotations
@@ -24,13 +25,26 @@ EXIT_INVARIANT = 3
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+class UsageError(ValueError):
+    """Malformed command line or environment: an input error (exit 1)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print and exit with code 2,
+    the code reserved here for non-convergence."""
+
+    def error(self, message):
+        raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def _setup_threads(threads: int | None) -> int | None:
     n = threads
     if n is None and os.environ.get("CASQ_THREADS"):
         try:
             n = int(os.environ["CASQ_THREADS"])
         except ValueError:
-            raise SystemExit("CASQ_THREADS must be an integer")
+            raise UsageError("CASQ_THREADS must be an integer, got "
+                             f"{os.environ['CASQ_THREADS']!r}") from None
     if n is not None:
         for var in _THREAD_VARS:
             os.environ[var] = str(n)
@@ -44,10 +58,10 @@ def _sha256(path: Path) -> str:
 class Manifest:
     """Run record emitted on every invocation, success or failure."""
 
-    def __init__(self, command: str, args: argparse.Namespace):
+    def __init__(self, command: str | None, out: str | None, argv: list[str]):
         self.data = {
             "command": command,
-            "argv": sys.argv[1:],
+            "argv": argv,
             "config": {},
             "inputs": {},
             "artifact_version": _version(),
@@ -56,7 +70,7 @@ class Manifest:
             "status": "running",
             "exit_code": None,
         }
-        self.out_dir = Path(getattr(args, "out", None) or "casq_out")
+        self.out_dir = Path(out or "casq_out")
         self._t0 = {}
 
     def add_input(self, path: Path):
@@ -107,7 +121,7 @@ def _write(out_dir: Path, name: str, text: str):
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="casq",
         description="Determinant CASCI with spin-orbit QDPT, g-tensors "
                     "and absorption spectra.")
@@ -407,12 +421,27 @@ class InvariantBreach(RuntimeError):
     pass
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _setup_threads(args.threads)
+def _out_from_argv(argv: list[str]) -> str | None:
+    """The --out value of a command line the parser rejected."""
+    for k, tok in enumerate(argv):
+        if tok == "--out" and k + 1 < len(argv):
+            return argv[k + 1]
+        if tok.startswith("--out="):
+            return tok.partition("=")[2]
+    return None
 
-    manifest = Manifest(args.command, args)
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+        _setup_threads(args.threads)
+    except UsageError as exc:
+        print(f"error (input error): {exc}", file=sys.stderr)
+        Manifest(None, _out_from_argv(argv), argv).finish(EXIT_INPUT)
+        return EXIT_INPUT
+
+    manifest = Manifest(args.command, args.out, argv)
     handlers = {"count": cmd_count, "casci": cmd_casci,
                 "gtensor": cmd_gtensor, "spectrum": cmd_spectrum}
     code = EXIT_OK

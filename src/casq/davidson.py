@@ -39,17 +39,24 @@ class DavidsonNotConverged(RuntimeError):
 
 def _orthonormalize(block: np.ndarray, against: np.ndarray | None = None,
                     drop_tol: float = 1e-10) -> np.ndarray:
-    """Two-pass modified Gram-Schmidt; drops linearly dependent columns."""
+    """Two-pass modified Gram-Schmidt; drops linearly dependent columns.
+
+    A column is dependent when projection leaves less than drop_tol of its
+    own norm.  The test is relative because correction vectors shrink with
+    the residual: an absolute cut drops them near convergence and stalls
+    the solver at residuals around 1e-9.
+    """
     cols = []
     for j in range(block.shape[1]):
         v = block[:, j].copy()
+        scale = np.linalg.norm(v)
         for _ in range(2):
             if against is not None and against.shape[1]:
                 v -= against @ (against.T @ v)
             for u in cols:
                 v -= u * (u @ v)
         norm = np.linalg.norm(v)
-        if norm > drop_tol:
+        if norm > drop_tol * scale:
             cols.append(v / norm)
     if not cols:
         return np.empty((block.shape[0], 0))

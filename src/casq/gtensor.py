@@ -26,7 +26,8 @@ import numpy as np
 from .analysis import spin_transition_densities
 from .casci import Multiplet
 from .ingest import PropertyIntegrals
-from .soc import SocStateBasis, SoEigenstates, time_reversal_matrix
+from .soc import (SocStateBasis, SoEigenstates, component_blocks,
+                  time_reversal_matrix)
 from .units import G_E, HARTREE_TO_CM
 
 _PAULI = (
@@ -91,17 +92,10 @@ def zeeman_basis_matrices(basis: SocStateBasis, multiplets: list[Multiplet],
                 mu[0, ii, jj] += G_E * c
                 mu[1, ii, jj] += G_E * (1.0j) * c
     # orbital part: spin-free, couples equal M_S (and equal S in practice)
-    for jj, ej in enumerate(basis.entries):
-        ket = multiplets[ej.multiplet].component(ej.ms2)
-        for ii, ei in enumerate(basis.entries):
-            if ei.ms2 != ej.ms2:
-                continue
-            bra = multiplets[ei.multiplet].component(ei.ms2)
-            ga, gb = spin_transition_densities(ket.space, bra.coeffs,
-                                               ket.coeffs)
-            dens = ga + gb
-            for k in range(3):
-                mu[k, ii, jj] += 1.0j * np.sum(prop.L[k] * dens)
+    for idx, space, C in component_blocks(basis, multiplets).values():
+        ga, gb = spin_transition_densities(space, C, C)
+        mu[:, idx[:, None], idx] += 1.0j * np.einsum("kpq,pqij->kij",
+                                                     prop.L, ga + gb)
     return mu
 
 
@@ -139,25 +133,25 @@ def g_tensor_sos(ground: Multiplet, excited: list[Multiplet],
         raise ValueError("SOS g requires a spin-carrying ground state")
     top = ground.two_s
     v0 = ground.component(top)
-    space = v0.space
+    same = [m for m in excited if m.two_s == ground.two_s]
+    gaps = np.array([m.energy - ground.energy for m in same])
+    low = gaps < min_gap
+    if low.any():
+        raise ValueError(
+            f"excited multiplet gap {gaps[low][0]:.3e} Hartree below "
+            f"{min_gap:.0e}; degenerate ground manifold, use the effective "
+            f"Hamiltonian")
     dg = np.zeros((3, 3))
-    for mult in excited:
-        if mult.two_s != ground.two_s:
-            continue
-        gap = mult.energy - ground.energy
-        if gap < min_gap:
-            raise ValueError(
-                f"excited multiplet gap {gap:.3e} Hartree below {min_gap:.0e}; "
-                f"degenerate ground manifold, use the effective Hamiltonian")
-        vb = mult.component(top)
-        ga_0b, gb_0b = spin_transition_densities(space, v0.coeffs, vb.coeffs)
-        ga_b0, gb_b0 = spin_transition_densities(space, vb.coeffs, v0.coeffs)
-        # all four factors are i * (real contraction); i*i = -1 overall
-        l_0b = np.array([np.sum(prop.L[k] * (ga_0b + gb_0b)) for k in range(3)])
-        z_b0 = np.array([np.sum(prop.Z[k] * (ga_b0 - gb_b0)) for k in range(3)])
-        z_0b = np.array([np.sum(prop.Z[k] * (ga_0b - gb_0b)) for k in range(3)])
-        l_b0 = np.array([np.sum(prop.L[k] * (ga_b0 + gb_b0)) for k in range(3)])
-        dg += (np.outer(l_0b, z_b0) + np.outer(z_0b, l_b0)) / (s * gap)
+    if same:
+        V = np.column_stack([m.component(top).coeffs for m in same])
+        ga, gb = spin_transition_densities(v0.space, v0.coeffs, V)
+        # <b|O_pq|0> = <0|O_qp|b> for real CI vectors; all four factors
+        # are i * (real contraction), i*i = -1 overall
+        l_0b = np.einsum("kpq,pqb->kb", prop.L, ga + gb)
+        z_0b = np.einsum("kpq,pqb->kb", prop.Z, ga - gb)
+        l_b0 = np.einsum("kqp,pqb->kb", prop.L, ga + gb)
+        z_b0 = np.einsum("kqp,pqb->kb", prop.Z, ga - gb)
+        dg = ((l_0b / gaps) @ z_b0.T + (z_0b / gaps) @ l_b0.T) / s
     return _principal_from_g(G_E * np.eye(3) + dg, "SOS")
 
 

@@ -155,7 +155,9 @@ class DavidsonOptions:
     """Iterative-solver controls."""
 
     max_subspace: int = 0          # 0 = auto (scaled from root count)
-    tol: float = 1e-8              # residual norm threshold, Hartree
+    # residual norm threshold, Hartree; the SOC matrix inherits the roots'
+    # residual, and soc.qdpt checks Kramers pairs to 1e-10 Eh
+    tol: float = 1e-10
     max_iter: int = 200
     guess_dim: int = 0             # 0 = auto
 
@@ -427,7 +429,7 @@ def parse_run_config(text: str, *, default_cas: tuple[int, int] | None = None,
     davidson = DavidsonOptions(
         max_subspace=_parse_int(raw.get("davidson_max_subspace", "0"),
                                 "davidson_max_subspace"),
-        tol=float(raw.get("davidson_tol", "1e-8")),
+        tol=float(raw.get("davidson_tol", DavidsonOptions.tol)),
         max_iter=_parse_int(raw.get("davidson_max_iter", "200"),
                             "davidson_max_iter"),
         guess_dim=_parse_int(raw.get("guess_dim", "0"), "guess_dim"),

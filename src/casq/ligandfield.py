@@ -22,8 +22,7 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from .ingest import (DavidsonOptions, IntegralSet, OrbitalSpace,
-                     PropertyIntegrals, RunConfig, SpectrumOptions,
+from .ingest import (IntegralSet, OrbitalSpace, PropertyIntegrals, RunConfig,
                      symmetrize_8fold)
 from .units import CM_TO_HARTREE, EV_TO_HARTREE
 
@@ -191,10 +190,6 @@ def build_ligand_field_model(model: LigandFieldModel):
     config = RunConfig(
         cas=(model.n_elec, 5),
         roots_per_multiplicity={ground_mult: 5},
-        # the SOC matrix inherits the roots' residual, and qdpt checks
-        # Kramers pairs to 1e-10 Eh
-        davidson=DavidsonOptions(tol=1e-10),
-        spectrum=SpectrumOptions(),
     )
     return orbitals, ints, prop, config
 

@@ -6,9 +6,10 @@ The one-electron spin-orbit operator couples to Pauli matrices,
 
 so a ligand-field Z = (zeta/2) L realizes zeta l.s exactly.  Matrix
 elements over multiplet components reduce to spin-conserving and
-spin-flip one-particle transition densities; phase consistency of the
-ladder-built components makes the matrix Hermitian, which is verified
-explicitly.
+spin-flip one-particle transition densities, evaluated for all
+components of one pair of M_S blocks at once.  The Delta M_S = -1 and +1
+blocks come from independent lowering and raising tables, so the
+Hermiticity check compares two separate evaluations of every element.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import spin_transition_densities
+from .analysis import _link_densities, spin_transition_densities
 from .casci import Multiplet
-from .detspace import CasSpace
 from .ingest import PropertyIntegrals
-from .spin import flip_lower_links
+from .spin import flip_lower_links, flip_raise_links
 
 
 class PhaseConsistencyError(ValueError):
@@ -70,21 +70,31 @@ def diagonal_energies(basis: SocStateBasis,
     return np.array([multiplets[e.multiplet].energy for e in basis.entries])
 
 
-def _flip_tdm(space_ket: CasSpace, bra: np.ndarray,
-              ket: np.ndarray) -> np.ndarray:
-    """gamma[p,q] = <bra| a+_pb a_qa |ket> with bra in the ms2-2 space."""
-    links = flip_lower_links(space_ket)
-    if links is None:
-        return np.zeros((space_ket.n_orb, space_ket.n_orb))
-    _, groups = links
-    n = space_ket.n_orb
-    out = np.zeros((n, n))
-    bra = np.asarray(bra).ravel()
-    ket = np.asarray(ket).ravel()
-    for g, (src, dst, sign) in enumerate(groups):
-        if src.size:
-            out[g // n, g % n] = float(np.sum(sign * bra[dst] * ket[src]))
-    return out
+def component_blocks(basis: SocStateBasis, multiplets: list[Multiplet]):
+    """Basis entries grouped by M_S: {ms2: (indices, space, columns)}.
+
+    The columns stack the CI vectors of the block's components in basis
+    order; every component of one M_S lives in the same CAS space.
+    """
+    members: dict[int, list[int]] = {}
+    for k, e in enumerate(basis.entries):
+        members.setdefault(e.ms2, []).append(k)
+    blocks = {}
+    for ms2, idx in members.items():
+        comps = [multiplets[basis.entries[k].multiplet].component(ms2)
+                 for k in idx]
+        blocks[ms2] = (np.array(idx), comps[0].space,
+                       np.column_stack([c.coeffs for c in comps]))
+    return blocks
+
+
+def _flip_tdm(links, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """gamma[p,q,i,j] = <bra_i|a+_p a_q|ket_j> over a spin-flip table
+    (ket columns in its source space, bra columns in its target space)."""
+    space, groups = links
+    n = space.n_orb
+    out = _link_densities(groups, bra[:, None, :], ket[:, None, :])
+    return out.reshape(n, n, bra.shape[1], ket.shape[1])
 
 
 def soc_matrix(basis: SocStateBasis, multiplets: list[Multiplet],
@@ -92,35 +102,28 @@ def soc_matrix(basis: SocStateBasis, multiplets: list[Multiplet],
                hermiticity_tol: float = 1e-8) -> np.ndarray:
     """Complex Hermitian H_SO over the basis entries (Hartree).
 
-    Couples blocks with |Delta S| <= 1 and |Delta M_S| <= 1; every element
-    is evaluated independently and the Hermiticity residual is checked
-    against hermiticity_tol before symmetrizing.
+    Couples blocks with |Delta S| <= 1 and |Delta M_S| <= 1; the
+    Delta M_S = -1 and +1 elements are evaluated independently and the
+    Hermiticity residual is checked against hermiticity_tol before
+    symmetrizing.
     """
     n = basis.size
     zx, zy, zz = prop.Z
     H = np.zeros((n, n), dtype=complex)
-    for jj, ej in enumerate(basis.entries):
-        ket_state = multiplets[ej.multiplet].component(ej.ms2)
-        for ii, ei in enumerate(basis.entries):
-            if abs(ei.two_s - ej.two_s) > 2:
-                continue
-            dm = ei.ms2 - ej.ms2
-            if dm == 0:
-                bra_state = multiplets[ei.multiplet].component(ei.ms2)
-                ga, gb = spin_transition_densities(
-                    ket_state.space, bra_state.coeffs, ket_state.coeffs)
-                H[ii, jj] = 1j * np.sum(zz * (ga - gb))
-            elif dm == -2:
-                bra_state = multiplets[ei.multiplet].component(ei.ms2)
-                gflip = _flip_tdm(ket_state.space, bra_state.coeffs,
-                                  ket_state.coeffs)
-                H[ii, jj] = np.sum((1j * zx - zy) * gflip)
-            elif dm == 2:
-                bra_state = multiplets[ei.multiplet].component(ei.ms2)
-                # <i|a+_pa a_qb|j> = <j|a+_qb a_pa|i> for real CI vectors
-                gflip = _flip_tdm(bra_state.space, ket_state.coeffs,
-                                  bra_state.coeffs).T
-                H[ii, jj] = np.sum((1j * zx + zy) * gflip)
+    blocks = component_blocks(basis, multiplets)
+    for ms2, (idx, space, C) in blocks.items():
+        ga, gb = spin_transition_densities(space, C, C)
+        H[np.ix_(idx, idx)] = 1j * np.einsum("pq,pqij->ij", zz, ga - gb)
+        if ms2 - 2 not in blocks:
+            continue
+        low, low_space, D = blocks[ms2 - 2]
+        # <low|a+_pb a_qa|C> and <C|a+_pa a_qb|low>, from separate tables
+        down = _flip_tdm(flip_lower_links(space), D, C)
+        H[np.ix_(low, idx)] = np.einsum("pq,pqij->ij", 1j * zx - zy, down)
+        up = _flip_tdm(flip_raise_links(low_space), C, D)
+        H[np.ix_(idx, low)] = np.einsum("pq,pqij->ij", 1j * zx + zy, up)
+    two_s = np.array([e.two_s for e in basis.entries])
+    H[np.abs(two_s[:, None] - two_s[None, :]) > 2] = 0.0
     resid = float(np.max(np.abs(H - H.conj().T)))
     if resid > hermiticity_tol:
         raise PhaseConsistencyError(

@@ -68,14 +68,19 @@ def transition_table(states: list[CiState], prop: PropertyIntegrals,
     if not states:
         return []
     ground = states[0]
+    allowed = [k for k, state in enumerate(states[1:], start=1)
+               if state.space is ground.space
+               and state.multiplicity == ground.multiplicity]
+    mu = np.zeros((len(states), 3))
+    if allowed:
+        dens = transition_density(ground.space, ground.coeffs, np.column_stack(
+            [states[k].coeffs for k in allowed]))
+        mu[allowed] = np.einsum("kpq,pqj->jk", prop.D, dens)
     lines = []
     for k, state in enumerate(states[1:], start=1):
-        if state.space is ground.space:
-            mu, forbidden = transition_dipole(ground.space, ground, state, prop)
-        else:
-            mu, forbidden = np.zeros(3), True
+        forbidden = k not in allowed
         de = state.energy - ground.energy
-        f = 0.0 if forbidden else oscillator_strength(de, mu)
+        f = 0.0 if forbidden else oscillator_strength(de, mu[k])
         label = labels.get(k, "")
         if not label:
             if forbidden:

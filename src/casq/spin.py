@@ -176,3 +176,34 @@ def flip_lower_links(space: CasSpace):
     n = space.n_orb
     return lower, tuple(_flip_block(space, lower, p, q)
                         for p in range(n) for q in range(n))
+
+
+@lru_cache(maxsize=None)
+def flip_raise_links(space: CasSpace):
+    """Orbital-resolved spin-flip table a+_pa a_qb: ms2 -> ms2+2.
+
+    Returns (upper_space, groups) laid out as in flip_lower_links.  It is
+    built from the annihilation maps directly, through
+
+        a+_pa a_qb = (alpha a+_p) o (beta a_q) . (-1)^n_alpha,
+
+    and never from the lowering table, so the Delta M_S = +1 blocks of the
+    spin-orbit matrix are evaluated independently of the -1 blocks.
+    """
+    if space.n_alpha == space.n_orb or space.n_beta == 0:
+        return None
+    upper = enumerate_cas(space.n_elec, space.n_orb, space.ms2 + 2)
+    n = space.n_orb
+    nb = len(space.beta_strings)
+    ub = len(upper.beta_strings)
+    crossing = -1.0 if space.n_alpha & 1 else 1.0
+    groups = []
+    for p in range(n):
+        # alpha a+_p is a_p of the (n_alpha+1)-strings read dst -> src
+        a_dst, a_src, a_sign = _annihilators(n, space.n_alpha + 1)[p]
+        for q in range(n):
+            b_src, b_dst, b_sign = _annihilators(n, space.n_beta)[q]
+            groups.append(((a_src[:, None] * nb + b_src).ravel(),
+                           (a_dst[:, None] * ub + b_dst).ravel(),
+                           (crossing * a_sign[:, None] * b_sign).ravel()))
+    return upper, tuple(groups)

@@ -43,6 +43,28 @@ def make_model_integrals(n_orb: int, seed: int = 0) -> IntegralSet:
     return IntegralSet(h=h, g2=g, core_energy=-1.5)
 
 
+def kramers_split_d5_model():
+    """d5 with zeta ~ 700 cm^-1 (model 28 of np.random.default_rng((5, 0))
+    under the benchmark's lf-scan recipe): at Davidson tol 1e-8 a Kramers
+    pair splits by 1.5e-10 Eh, above qdpt's 1e-10 degeneracy check."""
+    from casq.ligandfield import LigandFieldModel
+
+    v = np.array([
+        [2.1334089315760782, -0.2244292569529221, 0.27082821707669313,
+         -0.2558684045317957, -0.7819151763578975],
+        [-0.2244292569529221, 1.5409599213759901, 0.21145949036826503,
+         0.28456473426814644, -0.5762353286846074],
+        [0.27082821707669313, 0.21145949036826503, 2.711693703725817,
+         0.18402161692547753, 0.534782154784134],
+        [-0.2558684045317957, 0.28456473426814644, 0.18402161692547753,
+         1.9082562256501545, -0.595574367693176],
+        [-0.7819151763578975, -0.5762353286846074, 0.534782154784134,
+         -0.595574367693176, 1.5174588326742988]])
+    return LigandFieldModel(v_lf=v, racah_b=0.0707285492022398,
+                            racah_c=0.40156214427329984,
+                            zeta=699.9149704319854, n_elec=5)
+
+
 def _symmetrize_8fold(g: np.ndarray) -> np.ndarray:
     from casq.ingest import symmetrize_8fold
 

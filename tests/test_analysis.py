@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from casq.analysis import (
     RdmOne,
@@ -12,9 +14,10 @@ from casq.analysis import (
 )
 from casq.casci import CiState, dense_solve
 from casq.detspace import Determinant, enumerate_cas
-from casq.spin import s_squared
+from casq.soc import _flip_tdm
+from casq.spin import flip_lower_links, flip_raise_links, s_squared
 
-from _oracles import fock_one_electron, space_projector
+from _oracles import creation_matrix, fock_one_electron, space_projector
 from conftest import make_random_integrals
 
 
@@ -43,6 +46,62 @@ def test_transition_density_matches_fock_oracle():
             ref_b = bra @ P @ fock_one_electron(cb, n).real @ P.T @ ket
             assert ga[p, q] == pytest.approx(ref_a, abs=1e-12)
             assert gb[p, q] == pytest.approx(ref_b, abs=1e-12)
+
+
+@st.composite
+def stacked_block(draw):
+    """A CAS(n_e <= 5, n_o <= 4) M_S block, column counts for the bra and
+    ket stacks (0 = one 1-D vector) and a seed for their entries."""
+    n_orb = draw(st.integers(1, 4))
+    n_elec = draw(st.integers(0, min(5, 2 * n_orb)))
+    top = min(n_elec, 2 * n_orb - n_elec)
+    ms2 = draw(st.sampled_from(range(-top, top + 1, 2)))
+    return (n_elec, n_orb, ms2, draw(st.integers(0, 3)),
+            draw(st.integers(0, 3)), draw(st.integers(0, 2 ** 16)))
+
+
+def _columns(rng, space, k):
+    return rng.standard_normal((space.size, k) if k else space.size)
+
+
+def _fock_pair_densities(n_orb, bra_space, ket_space, bra, ket, spins):
+    """ref[p,q] = bra^T <a+_p(s1) a_q(s2)> ket from explicit Fock matrices."""
+    n_so = 2 * n_orb
+    cre = [creation_matrix(n_so, k) for k in range(n_so)]
+    Pb, Pk = space_projector(bra_space), space_projector(ket_space)
+    off = {"alpha": 0, "beta": n_orb}
+    s1, s2 = (off[s] for s in spins)
+    ref = np.zeros((n_orb, n_orb) + bra.shape[1:] + ket.shape[1:])
+    for p in range(n_orb):
+        for q in range(n_orb):
+            block = Pb @ cre[s1 + p] @ cre[s2 + q].T @ Pk.T
+            ref[p, q] = np.tensordot(bra, block @ ket, axes=(0, 0))
+    return ref
+
+
+@given(stacked_block())
+def test_block_densities_match_fock_oracle(case):
+    n_elec, n_orb, ms2, kb, kk, seed = case
+    rng = np.random.default_rng(seed)
+    space = enumerate_cas(n_elec, n_orb, ms2)
+    bra, ket = _columns(rng, space, kb), _columns(rng, space, kk)
+    ga, gb = spin_transition_densities(space, bra, ket)
+    for got, spin in ((ga, "alpha"), (gb, "beta")):
+        ref = _fock_pair_densities(n_orb, space, space, bra, ket, (spin, spin))
+        assert np.allclose(got, ref, rtol=0, atol=1e-12)
+    # spin flips out of this block, as stacks of columns
+    kb, kk = max(kb, 1), max(kk, 1)
+    top = min(n_elec, 2 * n_orb - n_elec)
+    for table, spins, edge in ((flip_lower_links, ("beta", "alpha"), -top),
+                               (flip_raise_links, ("alpha", "beta"), top)):
+        links = table(space)
+        assert (links is None) == (ms2 == edge)
+        if links is None:
+            continue
+        other = links[0]
+        bra, ket = _columns(rng, other, kb), _columns(rng, space, kk)
+        ref = _fock_pair_densities(n_orb, other, space, bra, ket, spins)
+        assert np.allclose(_flip_tdm(links, bra, ket), ref, rtol=0, atol=1e-12)
 
 
 def test_one_rdm_single_determinant():

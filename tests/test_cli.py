@@ -4,8 +4,9 @@ import numpy as np
 
 from casq.cli import main
 from casq.ingest import write_fcidump
+from casq.ligandfield import build_ligand_field_model
 
-from conftest import make_random_integrals
+from conftest import kramers_split_d5_model, make_random_integrals
 
 
 def run_cli(args, tmp_path, out_name="out"):
@@ -241,3 +242,42 @@ def test_casci_norb_mismatch(tmp_path, capsys):
          "--config", str(tmp_path / "bad.cfg")], tmp_path)
     assert code == 1
     assert "does not match" in capsys.readouterr().err
+
+
+def test_gtensor_fcidump_default_tol_pairs_kramers_states(tmp_path):
+    # without davidson_tol the FCIDUMP route must solve to the tolerance
+    # qdpt checks Kramers pairs against (at 1e-8 this model exits 3)
+    _, ints, prop, _ = build_ligand_field_model(kramers_split_d5_model())
+    (tmp_path / "m.fcidump").write_text(write_fcidump(ints, 5, 1))
+    sections = []
+    for name, mats in (("ANGMOM", prop.L), ("SOC", prop.Z)):
+        for axis, mat in zip("XYZ", mats):
+            sections.append(f"{name}_{axis}")
+            sections.extend(" ".join(repr(float(x)) for x in row)
+                            for row in mat)
+    (tmp_path / "m.prop").write_text("\n".join(sections) + "\n")
+    code, _, manifest = run_cli(
+        ["gtensor", "--fcidump", str(tmp_path / "m.fcidump"),
+         "--prop", str(tmp_path / "m.prop")], tmp_path)
+    assert code == 0
+    assert manifest["config"]["davidson"]["tol"] == 1e-10
+
+
+def test_usage_error_exits_one_with_manifest(tmp_path, capsys):
+    # a removed flag is an input error, not exit 2 (non-convergence)
+    code, _, manifest = run_cli(["casci", "--lf", "d1", "--ms2", "1"],
+                                tmp_path)
+    assert code == 1
+    assert manifest["status"] == "failed" and manifest["exit_code"] == 1
+    assert "--ms2" in capsys.readouterr().err
+
+
+def test_non_integer_casq_threads_exits_one_with_manifest(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CASQ_THREADS", "two")
+    monkeypatch.chdir(tmp_path)
+    code = main(["count", "--nelec", "1", "--norb", "5", "--ms2", "1"])
+    assert code == 1
+    manifest = json.loads((tmp_path / "casq_out" / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["exit_code"] == 1
+    assert "CASQ_THREADS" in capsys.readouterr().err

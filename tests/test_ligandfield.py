@@ -16,6 +16,7 @@ from casq.ligandfield import (
 from casq.units import EV_TO_HARTREE
 
 from _oracles import dshell_coulomb_quadrature, lz_quadrature, racah_to_slater
+from conftest import kramers_split_d5_model
 
 
 def test_wigner_3j_known_values():
@@ -126,24 +127,7 @@ def test_rotational_invariance_of_spectrum():
 
 
 def test_returned_config_resolves_kramers_pairs():
-    # d5 with zeta ~ 700 cm^-1 (model 28 of np.random.default_rng((5, 0))
-    # under the benchmark's lf-scan recipe): at Davidson tol 1e-8 a Kramers
-    # pair splits by 1.5e-10 Eh, above qdpt's 1e-10 degeneracy check
-    v = np.array([
-        [2.1334089315760782, -0.2244292569529221, 0.27082821707669313,
-         -0.2558684045317957, -0.7819151763578975],
-        [-0.2244292569529221, 1.5409599213759901, 0.21145949036826503,
-         0.28456473426814644, -0.5762353286846074],
-        [0.27082821707669313, 0.21145949036826503, 2.711693703725817,
-         0.18402161692547753, 0.534782154784134],
-        [-0.2558684045317957, 0.28456473426814644, 0.18402161692547753,
-         1.9082562256501545, -0.595574367693176],
-        [-0.7819151763578975, -0.5762353286846074, 0.534782154784134,
-         -0.595574367693176, 1.5174588326742988]])
-    model = LigandFieldModel(v_lf=v, racah_b=0.0707285492022398,
-                             racah_c=0.40156214427329984,
-                             zeta=699.9149704319854, n_elec=5)
-    _, ints, prop, config = build_ligand_field_model(model)
+    _, ints, prop, config = build_ligand_field_model(kramers_split_d5_model())
     result = run_gtensor(ints, prop, config)
     assert 2 * len(result.so_states.kramers_pairs) == result.basis.size
 

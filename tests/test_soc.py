@@ -6,8 +6,10 @@ from casq.detspace import enumerate_cas
 from casq.driver import solve_multiplets
 from casq.ingest import PropertyIntegrals, RunConfig, zero_properties
 from casq.ligandfield import LigandFieldModel, build_ligand_field_model, dshell_l_matrices
+from casq import soc
 from casq.soc import (
     KramersPairingError,
+    PhaseConsistencyError,
     diagonal_energies,
     qdpt,
     soc_basis,
@@ -108,6 +110,32 @@ def test_soc_selection_rules():
             if ei.two_s != ej.two_s and abs(H[i, j]) > 1e-12:
                 coupled += 1
     assert coupled > 0  # |Delta S| = 1 coupling is present
+
+
+def test_hermiticity_check_catches_a_corrupted_flip_table(monkeypatch):
+    # the Delta M_S = +1 blocks come from their own raising table, so a
+    # sign error in the lowering table alone must break Hermiticity
+    ints = make_random_integrals(3, 71)
+    doublets = [s for s in dense_solve(enumerate_cas(3, 3, 1), ints, 8)
+                if s.multiplicity == 2][:2]
+    quartets = [s for s in dense_solve(enumerate_cas(3, 3, 3), ints, 1)
+                if s.multiplicity == 4]
+    mults = assemble_multiplets(doublets + quartets, ints)
+    Z = np.zeros((3, 3, 3))
+    Z[0, 0, 1], Z[0, 1, 0] = 0.3, -0.3          # only (p, q) = (0, 1), (1, 0)
+    prop = PropertyIntegrals(L=np.zeros((3, 3, 3)), Z=Z, D=np.zeros((3, 3, 3)))
+    basis = soc_basis(mults)
+    assert np.max(np.abs(soc_matrix(basis, mults, prop))) > 1e-3
+    lower_links = soc.flip_lower_links
+
+    def corrupted(space):
+        lower, groups = lower_links(space)
+        src, dst, sign = groups[0 * 3 + 1]
+        return lower, groups[:1] + ((src, dst, -sign),) + groups[2:]
+
+    monkeypatch.setattr(soc, "flip_lower_links", corrupted)
+    with pytest.raises(PhaseConsistencyError):
+        soc_matrix(basis, mults, prop)
 
 
 def test_qdpt_zero_soc_identity():

@@ -10,6 +10,7 @@ from casq.spin import (
     apply_s_minus,
     apply_s_plus,
     flip_lower_links,
+    flip_raise_links,
     multiplicity_label,
     s_squared,
     s_squared_matrix,
@@ -162,6 +163,27 @@ def test_flip_lower_links_match_fock_oracle():
                 assert got == pytest.approx(ref, abs=1e-12)
 
 
+def test_flip_raise_links_match_fock_oracle():
+    rng = np.random.default_rng(8)
+    for n_elec, n_orb, ms2 in [(3, 3, 3)] + LOWERABLE_BLOCKS:
+        upper = enumerate_cas(n_elec, n_orb, ms2)
+        space = enumerate_cas(n_elec, n_orb, ms2 - 2)
+        got_upper, groups = flip_raise_links(space)
+        assert got_upper is upper
+        Pv = space_projector(space)
+        Pw = space_projector(upper)
+        v = rng.standard_normal(space.size)
+        w = rng.standard_normal(upper.size)
+        for p in range(n_orb):
+            for q in range(n_orb):
+                coeff = np.zeros((2 * n_orb, 2 * n_orb))
+                coeff[p, n_orb + q] = 1.0  # a+_pa a_qb
+                ref = w @ (Pw @ fock_one_electron(coeff, n_orb).real @ Pv.T) @ v
+                src, dst, sign = groups[p * n_orb + q]
+                got = float(np.sum(sign * w[dst] * v[src])) if src.size else 0.0
+                assert got == pytest.approx(ref, abs=1e-12)
+
+
 @pytest.mark.parametrize("n_elec", [3, 4, 5])
 def test_ladders_at_edge_blocks(n_elec):
     top = min(n_elec, 8 - n_elec)  # largest 2*M_S in 4 orbitals
@@ -170,6 +192,7 @@ def test_ladders_at_edge_blocks(n_elec):
     with pytest.raises(LadderAnnihilation):
         apply_s_minus(bottom, np.ones(bottom.size))
     upper = enumerate_cas(n_elec, 4, top)
+    assert flip_raise_links(upper) is None
     with pytest.raises(LadderAnnihilation):
         apply_s_plus(upper, np.ones(upper.size))
 
