@@ -35,6 +35,25 @@ def _link_densities(groups, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
     return out
 
 
+def _spin_densities(space: CasSpace, bra: np.ndarray,
+                    ket: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gamma_alpha, gamma_beta) as (n*n, k_b, k_k) arrays.
+
+    bra (n_alpha, n_beta, s, k_b) and ket (n_alpha, n_beta, s, k_k) are
+    summed over their determinant axes and their third axis s: alpha
+    works on the (n_alpha, n_beta * s) view, beta on a transposed copy.
+    """
+    n = space.n_orb
+    na, nb = bra.shape[:2]
+    kb, kk = bra.shape[-1], ket.shape[-1]
+    ga = _link_densities(_string_links(space.alpha_strings, n),
+                         bra.reshape(na, -1, kb), ket.reshape(na, -1, kk))
+    gb = _link_densities(_string_links(space.beta_strings, n),
+                         bra.transpose(1, 0, 2, 3).reshape(nb, -1, kb),
+                         ket.transpose(1, 0, 2, 3).reshape(nb, -1, kk))
+    return ga, gb
+
+
 def spin_transition_densities(space: CasSpace, bra: np.ndarray,
                               ket: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(gamma_alpha, gamma_beta) with gamma_s[p,q,i,j] = <bra_i|a+_ps a_qs|ket_j>.
@@ -44,17 +63,11 @@ def spin_transition_densities(space: CasSpace, bra: np.ndarray,
     """
     n = space.n_orb
     na = len(space.alpha_strings)
-    nb = len(space.beta_strings)
     bra = np.asarray(bra)
     ket = np.asarray(ket)
     shape = (n, n) + bra.shape[1:] + ket.shape[1:]
-    B = bra.reshape(na, nb, -1)
-    K = ket.reshape(na, nb, -1)
-    a_src, _ = _string_links(space.alpha_strings, n)
-    b_src, _ = _string_links(space.beta_strings, n)
-    ga = _link_densities(a_src, B, K)
-    gb = _link_densities(b_src, np.ascontiguousarray(B.transpose(1, 0, 2)),
-                        np.ascontiguousarray(K.transpose(1, 0, 2)))
+    ga, gb = _spin_densities(space, bra.reshape(na, -1, 1, bra[0].size),
+                             ket.reshape(na, -1, 1, ket[0].size))
     return ga.reshape(shape), gb.reshape(shape)
 
 
@@ -76,8 +89,10 @@ def one_rdm(space: CasSpace, states: list[CiState] | list[np.ndarray],
     keep = weights > 0
     vecs = np.column_stack([st.coeffs if isinstance(st, CiState)
                             else np.asarray(st) for st in states])[:, keep]
-    dens = transition_density(space, vecs, vecs)
-    dm = np.einsum("pqii,i->pq", dens, weights[keep])
+    # the state axis joins the summed axis: sum_i w_i <v_i|E_pq|v_i>
+    ket = vecs.reshape(len(space.alpha_strings), -1, vecs.shape[1], 1)
+    ga, gb = _spin_densities(space, ket * weights[keep][:, None], ket)
+    dm = (ga + gb).reshape(space.n_orb, space.n_orb)
     dm = (dm + dm.T) / 2.0
     trace_err = abs(np.trace(dm) - space.n_elec)
     if trace_err > 1e-10:

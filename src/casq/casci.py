@@ -27,6 +27,12 @@ from .spin import (apply_s_minus, multiplicity_label, s_squared,
 
 DENSE_CAP = 20_000
 
+# Sigma's working set per row chunk stays below this many bytes as well as
+# below max_memory_gb: chunks that stay in cache run faster (on a 2-core
+# Xeon, CAS(17,12) M_S = 1/2 took 0.27 s per vector in one 171 MB chunk and
+# 0.10-0.13 s in 33 MB chunks).
+CHUNK_BYTES = 32 * 2**20
+
 # roots closer than this are treated as one degenerate group and rotated
 # to the S^2 eigenbasis for deterministic spin labels
 DEGENERACY_TOL = 1e-10
@@ -134,9 +140,8 @@ def hamiltonian_diagonal(space: CasSpace, ints: IntegralSet) -> np.ndarray:
 def _string_links(strings: tuple[int, ...], n_orb: int):
     """E_pq action tables within one spin-string set.
 
-    Returns (by_src, by_dst): each a tuple over p*n_orb+q groups of
-    (src, dst, sign) arrays, sorted by src and dst respectively.  The
-    diagonal p=q occupation entries are included.
+    Returns a tuple over p*n_orb+q groups of (src, dst, sign) arrays,
+    sorted by src.  The diagonal p=q occupation entries are included.
     """
     index = {s: i for i, s in enumerate(strings)}
     groups = [([], [], []) for _ in range(n_orb * n_orb)]
@@ -156,187 +161,183 @@ def _string_links(strings: tuple[int, ...], n_orb: int):
                 g[0].append(src)
                 g[1].append(index[removed | (1 << p)])
                 g[2].append(float(single_excitation_sign(s, q, p)))
-    by_src = []
-    by_dst = []
-    for g in groups:
-        src = np.asarray(g[0], dtype=np.int64)
-        dst = np.asarray(g[1], dtype=np.int64)
-        sign = np.asarray(g[2])
-        by_src.append((src, dst, sign))
-        order = np.argsort(dst, kind="stable")
-        by_dst.append((src[order], dst[order], sign[order]))
-    return tuple(by_src), tuple(by_dst)
+    return tuple((np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
+                  np.asarray(sign)) for src, dst, sign in groups)
+
+
+def _pair_index(n: int) -> np.ndarray:
+    """(n, n) array of the packed index P of the pair {p, q}, p >= q."""
+    P = np.empty((n, n), dtype=np.int64)
+    p, q = np.tril_indices(n)
+    P[p, q] = P[q, p] = np.arange(p.size)
+    return P
 
 
 @dataclass(frozen=True, eq=False)
 class _SigmaPlan:
-    """Flattened link tables for the single-batch sigma fast path.
+    """Link tables of the packed-pair sigma kernel.
 
     The spin with the larger link table becomes the row side: its scatter
-    and gather run as single vectorized updates over fused (group, string)
-    indices, with destination-sorted segment sums for the gather.  The
-    other spin works per orbital-pair group on contiguous column blocks.
+    and gather run as single vectorized updates over fused (pair, row)
+    indices, with destination-sorted segment sums for the gather, one
+    chunk of rows at a time.  The other spin works per orbital-pair group
+    on contiguous column blocks.
     """
 
     transpose: bool              # True when beta strings are the row side
     n_row: int
     n_col: int
-    row_scatter_rows: np.ndarray   # g * n_row + dst, unique
-    row_scatter_src: np.ndarray
-    row_scatter_sign: np.ndarray
-    row_gather_rows: np.ndarray    # g * n_row + src, dst-sorted
-    row_gather_sign: np.ndarray
-    row_gather_starts: np.ndarray
-    row_gather_dst: np.ndarray
-    col_groups: tuple              # (src, dst, sign) per orbital pair
+    n_pair: int                  # n(n+1)/2
+    row_links: tuple             # (pair, src, dst, sign), flat, dst-sorted
+    col_groups: tuple            # (pair, src, dst, sign) per non-empty E_pq
+    chunks: dict = field(default_factory=dict)   # rows per chunk -> tables
 
-
-def _flat_entries(groups):
-    g_all, src_all, dst_all, sign_all = [], [], [], []
-    for g, (src, dst, sign) in enumerate(groups):
-        if src.size:
-            g_all.append(np.full(src.size, g, dtype=np.int64))
-            src_all.append(src)
-            dst_all.append(dst)
-            sign_all.append(sign)
-    if not g_all:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy(), np.empty(0)
-    return (np.concatenate(g_all), np.concatenate(src_all),
-            np.concatenate(dst_all), np.concatenate(sign_all))
+    @property
+    def row_bytes(self) -> int:
+        """Bytes of D, G and the gather temporary per row and vector."""
+        links = -(-self.row_links[0].size // self.n_row)
+        return 8 * self.n_col * (2 * self.n_pair + links)
 
 
 @lru_cache(maxsize=None)
 def _sigma_plan(space: CasSpace) -> _SigmaPlan:
     n = space.n_orb
-    a_src, _ = _string_links(space.alpha_strings, n)
-    b_src, _ = _string_links(space.beta_strings, n)
-    count_a = sum(s.size for s, _, _ in a_src)
-    count_b = sum(s.size for s, _, _ in b_src)
+    a_links = _string_links(space.alpha_strings, n)
+    b_links = _string_links(space.beta_strings, n)
+    count_a = sum(s.size for s, _, _ in a_links)
+    count_b = sum(s.size for s, _, _ in b_links)
     transpose = count_b > count_a
-    row_groups, col_groups = (b_src, a_src) if transpose else (a_src, b_src)
-    n_row = len(space.beta_strings) if transpose else len(space.alpha_strings)
-    n_col = len(space.alpha_strings) if transpose else len(space.beta_strings)
-    g, src, dst, sign = _flat_entries(row_groups)
-    if dst.size:
-        order = np.argsort(dst, kind="stable")
-        gs, ss, ds, ws = g[order], src[order], dst[order], sign[order]
-        starts = np.flatnonzero(np.r_[True, ds[1:] != ds[:-1]])
-        gather = (gs * n_row + ss, ws, starts, ds[starts])
-    else:
-        empty = np.empty(0, dtype=np.int64)
-        gather = (empty, np.empty(0), empty.copy(), empty.copy())
+    row_groups, col_groups = (b_links, a_links) if transpose else (a_links, b_links)
+    pair = _pair_index(n).ravel()
+    pairs, src, dst, sign = (np.concatenate(x) for x in zip(*(
+        (np.full(s.size, pair[g]), s, d, w)
+        for g, (s, d, w) in enumerate(row_groups))))
+    order = np.argsort(dst, kind="stable")
     return _SigmaPlan(
-        transpose=transpose, n_row=n_row, n_col=n_col,
-        row_scatter_rows=g * n_row + dst, row_scatter_src=src,
-        row_scatter_sign=sign,
-        row_gather_rows=gather[0], row_gather_sign=gather[1],
-        row_gather_starts=gather[2], row_gather_dst=gather[3],
-        col_groups=col_groups)
+        transpose=transpose,
+        n_row=len(space.beta_strings) if transpose else len(space.alpha_strings),
+        n_col=len(space.alpha_strings) if transpose else len(space.beta_strings),
+        n_pair=n * (n + 1) // 2,
+        row_links=(pairs[order], src[order], dst[order], sign[order]),
+        col_groups=tuple((int(pair[g]), s, d, w)
+                         for g, (s, d, w) in enumerate(col_groups) if s.size))
 
 
-def _sigma_fast(plan: _SigmaPlan, h2: np.ndarray, C: np.ndarray,
-                out: np.ndarray, n: int) -> None:
-    """out += H2 action on C with C, out in (n_row, n_col) orientation."""
-    n_row, n_col = plan.n_row, plan.n_col
-    t1 = np.zeros((n * n, n_row, n_col))
-    flat = t1.reshape(n * n * n_row, n_col)
-    if plan.row_scatter_rows.size:
-        flat[plan.row_scatter_rows] = \
-            plan.row_scatter_sign[:, None] * C[plan.row_scatter_src, :]
-    for g, (src, dst, sign) in enumerate(plan.col_groups):
-        if src.size:
-            t1[g][:, dst] += sign[None, :] * C[:, src]
-    G = (h2 @ t1.reshape(n * n, n_row * n_col)).reshape(n * n, n_row, n_col)
-    del t1
-    Gflat = G.reshape(n * n * n_row, n_col)
-    if plan.row_gather_rows.size:
-        R = plan.row_gather_sign[:, None] * Gflat[plan.row_gather_rows]
-        out[plan.row_gather_dst] += np.add.reduceat(
-            R, plan.row_gather_starts, axis=0)
-        del R
-    for g, (src, dst, sign) in enumerate(plan.col_groups):
-        if src.size:
-            out[:, dst] += sign[None, :] * G[g][:, src]
+def _chunk_rows(plan: _SigmaPlan, max_memory_gb: float) -> int:
+    """Rows per chunk that keep one vector's working set under the cap
+    and under CHUNK_BYTES."""
+    cap = min(max_memory_gb * 2**30, CHUNK_BYTES)
+    return max(1, min(plan.n_row, int(cap // plan.row_bytes)))
+
+
+def _chunk_tables(plan: _SigmaPlan, rows: int) -> tuple:
+    """Row-side scatter and gather indices of each chunk of `rows` rows.
+
+    Per chunk [r0, r1): the scatter takes the links whose dst lies in the
+    chunk, the gather those whose src does, as fused pair * m + row
+    indices into the chunk's (n_pair * m, n_col) view.  Cached on the plan.
+    """
+    tables = plan.chunks.get(rows)
+    if tables is None:
+        pair, src, dst, sign = plan.row_links
+        tables = []
+        for r0 in range(0, plan.n_row, rows):
+            r1 = min(plan.n_row, r0 + rows)
+            m = r1 - r0
+            s = (dst >= r0) & (dst < r1)
+            g = (src >= r0) & (src < r1)
+            g_dst = dst[g]
+            starts = np.flatnonzero(np.r_[True, g_dst[1:] != g_dst[:-1]])
+            tables.append((r0, r1,
+                           pair[s] * m + dst[s] - r0, src[s], sign[s],
+                           pair[g] * m + src[g] - r0, sign[g], starts,
+                           g_dst[starts]))
+        tables = plan.chunks[rows] = tuple(tables)
+    return tables
+
+
+def _sigma_chunk(plan: _SigmaPlan, h2p: np.ndarray, chunk: tuple,
+                 C: np.ndarray, out: np.ndarray) -> None:
+    """out += H2 action of one row chunk, with C, out in (n_row, n_col)."""
+    r0, r1, sc_rows, sc_src, sc_sign, ga_rows, ga_sign, ga_starts, ga_dst = chunk
+    m, n_pair = r1 - r0, plan.n_pair
+    D = np.zeros((n_pair, m, plan.n_col))
+    t = C[sc_src]
+    t *= sc_sign[:, None]
+    D.reshape(n_pair * m, -1)[sc_rows] = t
+    del t
+    Cm = C[r0:r1]
+    for P, src, dst, sign in plan.col_groups:
+        D[P][:, dst] += sign * Cm[:, src]
+    G = (h2p @ D.reshape(n_pair, -1)).reshape(D.shape)
+    del D
+    R = G.reshape(n_pair * m, -1)[ga_rows]
+    R *= ga_sign[:, None]
+    out[ga_dst] += np.add.reduceat(R, ga_starts, axis=0)
+    del R
+    om = out[r0:r1]
+    for P, src, dst, sign in plan.col_groups:
+        om[:, dst] += sign * G[P][:, src]
 
 
 @lru_cache(maxsize=64)
 def _absorbed_eri(ints: IntegralSet, n_elec: int) -> np.ndarray:
     """Fold h and the -1/2 delta contraction into a single two-electron
-    tensor so that H - E_core = sum_pq E_pq [sum_rs h2[pq,rs] E_rs] v."""
+    tensor, so that H - E_core = sum_pq E_pq [sum_rs h2[pq,rs] E_rs] v, and
+    keep its p >= q, r >= s entries as an (n(n+1)/2)^2 matrix.  Real
+    integrals make h2 symmetric under p <-> q and r <-> s (IntegralSet
+    enforces it), so the packed matrix carries all of h2."""
     n = ints.n_orb
     f = (ints.h - 0.5 * np.einsum("prrq->pq", ints.g2)) / n_elec
     h2 = ints.g2.copy()
     for k in range(n):
         h2[k, k, :, :] += f
         h2[:, :, k, k] += f
-    return 0.5 * h2.reshape(n * n, n * n)
+    p, q = np.tril_indices(n)
+    pq = p * n + q
+    return 0.5 * h2.reshape(n * n, n * n)[np.ix_(pq, pq)]
 
 
 def sigma(space: CasSpace, ints: IntegralSet, vec: np.ndarray, *,
           max_memory_gb: float = 2.0) -> np.ndarray:
-    """Matrix-free H @ vec over the determinant basis.
+    """Matrix-free H @ vec over the determinant basis; vec is (N,) or (N, k).
 
-    Memory for the intermediate scales as n_orb^2 * size * 16 bytes; the
-    alpha-string axis is processed in batches when that exceeds
-    max_memory_gb.
+    For each vector the string-driven kernel builds the packed
+    intermediate D_P = (E_pq + E_qp) vec over the n(n+1)/2 pairs p >= q,
+    contracts it with the packed two-electron matrix and gathers back with
+    the E_pq link tables.  Its working set is about n(n+1)/2 * n_det *
+    16 bytes per vector (D and the contracted G) plus the gather
+    temporary; the rows of the plan are processed in chunks that keep it
+    under max_memory_gb (and under CHUNK_BYTES, so that a chunk stays in
+    cache).  The vectors of a block are applied one at a time per chunk.
     """
     v = np.asarray(vec, dtype=float)
-    if v.size != space.size:
-        raise ValueError(f"vector length {v.size} != space size {space.size}")
-    shape_in = v.shape
-    na = len(space.alpha_strings)
-    nb = len(space.beta_strings)
-    C = v.reshape(na, nb)
-    out = ints.core_energy * C
+    if v.ndim not in (1, 2) or v.shape[0] != space.size:
+        raise ValueError(f"vector of shape {v.shape}: length != space size {space.size}")
     if space.n_elec == 0:
-        return out.reshape(shape_in)
-    n = space.n_orb
-    h2 = _absorbed_eri(ints, space.n_elec)
-
-    per_alpha = 2 * 8 * n * n * nb
-    batch = max(1, min(na, int(max_memory_gb * 2**30 / max(per_alpha, 1))))
-    if batch >= na:
-        plan = _sigma_plan(space)
-        if plan.transpose:
-            Ct = np.ascontiguousarray(C.T)
-            out_t = np.ascontiguousarray(out.T)
-            _sigma_fast(plan, h2, Ct, out_t, n)
-            out = out_t.T
-        else:
-            _sigma_fast(plan, h2, C, out, n)
-        return np.ascontiguousarray(out).reshape(shape_in)
-
-    a_src, a_dst = _string_links(space.alpha_strings, n)
-    b_src, _ = _string_links(space.beta_strings, n)
-    for a0 in range(0, na, batch):
-        a1 = min(na, a0 + batch)
-        m = a1 - a0
-        t1 = np.zeros((n * n, m, nb))
-        for g, (src, dst, sign) in enumerate(a_dst):
-            lo, hi = np.searchsorted(dst, (a0, a1))
-            if lo < hi:
-                t1[g, dst[lo:hi] - a0, :] += sign[lo:hi, None] * C[src[lo:hi], :]
-        Cb = C[a0:a1]
-        for g, (src, dst, sign) in enumerate(b_src):
-            if src.size:
-                t1[g][:, dst] += sign[None, :] * Cb[:, src]
-        G = (h2 @ t1.reshape(n * n, m * nb)).reshape(n * n, m, nb)
-        for g, (src, dst, sign) in enumerate(a_src):
-            lo, hi = np.searchsorted(src, (a0, a1))
-            if lo < hi:
-                out[dst[lo:hi], :] += sign[lo:hi, None] * G[g, src[lo:hi] - a0, :]
-        ob = out[a0:a1]
-        for g, (src, dst, sign) in enumerate(b_src):
-            if src.size:
-                ob[:, dst] += sign[None, :] * G[g][:, src]
-    return out.reshape(shape_in)
+        return ints.core_energy * v
+    k = 1 if v.ndim == 1 else v.shape[1]
+    # one (n_row, n_col) matrix per vector: a view of v when v is one
+    # vector or a Fortran-ordered block and alpha strings are the rows
+    C = v.reshape(space.size, k).T.reshape(k, len(space.alpha_strings),
+                                           len(space.beta_strings))
+    plan = _sigma_plan(space)
+    C = np.ascontiguousarray(C.transpose(0, 2, 1) if plan.transpose else C)
+    out = ints.core_energy * C
+    h2p = _absorbed_eri(ints, space.n_elec)
+    for chunk in _chunk_tables(plan, _chunk_rows(plan, max_memory_gb)):
+        for Cj, oj in zip(C, out):
+            _sigma_chunk(plan, h2p, chunk, Cj, oj)
+    del C
+    if plan.transpose:
+        out = out.transpose(0, 2, 1)
+    return np.ascontiguousarray(out).reshape(k, space.size).T.reshape(v.shape)
 
 
 def sigma_block(space: CasSpace, ints: IntegralSet, block: np.ndarray,
                 **kw) -> np.ndarray:
-    return np.column_stack([sigma(space, ints, block[:, k], **kw)
-                            for k in range(block.shape[1])])
+    """H @ block for an (N, k) block of columns."""
+    return sigma(space, ints, block, **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -39,28 +39,32 @@ class DavidsonNotConverged(RuntimeError):
 
 def _orthonormalize(block: np.ndarray, against: np.ndarray | None = None,
                     drop_tol: float = 1e-10) -> np.ndarray:
-    """Two-pass modified Gram-Schmidt; drops linearly dependent columns.
+    """Block Gram-Schmidt with reorthogonalization; drops dependent columns.
 
-    A column is dependent when projection leaves less than drop_tol of its
-    own norm.  The test is relative because correction vectors shrink with
-    the residual: an absolute cut drops them near convergence and stalls
-    the solver at residuals around 1e-9.
+    Each of two rounds projects the whole block against `against` (two
+    GEMMs), then runs modified Gram-Schmidt within the block.  A column is
+    dependent when the projections leave less than drop_tol of its own
+    norm; it is zeroed at once, so it takes no part in later projections.
+    The test is relative because correction vectors shrink with the
+    residual: an absolute cut drops them near convergence and stalls the
+    solver at residuals around 1e-9.
     """
-    cols = []
-    for j in range(block.shape[1]):
-        v = block[:, j].copy()
-        scale = np.linalg.norm(v)
-        for _ in range(2):
-            if against is not None and against.shape[1]:
-                v -= against @ (against.T @ v)
-            for u in cols:
+    B = np.array(block.T, dtype=float, order="C")    # one row per column
+    cut = drop_tol * np.linalg.norm(B, axis=1)
+    for _ in range(2):
+        if against is not None and against.shape[1]:
+            B -= (B @ against) @ against.T
+        for j, v in enumerate(B):
+            for u in B[:j]:
                 v -= u * (u @ v)
-        norm = np.linalg.norm(v)
-        if norm > drop_tol * scale:
-            cols.append(v / norm)
-    if not cols:
-        return np.empty((block.shape[0], 0))
-    return np.stack(cols, axis=1)
+            norm = np.linalg.norm(v)
+            if norm > cut[j]:
+                v /= norm
+                cut[j] /= norm
+            else:
+                v[:] = 0.0
+                cut[j] = np.inf
+    return B[np.isfinite(cut)].T
 
 
 def davidson_lowest(matvec, diagonal: np.ndarray, n_roots: int,
@@ -79,10 +83,16 @@ def davidson_lowest(matvec, diagonal: np.ndarray, n_roots: int,
     max_subspace = max(max_subspace, 2 * n_roots)
 
     V = _orthonormalize(np.asarray(start, dtype=float))
-    if V.shape[1] < n_roots:
+    m = V.shape[1]
+    if m < n_roots:
         raise ValueError("starting block is rank deficient")
-    S = matvec(V)
-    n_matvec = V.shape[1]
+    # V and S live in column buffers, so a new block copies only itself
+    Vbuf = np.empty((n, max(max_subspace, m)), order="F")
+    Sbuf = np.empty_like(Vbuf)
+    Vbuf[:, :m] = V
+    Sbuf[:, :m] = matvec(V)
+    V, S = Vbuf[:, :m], Sbuf[:, :m]
+    n_matvec = m
     T = V.T @ S
 
     last = None
@@ -99,13 +109,14 @@ def davidson_lowest(matvec, diagonal: np.ndarray, n_roots: int,
 
         # restart by collapsing onto the best Ritz vectors when full
         n_new_max = int(np.sum(norms > tol))
-        if V.shape[1] + n_new_max > max_subspace:
+        if m + n_new_max > max_subspace:
             keep = min(max(2 * n_roots, n_roots + 4),
                        max_subspace - n_new_max)
-            keep = max(keep, n_roots)
-            V = V @ Y[:, :keep]
-            S = S @ Y[:, :keep]
-            T = np.diag(theta[:keep]).copy()
+            m = max(keep, n_roots)
+            Vbuf[:, :m] = V @ Y[:, :m]
+            Sbuf[:, :m] = S @ Y[:, :m]
+            V, S = Vbuf[:, :m], Sbuf[:, :m]
+            T = np.diag(theta[:m]).copy()
 
         news = []
         for k in range(n_roots):
@@ -128,8 +139,10 @@ def davidson_lowest(matvec, diagonal: np.ndarray, n_roots: int,
         n_matvec += block.shape[1]
         T = np.block([[T, V.T @ Sb],
                       [block.T @ S, block.T @ Sb]])
-        V = np.hstack([V, block])
-        S = np.hstack([S, Sb])
+        Vbuf[:, m:m + block.shape[1]] = block
+        Sbuf[:, m:m + block.shape[1]] = Sb
+        m += block.shape[1]
+        V, S = Vbuf[:, :m], Sbuf[:, :m]
 
     assert last is not None
     last = DavidsonResult(last.energies, last.vectors, last.iterations,

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from casq.casci import (
     DavidsonNotConverged,
+    _chunk_rows,
+    _sigma_plan,
     dense_hamiltonian,
     dense_solve,
     hamiltonian_diagonal,
@@ -107,6 +111,15 @@ def test_sigma_batched_matches_unbatched():
     full = sigma(space, ints, v)
     tiny = sigma(space, ints, v, max_memory_gb=1e-6)  # forces batch = 1
     assert np.max(np.abs(full - tiny)) < 1e-12
+    # a space whose plan takes the beta strings as rows
+    ints = make_random_integrals(6, 35)
+    space = enumerate_cas(7, 6, 1)
+    assert _sigma_plan(space).transpose
+    v = rng.standard_normal(space.size)
+    full = sigma(space, ints, v)
+    tiny = sigma(space, ints, v, max_memory_gb=1e-6)
+    assert np.max(np.abs(full - tiny)) < 1e-12
+    assert np.max(np.abs(full - dense_hamiltonian(space, ints) @ v)) < 1e-12
 
 
 def test_sigma_core_only():
@@ -134,6 +147,47 @@ def test_sigma_dimension_mismatch():
     space = enumerate_cas(3, 4, 1)
     with pytest.raises(ValueError, match="length"):
         sigma(space, ints, np.zeros(space.size + 1))
+    with pytest.raises(ValueError, match="length"):
+        sigma(space, ints, np.zeros((space.size + 1, 3)))
+
+
+@st.composite
+def cas_block(draw):
+    """Random CAS(n_e, n_o <= 6) in any M_S block, a column count and a seed."""
+    n_orb = draw(st.integers(1, 6))
+    n_elec = draw(st.integers(1, 2 * n_orb))
+    top = min(n_elec, 2 * n_orb - n_elec)
+    ms2 = draw(st.sampled_from(range(-top, top + 1, 2)))
+    return n_elec, n_orb, ms2, draw(st.integers(1, 4)), draw(st.integers(0, 2 ** 16))
+
+
+@given(cas_block())
+@example((6, 6, 0, 3, 7))    # the largest space: 400 determinants
+@example((7, 6, 1, 2, 8))    # beta strings as the plan's rows
+@example((5, 6, -3, 4, 9))
+@example((9, 6, 3, 1, 10))
+def test_sigma_dense_and_slater_condon_agree(case):
+    n_elec, n_orb, ms2, k, seed = case
+    rng = np.random.default_rng(seed)
+    ints = make_random_integrals(n_orb, seed)
+    space = enumerate_cas(n_elec, n_orb, ms2)
+    H = dense_hamiltonian(space, ints)
+    dets = list(space.dets)
+    for i in rng.choice(space.size, min(3, space.size), replace=False):
+        row = [hamiltonian_element(dets[i], d, ints) for d in dets]
+        assert np.max(np.abs(H[i] - row)) < 1e-12
+    block = rng.standard_normal((space.size, k))
+    ref = H @ block
+    # one chunk at the default cap, then at least two, then one row each
+    plan = _sigma_plan(space)
+    row_gb = plan.row_bytes / 2 ** 30
+    half = max(1, plan.n_row // 2)
+    for cap, rows in ((2.0, plan.n_row), ((half + 0.5) * row_gb, half),
+                      (0.5 * row_gb, 1)):
+        assert _chunk_rows(plan, cap) == rows
+        got = sigma(space, ints, block, max_memory_gb=cap)
+        assert got.shape == block.shape
+        assert np.max(np.abs(got - ref)) < 1e-12
 
 
 def test_davidson_matches_dense_energies_and_vectors():
