@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .casci import CiState, _string_links
-from .detspace import CasSpace
+from .casci import CiState
+from .detspace import CasSpace, excitation_links
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,9 @@ def _spin_densities(space: CasSpace, bra: np.ndarray,
     n = space.n_orb
     na, nb = bra.shape[:2]
     kb, kk = bra.shape[-1], ket.shape[-1]
-    ga = _link_densities(_string_links(space.alpha_strings, n),
+    ga = _link_densities(excitation_links(n, space.n_alpha),
                          bra.reshape(na, -1, kb), ket.reshape(na, -1, kk))
-    gb = _link_densities(_string_links(space.beta_strings, n),
+    gb = _link_densities(excitation_links(n, space.n_beta),
                          bra.transpose(1, 0, 2, 3).reshape(nb, -1, kb),
                          ket.transpose(1, 0, 2, 3).reshape(nb, -1, kk))
     return ga, gb
@@ -130,6 +130,8 @@ def decompose(state: CiState, threshold_percent: float = 1.0):
     merged: set[int] = set()
     for k in np.argsort(-c2, kind="stable"):
         k = int(k)
+        if 200.0 * c2[k] < threshold_percent:
+            break   # no later entry reaches it, even merged with a partner
         if k in merged:
             continue
         det = space.determinant(k)

@@ -20,7 +20,8 @@ import numpy as np
 
 from .davidson import DavidsonNotConverged, davidson_lowest  # noqa: F401 (re-export)
 from .detspace import (CasSpace, Determinant, enumerate_cas,  # noqa: F401
-                       occupied_orbitals, relative_sign, single_excitation_sign)
+                       excitation_links, occupation_matrix, occupied_orbitals,
+                       relative_sign, single_excitation_sign)
 from .ingest import DavidsonOptions, IntegralSet
 from .spin import (apply_s_minus, multiplicity_label, s_squared,
                    s_squared_matrix)
@@ -108,21 +109,12 @@ def _double_same(g2, ket, bra):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized diagonal and string tables
+# Vectorized diagonal and sigma
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _occupations(space: CasSpace):
-    return (_occ_matrix(space.alpha_strings, space.n_orb),
-            _occ_matrix(space.beta_strings, space.n_orb))
-
-
-def _occ_matrix(strings, n_orb):
-    occ = np.zeros((len(strings), n_orb))
-    for i, s in enumerate(strings):
-        for p in occupied_orbitals(s):
-            occ[i, p] = 1.0
-    return occ
+    return (occupation_matrix(space.n_orb, space.n_alpha),
+            occupation_matrix(space.n_orb, space.n_beta))
 
 
 def hamiltonian_diagonal(space: CasSpace, ints: IntegralSet) -> np.ndarray:
@@ -134,35 +126,6 @@ def hamiltonian_diagonal(space: CasSpace, ints: IntegralSet) -> np.ndarray:
     ea = occ_a @ hd + 0.5 * np.einsum("ip,pq,iq->i", occ_a, J - K, occ_a)
     eb = occ_b @ hd + 0.5 * np.einsum("ip,pq,iq->i", occ_b, J - K, occ_b)
     return ea[:, None] + eb[None, :] + occ_a @ J @ occ_b.T + ints.core_energy
-
-
-@lru_cache(maxsize=None)
-def _string_links(strings: tuple[int, ...], n_orb: int):
-    """E_pq action tables within one spin-string set.
-
-    Returns a tuple over p*n_orb+q groups of (src, dst, sign) arrays,
-    sorted by src.  The diagonal p=q occupation entries are included.
-    """
-    index = {s: i for i, s in enumerate(strings)}
-    groups = [([], [], []) for _ in range(n_orb * n_orb)]
-    full = (1 << n_orb) - 1
-    for src, s in enumerate(strings):
-        occ = occupied_orbitals(s)
-        virt = occupied_orbitals(full & ~s)
-        for q in occ:
-            g = groups[q * n_orb + q]
-            g[0].append(src)
-            g[1].append(src)
-            g[2].append(1.0)
-        for q in occ:
-            removed = s ^ (1 << q)
-            for p in virt:
-                g = groups[p * n_orb + q]
-                g[0].append(src)
-                g[1].append(index[removed | (1 << p)])
-                g[2].append(float(single_excitation_sign(s, q, p)))
-    return tuple((np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
-                  np.asarray(sign)) for src, dst, sign in groups)
 
 
 def _pair_index(n: int) -> np.ndarray:
@@ -202,8 +165,8 @@ class _SigmaPlan:
 @lru_cache(maxsize=None)
 def _sigma_plan(space: CasSpace) -> _SigmaPlan:
     n = space.n_orb
-    a_links = _string_links(space.alpha_strings, n)
-    b_links = _string_links(space.beta_strings, n)
+    a_links = excitation_links(n, space.n_alpha)
+    b_links = excitation_links(n, space.n_beta)
     count_a = sum(s.size for s, _, _ in a_links)
     count_b = sum(s.size for s, _, _ in b_links)
     transpose = count_b > count_a
@@ -502,8 +465,8 @@ def solve_davidson(space: CasSpace, ints: IntegralSet, n_roots: int,
     """Lowest CI roots by block Davidson with a deterministic guess.
 
     The guess block diagonalizes H over the guess_dim determinants of
-    lowest diagonal energy; when guess_dim reaches the space size this is
-    already the exact solution.
+    lowest diagonal energy; when guess_dim reaches the space size the
+    space is solved by dense_solve instead.
     """
     options = options or DavidsonOptions()
     N = space.size
@@ -512,6 +475,8 @@ def solve_davidson(space: CasSpace, ints: IntegralSet, n_roots: int,
     diag = hamiltonian_diagonal(space, ints).ravel()
     gd = options.guess_dim or max(32, 2 * n_roots)
     gd = min(max(gd, n_roots), N)
+    if gd == N:
+        return dense_solve(space, ints, n_roots)
     sel = np.argsort(diag, kind="stable")[:gd]
     dets = [space.determinant(int(idx)) for idx in sel]
     Hg = np.empty((gd, gd))
@@ -519,18 +484,12 @@ def solve_davidson(space: CasSpace, ints: IntegralSet, n_roots: int,
         for b in range(a + 1):
             Hg[a, b] = Hg[b, a] = hamiltonian_element(dets[a], dets[b], ints)
     w, U = np.linalg.eigh(Hg)
-    if gd == N:
-        vectors = np.zeros((N, n_roots))
-        vectors[sel] = U[:, :n_roots]
-        return _finalize_states(space, w[:n_roots], vectors)
-
     n_start = min(gd, n_roots + 3)
     v0 = np.zeros((N, n_start))
     v0[sel] = U[:, :n_start]
     result = davidson_lowest(
         lambda block: sigma_block(space, ints, block),
-        diag, n_roots, v0, tol=options.tol,
-        max_subspace=options.max_subspace, max_iter=options.max_iter)
+        diag, n_roots, v0, tol=options.tol, max_iter=options.max_iter)
     return _finalize_states(space, result.energies, result.vectors)
 
 

@@ -218,12 +218,7 @@ def _load_problem(args, manifest: Manifest):
     manifest.data["config"] = {
         "cas": list(config.cas),
         "roots_per_multiplicity": dict(config.roots_per_multiplicity),
-        "davidson": {
-            "tol": config.davidson.tol,
-            "max_subspace": config.davidson.max_subspace,
-            "max_iter": config.davidson.max_iter,
-            "guess_dim": config.davidson.guess_dim,
-        },
+        "davidson": asdict(config.davidson),
         "spectrum": asdict(config.spectrum),
     }
     return orbitals, ints, prop, config

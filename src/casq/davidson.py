@@ -69,18 +69,18 @@ def _orthonormalize(block: np.ndarray, against: np.ndarray | None = None,
 
 def davidson_lowest(matvec, diagonal: np.ndarray, n_roots: int,
                     start: np.ndarray, *, tol: float = 1e-8,
-                    max_subspace: int = 0, max_iter: int = 200) -> DavidsonResult:
+                    max_iter: int = 200) -> DavidsonResult:
     """Iterate to the lowest n_roots eigenpairs.
 
     matvec maps an (N, k) block to H times the block.  `start` supplies
-    the initial block (at least n_roots columns).
+    the initial block (at least n_roots columns).  The subspace holds at
+    most min(N, max(6 n_roots + 12, 48)) columns, but no fewer than
+    2 n_roots, before a thick restart.
     """
     n = diagonal.shape[0]
     if n_roots > n:
         raise ValueError(f"n_roots={n_roots} exceeds dimension {n}")
-    if max_subspace <= 0:
-        max_subspace = min(n, max(6 * n_roots + 12, 48))
-    max_subspace = max(max_subspace, 2 * n_roots)
+    max_subspace = max(min(n, max(6 * n_roots + 12, 48)), 2 * n_roots)
 
     V = _orthonormalize(np.asarray(start, dtype=float))
     m = V.shape[1]

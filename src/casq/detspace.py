@@ -5,6 +5,9 @@ orbital p occupied by that spin).  Python integers are used for the
 bitstrings, so orbital counts well beyond 64 are supported.  The basis
 ordering is lexicographic in the occupied-orbital tuples, with the
 alpha string as the slow index: position = i_alpha * n_beta_strings + i_beta.
+
+Every string operator table (E_pq, occupations, spin ladders and spin
+flips) is built from one per-string annihilation map, `annihilators`.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+
+import numpy as np
 
 SPIN_ALPHA = "alpha"
 SPIN_BETA = "beta"
@@ -106,6 +111,60 @@ def _strings(n_orb: int, n_occ: int) -> tuple[int, ...]:
             mask |= 1 << p
         out.append(mask)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def annihilators(n_orb: int, k: int):
+    """a_p on the k-electron strings of n_orb orbitals, one entry per p.
+
+    Entry p is (src, dst, sign): the k-string indices with p occupied,
+    the (k-1)-string index left by a_p, and (-1)^(electrons below p).
+    Removing one fixed orbital keeps the lexicographic string order, so
+    src and dst both ascend.  Read dst -> src, entry p is a+_p on the
+    (k-1)-strings with the same sign.
+    """
+    lower = {s: i for i, s in enumerate(_strings(n_orb, k - 1))} if k else {}
+    maps = [([], [], []) for _ in range(n_orb)]
+    for i, s in enumerate(_strings(n_orb, k)):
+        for below, p in enumerate(occupied_orbitals(s)):
+            src, dst, sign = maps[p]
+            src.append(i)
+            dst.append(lower[s ^ (1 << p)])
+            sign.append(-1.0 if below & 1 else 1.0)
+    return tuple((np.asarray(src, dtype=np.int64),
+                  np.asarray(dst, dtype=np.int64),
+                  np.asarray(sign)) for src, dst, sign in maps)
+
+
+@lru_cache(maxsize=None)
+def occupation_matrix(n_orb: int, k: int) -> np.ndarray:
+    """(strings, n_orb) array, 1.0 where a k-electron string occupies p."""
+    occ = np.zeros((comb(n_orb, k), n_orb))
+    for p, (src, _, _) in enumerate(annihilators(n_orb, k)):
+        occ[src, p] = 1.0
+    return occ
+
+
+@lru_cache(maxsize=None)
+def excitation_links(n_orb: int, k: int):
+    """E_pq = a+_p a_q on the k-electron strings, composed from annihilators.
+
+    Returns a tuple over p*n_orb+q groups of (src, dst, sign) arrays,
+    src ascending.  The diagonal p=q groups are the occupation entries
+    (sign 1).
+    """
+    ann = annihilators(n_orb, k)
+    groups = []
+    for p_src, p_dst, p_sign in ann:
+        # position in a_p's table of each (k-1)-string, -1 if p occupied
+        slot = np.full(comb(n_orb, max(k - 1, 0)), -1)
+        slot[p_dst] = np.arange(p_dst.size)
+        for q_src, q_dst, q_sign in ann:
+            at = slot[q_dst]
+            hit = at >= 0
+            at = at[hit]
+            groups.append((q_src[hit], p_src[at], q_sign[hit] * p_sign[at]))
+    return tuple(groups)
 
 
 class _DetSequence:

@@ -154,7 +154,6 @@ def zero_properties(n_orb: int) -> PropertyIntegrals:
 class DavidsonOptions:
     """Iterative-solver controls."""
 
-    max_subspace: int = 0          # 0 = auto (scaled from root count)
     # residual norm threshold, Hartree; the SOC matrix inherits the roots'
     # residual, and soc.qdpt checks Kramers pairs to 1e-10 Eh
     tol: float = 1e-10
@@ -384,8 +383,7 @@ def parse_property_integrals(text: str, n_orb: int) -> PropertyIntegrals:
 # ---------------------------------------------------------------------------
 
 _CONFIG_KEYS = {
-    "cas_nelec", "cas_norb", "davidson_tol",
-    "davidson_max_subspace", "davidson_max_iter", "guess_dim",
+    "cas_nelec", "cas_norb", "davidson_tol", "davidson_max_iter", "guess_dim",
     "spectrum_fwhm_ev", "spectrum_min_ev", "spectrum_max_ev",
     "spectrum_step_ev",
 }
@@ -427,8 +425,6 @@ def parse_run_config(text: str, *, default_cas: tuple[int, int] | None = None,
         roots = {abs(ms2) + 1: 5}
 
     davidson = DavidsonOptions(
-        max_subspace=_parse_int(raw.get("davidson_max_subspace", "0"),
-                                "davidson_max_subspace"),
         tol=float(raw.get("davidson_tol", DavidsonOptions.tol)),
         max_iter=_parse_int(raw.get("davidson_max_iter", "200"),
                             "davidson_max_iter"),

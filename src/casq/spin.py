@@ -2,10 +2,10 @@
 
 Determinants are stored as (alpha ops ascending)(beta ops ascending)
 acting on the vacuum, so a beta-string operator picks up one extra sign
-per alpha electron it crosses.  Every table here is built from one
-per-string annihilation map (a_p on the k-electron strings, read
-backwards as a+_p on the (k-1)-electron strings) through the
-factorization
+per alpha electron it crosses.  Every table here is built from the
+per-string annihilation map `detspace.annihilators` (a_p on the
+k-electron strings, read backwards as a+_p on the (k-1)-electron
+strings) through the factorization
 
     a+_pb a_qa = (beta a+_p) o (alpha a_q) . (-1)^(n_alpha - 1),
 
@@ -18,49 +18,43 @@ table of the block above read with src and dst swapped.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
-from .detspace import CasSpace, _strings, enumerate_cas, occupied_orbitals
+from .detspace import CasSpace, annihilators, enumerate_cas
 
 
 class LadderAnnihilation(ValueError):
     """S- (or S+) maps the state to zero: M_S is already extremal."""
 
 
-@lru_cache(maxsize=None)
-def _annihilators(n_orb: int, k: int):
-    """a_p on the k-electron strings of n_orb orbitals, one entry per p.
-
-    Entry p is (src, dst, sign): the k-string indices with p occupied,
-    the (k-1)-string index left by a_p, and (-1)^(electrons below p).
-    Removing one fixed orbital keeps the lexicographic string order, so
-    src and dst both ascend.
-    """
-    lower = {s: i for i, s in enumerate(_strings(n_orb, k - 1))}
-    maps = [([], [], []) for _ in range(n_orb)]
-    for i, s in enumerate(_strings(n_orb, k)):
-        for below, p in enumerate(occupied_orbitals(s)):
-            src, dst, sign = maps[p]
-            src.append(i)
-            dst.append(lower[s ^ (1 << p)])
-            sign.append(-1.0 if below & 1 else 1.0)
-    return tuple((np.asarray(src, dtype=np.int64),
-                  np.asarray(dst, dtype=np.int64),
-                  np.asarray(sign)) for src, dst, sign in maps)
+def _creators(n_orb: int, k: int):
+    """a+_p on the k-electron strings: a_p of the (k+1)-strings read dst -> src."""
+    return tuple((dst, src, sign) for src, dst, sign in annihilators(n_orb, k + 1))
 
 
-def _flip_block(space: CasSpace, lower: CasSpace, p: int, q: int):
-    """(src, dst, sign) of a+_pb a_qa from space into lower, src ascending."""
-    a_src, a_dst, a_sign = _annihilators(space.n_orb, space.n_alpha)[q]
-    # beta a+_p is a_p of the (n_beta+1)-strings read dst -> src
-    b_dst, b_src, b_sign = _annihilators(space.n_orb, space.n_beta + 1)[p]
-    nb = len(space.beta_strings)
-    lb = len(lower.beta_strings)
+def _flip_groups(space: CasSpace, target: CasSpace, alpha, beta, crossing, pairs):
+    """(src, dst, sign) of the product of the string maps alpha[i] and
+    beta[j], from space into target, for each (i, j) of pairs.  The alpha
+    string is the slow index, so src ascends."""
+    nb, tb = len(space.beta_strings), len(target.beta_strings)
+    groups = []
+    for i, j in pairs:
+        (a_src, a_dst, a_sign), (b_src, b_dst, b_sign) = alpha[i], beta[j]
+        groups.append(((a_src[:, None] * nb + b_src).ravel(),
+                       (a_dst[:, None] * tb + b_dst).ravel(),
+                       (crossing * a_sign[:, None] * b_sign).ravel()))
+    return tuple(groups)
+
+
+def _lowering(space: CasSpace, lower: CasSpace, pairs):
+    """a+_pb a_qa groups from space into lower, one per (p, q) of pairs."""
+    n = space.n_orb
     crossing = -1.0 if (space.n_alpha - 1) & 1 else 1.0
-    return ((a_src[:, None] * nb + b_src).ravel(),
-            (a_dst[:, None] * lb + b_dst).ravel(),
-            (crossing * a_sign[:, None] * b_sign).ravel())
+    return _flip_groups(space, lower, annihilators(n, space.n_alpha),
+                        _creators(n, space.n_beta), crossing,
+                        ((q, p) for p, q in pairs))
 
 
 def _lower_space(space: CasSpace) -> CasSpace | None:
@@ -79,7 +73,7 @@ def _s_minus_links(space: CasSpace):
     lower = _lower_space(space)
     if lower is None:
         return None
-    parts = [_flip_block(space, lower, p, p) for p in range(space.n_orb)]
+    parts = _lowering(space, lower, [(p, p) for p in range(space.n_orb)])
     src, dst, sign = (np.concatenate(col) for col in zip(*parts))
     order = np.lexsort((dst, src))
     return lower, (src[order], dst[order], sign[order])
@@ -94,15 +88,21 @@ def _s_plus_links(space: CasSpace):
     return upper, (dst, src, sign)
 
 
+def _ladder(links, vecs: np.ndarray):
+    """(target space, image) of (N,) or (N, k) vecs under a ladder table."""
+    target, (src, dst, sign) = links
+    vecs = np.asarray(vecs)
+    out = np.zeros((target.size,) + vecs.shape[1:])
+    np.add.at(out, dst, sign.reshape((-1,) + (1,) * (vecs.ndim - 1)) * vecs[src])
+    return target, out
+
+
 def apply_s_plus(space: CasSpace, vec: np.ndarray):
     """Unnormalized S+ image; returns (upper space, vector)."""
     links = _s_plus_links(space)
     if links is None:
         raise LadderAnnihilation("S+ annihilates every state of this block")
-    upper, (src, dst, sign) = links
-    out = np.zeros(upper.size)
-    np.add.at(out, dst, sign * np.asarray(vec)[src])
-    return upper, out
+    return _ladder(links, vec)
 
 
 def apply_s_minus(space: CasSpace, vec: np.ndarray, *, norm_tol: float = 1e-8):
@@ -114,9 +114,7 @@ def apply_s_minus(space: CasSpace, vec: np.ndarray, *, norm_tol: float = 1e-8):
     links = _s_minus_links(space)
     if links is None:
         raise LadderAnnihilation("S- annihilates every state of this block")
-    lower, (src, dst, sign) = links
-    out = np.zeros(lower.size)
-    np.add.at(out, dst, sign * np.asarray(vec)[src])
+    lower, out = _ladder(links, vec)
     if np.linalg.norm(out) < norm_tol:
         raise LadderAnnihilation("S- annihilated the state (M_S = -S)")
     return lower, out
@@ -129,24 +127,19 @@ def s_squared(space: CasSpace, vec: np.ndarray) -> float:
     links = _s_plus_links(space)
     if links is None:
         return base
-    upper, (src, dst, sign) = links
-    out = np.zeros(upper.size)
-    np.add.at(out, dst, sign * np.asarray(vec)[src])
+    _, out = _ladder(links, vec)
     return base + float(out @ out)
 
 
 def s_squared_matrix(space: CasSpace, vecs: np.ndarray) -> np.ndarray:
     """<v_i|S^2|v_j> for the columns of vecs (all in the same space)."""
     vecs = np.asarray(vecs)
-    k = vecs.shape[1]
     ms = space.ms2 / 2.0
     base = ms * (ms + 1.0) * (vecs.T @ vecs)
     links = _s_plus_links(space)
     if links is None:
         return base
-    upper, (src, dst, sign) = links
-    raised = np.zeros((upper.size, k))
-    np.add.at(raised, dst, sign[:, None] * vecs[src, :])
+    _, raised = _ladder(links, vecs)
     return base + raised.T @ raised
 
 
@@ -173,9 +166,7 @@ def flip_lower_links(space: CasSpace):
     lower = _lower_space(space)
     if lower is None:
         return None
-    n = space.n_orb
-    return lower, tuple(_flip_block(space, lower, p, q)
-                        for p in range(n) for q in range(n))
+    return lower, _lowering(space, lower, product(range(space.n_orb), repeat=2))
 
 
 @lru_cache(maxsize=None)
@@ -194,16 +185,7 @@ def flip_raise_links(space: CasSpace):
         return None
     upper = enumerate_cas(space.n_elec, space.n_orb, space.ms2 + 2)
     n = space.n_orb
-    nb = len(space.beta_strings)
-    ub = len(upper.beta_strings)
     crossing = -1.0 if space.n_alpha & 1 else 1.0
-    groups = []
-    for p in range(n):
-        # alpha a+_p is a_p of the (n_alpha+1)-strings read dst -> src
-        a_dst, a_src, a_sign = _annihilators(n, space.n_alpha + 1)[p]
-        for q in range(n):
-            b_src, b_dst, b_sign = _annihilators(n, space.n_beta)[q]
-            groups.append(((a_src[:, None] * nb + b_src).ravel(),
-                           (a_dst[:, None] * ub + b_dst).ravel(),
-                           (crossing * a_sign[:, None] * b_sign).ravel()))
-    return upper, tuple(groups)
+    return upper, _flip_groups(space, upper, _creators(n, space.n_alpha),
+                               annihilators(n, space.n_beta), crossing,
+                               product(range(n), repeat=2))

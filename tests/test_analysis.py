@@ -197,6 +197,14 @@ def test_decompose_merges_conjugate_pair():
     assert lines[1][1] == pytest.approx(49.0)
     rendered = format_decomposition(lines)
     assert rendered[1] == "2 2 u 2 0 d 0 (49%)"
+    # a pair of 0.6% each reaches a 1% threshold only as a merged line
+    v[space.index(other)] = np.sqrt(0.498)
+    v[space.index(_det_from_string("2 2 u 0 2 d 0"))] = np.sqrt(0.006)
+    v[space.index(_det_from_string("2 2 d 0 2 u 0"))] = np.sqrt(0.006)
+    lines = decompose(_state(space, v), threshold_percent=1.0)
+    assert len(lines) == 3
+    assert lines[2][0] == "2 2 u 0 2 d 0"
+    assert lines[2][1] == pytest.approx(1.2)
 
 
 def test_decompose_weights_sum_to_100():

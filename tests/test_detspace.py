@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from casq.detspace import (
@@ -6,6 +7,8 @@ from casq.detspace import (
     connected_singles,
     enumerate_cas,
     excitation_degree,
+    excitation_links,
+    occupation_matrix,
     occupied_orbitals,
     relative_sign,
 )
@@ -113,6 +116,34 @@ def test_single_signs_against_fock_oracle():
                 op = cre[so_index(a, spin, n_orb)] @ ann[so_index(i, spin, n_orb)]
                 assert op[dst, src] == pytest.approx(sign)
                 assert sign in (-1, 1)
+
+
+@pytest.mark.parametrize("n_orb", range(1, 7))
+def test_string_tables_against_fock_oracle(n_orb):
+    # E_pq groups and occupation matrices of every k-electron string set
+    # against a+_p a_q in the one-spin Fock space (basis index = bitstring):
+    # int64 indices, src ascending, no entries at k = 0 and no off-diagonal
+    # entries at k = n_orb
+    cre = [creation_matrix(n_orb, p) for p in range(n_orb)]
+    for k in range(n_orb + 1):
+        strings = enumerate_cas(k, n_orb, k).alpha_strings
+        rows = [fock_index(s, 0, n_orb) for s in strings]
+        groups = excitation_links(n_orb, k)
+        occ = occupation_matrix(n_orb, k)
+        assert len(groups) == n_orb * n_orb
+        assert occ.shape == (len(strings), n_orb)
+        for p in range(n_orb):
+            assert np.array_equal(occ[:, p], np.diag(cre[p] @ cre[p].T)[rows])
+            for q in range(n_orb):
+                src, dst, sign = groups[p * n_orb + q]
+                assert src.dtype == dst.dtype == np.int64
+                assert np.all(np.diff(src) > 0)
+                if k == 0 or (k == n_orb and p != q):
+                    assert src.size == 0
+                table = np.zeros((len(strings), len(strings)))
+                table[dst, src] = sign
+                ref = (cre[p] @ cre[q].T)[np.ix_(rows, rows)]
+                assert np.array_equal(table, ref)
 
 
 def test_relative_sign_against_fock_oracle():

@@ -174,6 +174,8 @@ def test_run_config_defaults_and_errors():
     assert cfg.roots_per_multiplicity == {2: 5}
     with pytest.raises(ParseError, match="unknown key"):
         parse_run_config("cas_nelec=2\ncas_norb=2\nbogus=1\n")
+    with pytest.raises(ParseError, match="unknown key"):
+        parse_run_config("cas_nelec=2\ncas_norb=2\ndavidson_max_subspace=10\n")
     with pytest.raises(ParseError, match="cas_nelec"):
         parse_run_config("roots_mult_2=1\n")
     with pytest.raises(ValueError, match="guess_dim"):
