@@ -28,6 +28,10 @@ from .spin import (apply_s_minus, multiplicity_label, s_squared,
 
 DENSE_CAP = 20_000
 
+# largest Rayleigh-quotient drift of a laddered multiplet component from
+# its top component's energy (Hartree)
+RAYLEIGH_TOL = 1e-8
+
 # Sigma's working set per row chunk stays below this many bytes as well as
 # below max_memory_gb: chunks that stay in cache run faster (on a 2-core
 # Xeon, CAS(17,12) M_S = 1/2 took 0.27 s per vector in one 171 MB chunk and
@@ -343,12 +347,11 @@ def _string_doubles(strings: tuple[int, ...], n_orb: int):
     return tuple(out)
 
 
-def dense_hamiltonian(space: CasSpace, ints: IntegralSet,
-                      cap: int = DENSE_CAP) -> np.ndarray:
+def dense_hamiltonian(space: CasSpace, ints: IntegralSet) -> np.ndarray:
     """Explicit H over the full determinant basis (for oracle-scale spaces)."""
     N = space.size
-    if N > cap:
-        raise ValueError(f"space size {N} exceeds dense cap {cap}")
+    if N > DENSE_CAP:
+        raise ValueError(f"space size {N} exceeds dense cap {DENSE_CAP}")
     na = len(space.alpha_strings)
     nb = len(space.beta_strings)
     n = space.n_orb
@@ -450,12 +453,12 @@ def _finalize_states(space: CasSpace, energies: np.ndarray,
     return states
 
 
-def dense_solve(space: CasSpace, ints: IntegralSet, n_roots: int,
-                cap: int = DENSE_CAP) -> list[CiState]:
+def dense_solve(space: CasSpace, ints: IntegralSet,
+                n_roots: int) -> list[CiState]:
     """Brute-force eigensolver on the explicitly built H."""
     if not 1 <= n_roots <= space.size:
         raise ValueError(f"n_roots={n_roots} outside [1, {space.size}]")
-    H = dense_hamiltonian(space, ints, cap=cap)
+    H = dense_hamiltonian(space, ints)
     w, U = np.linalg.eigh(H)
     return _finalize_states(space, w[:n_roots], U[:, :n_roots])
 
@@ -521,14 +524,15 @@ class Multiplet:
                 f"E={self.energy:.10f})")
 
 
-def assemble_multiplets(states: list[CiState], ints: IntegralSet,
-                        tol: float = 1e-8) -> list[Multiplet]:
+def assemble_multiplets(states: list[CiState],
+                        ints: IntegralSet) -> list[Multiplet]:
     """Generate all M_S components of top-M_S roots by repeated S-.
 
     Every input state must satisfy 2S = M_S*2 (a top component); the
     ladder construction keeps the relative phases consistent across
     components, which the spin-orbit coupling matrix relies on.  Each
-    component energy is re-verified as a Rayleigh quotient within tol.
+    component energy is re-verified as a Rayleigh quotient within
+    RAYLEIGH_TOL.
     """
     multiplets = []
     for state in states:
@@ -544,10 +548,10 @@ def assemble_multiplets(states: list[CiState], ints: IntegralSet,
             space, vec = apply_s_minus(space, vec)
             vec = vec / np.linalg.norm(vec)
             e = float(vec @ sigma(space, ints, vec))
-            if abs(e - state.energy) > tol:
+            if abs(e - state.energy) > RAYLEIGH_TOL:
                 raise ValueError(
                     f"Rayleigh quotient at ms2={ms2} deviates by "
-                    f"{abs(e - state.energy):.3e} (> {tol:.0e}); "
+                    f"{abs(e - state.energy):.3e} (> {RAYLEIGH_TOL:.0e}); "
                     f"degenerate roots may be mixed")
             components[ms2] = CiState(
                 energy=e, coeffs=vec, space=space,

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 EXIT_OK = 0
@@ -51,37 +52,37 @@ def _setup_threads(threads: int | None) -> int | None:
     return n
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 class Manifest:
     """Run record emitted on every invocation, success or failure."""
 
     def __init__(self, command: str | None, out: str | None, argv: list[str]):
+        from casq import __version__
+
         self.data = {
             "command": command,
             "argv": argv,
             "config": {},
             "inputs": {},
-            "artifact_version": _version(),
+            "artifact_version": __version__,
             "timings_s": {},
             "warnings": [],
             "status": "running",
             "exit_code": None,
         }
         self.out_dir = Path(out or "casq_out")
-        self._t0 = {}
 
     def add_input(self, path: Path):
-        self.data["inputs"][str(path)] = _sha256(path)
+        self.data["inputs"][str(path)] = hashlib.sha256(
+            path.read_bytes()).hexdigest()
 
+    @contextmanager
     def stage(self, name: str):
-        self._t0[name] = time.perf_counter()
-
-    def done(self, name: str):
-        self.data["timings_s"][name] = round(
-            time.perf_counter() - self._t0.pop(name), 6)
+        """Time the enclosed block, also when it raises."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.data["timings_s"][name] = round(time.perf_counter() - t0, 6)
 
     def warn(self, message: str):
         self.data["warnings"].append(message)
@@ -95,12 +96,6 @@ class Manifest:
             path.write_text(json.dumps(self.data, indent=2, default=str) + "\n")
         except OSError as exc:  # manifest failure must not mask the result
             print(f"warning: could not write manifest: {exc}", file=sys.stderr)
-
-
-def _version() -> str:
-    from casq import __version__
-
-    return __version__
 
 
 def _read_text(path_str: str, manifest: Manifest) -> str:
@@ -135,30 +130,26 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--ms2", type=int, required=True)
     count.add_argument("--out", default=None)
 
-    def common(p, need_inputs=True):
+    casci = sub.add_parser("casci", help="CASCI states and decompositions")
+    gt = sub.add_parser("gtensor", help="EHA and sum-over-states g-tensors")
+    spect = sub.add_parser("spectrum", help="oscillator strengths and curve")
+    for p in (casci, gt, spect):
         p.add_argument("--config", default=None, help="key=value run config")
-        if need_inputs:
-            p.add_argument("--fcidump", default=None)
-            p.add_argument("--prop", default=None,
-                           help="property matrices (ANGMOM/SOC/DIP sections)")
-            p.add_argument("--lf", default=None, metavar="PRESET",
-                           help="built-in ligand-field preset "
-                                "(d1-tetragonal, d9-planar)")
-            p.add_argument("--zeta", type=float, default=None,
-                           help="override preset SOC constant (cm^-1)")
+        p.add_argument("--fcidump", default=None)
+        p.add_argument("--prop", default=None,
+                       help="property matrices (ANGMOM/SOC/DIP sections)")
+        p.add_argument("--lf", default=None, metavar="PRESET",
+                       help="built-in ligand-field preset "
+                            "(d1-tetragonal, d9-planar)")
+        p.add_argument("--zeta", type=float, default=None,
+                       help="override the --lf preset SOC constant (cm^-1)")
         p.add_argument("--roots-mult", action="append", default=[],
                        metavar="N=K", help="roots per multiplicity, repeatable")
-        p.add_argument("--oracle", choices=["dense"], default=None)
         p.add_argument("--out", default=None, help="output directory")
-
-    casci = sub.add_parser("casci", help="CASCI states and decompositions")
-    common(casci)
-
-    gt = sub.add_parser("gtensor", help="EHA and sum-over-states g-tensors")
-    common(gt)
-
-    spect = sub.add_parser("spectrum", help="oscillator strengths and curve")
-    common(spect)
+    for p in (casci, gt):
+        p.add_argument("--oracle", choices=["dense"], default=None,
+                       help="solve by dense diagonalization as well (casci) "
+                            "or instead (gtensor)")
     spect.add_argument("--lines", default=None,
                        help="explicit line list file: delta_e_ev f_osc [label]")
     return parser
@@ -176,52 +167,50 @@ def _parse_roots_flags(flags: list[str]) -> dict[int, int]:
 
 
 def _load_problem(args, manifest: Manifest):
-    """Assemble (orbitals, integrals, properties, config) from the inputs."""
+    """(integrals, properties, config) from the input flags, with one run
+    config parse; a line-list run has no integrals: (None, None, config)."""
     from dataclasses import asdict, replace
 
     from casq.ingest import (parse_property_integrals, parse_run_config,
                              read_fcidump, zero_properties)
     from casq.ligandfield import build_ligand_field_model, preset_model
 
-    if (args.lf is None) == (args.fcidump is None):
-        raise ValueError("exactly one of --lf or --fcidump is required")
+    sources = [s for s in ("lf", "fcidump", "lines") if hasattr(args, s)]
+    if sum(getattr(args, s) is not None for s in sources) != 1:
+        raise ValueError("exactly one of "
+                         + " or ".join(f"--{s}" for s in sources)
+                         + " is required")
+    if args.zeta is not None and args.lf is None:
+        raise ValueError("--zeta needs --lf")
+    if args.prop is not None and args.fcidump is None:
+        raise ValueError("--prop needs --fcidump")
 
+    ints = prop = None
+    default_cas = default_ms2 = None
     if args.lf is not None:
         model = preset_model(args.lf, zeta=args.zeta)
-        orbitals, ints, prop, config = build_ligand_field_model(model)
-        if args.config:
-            config = parse_run_config(
-                _read_text(args.config, manifest),
-                default_cas=config.cas, default_ms2=config.cas[0] % 2)
-    else:
+        _, ints, prop, preset = build_ligand_field_model(model)
+        default_cas = preset.cas
+    elif args.fcidump is not None:
         data = read_fcidump(_read_text(args.fcidump, manifest))
-        orbitals, ints = data.orbitals, data.integrals
-        prop = zero_properties(orbitals.n_orb)
+        ints, n_orb = data.integrals, data.orbitals.n_orb
+        prop = zero_properties(n_orb)
         if args.prop:
-            prop = parse_property_integrals(
-                _read_text(args.prop, manifest), orbitals.n_orb)
-        default_cas = (data.n_elec, orbitals.n_orb) if data.n_elec is not None \
-            else None
-        if args.config:
-            config = parse_run_config(
-                _read_text(args.config, manifest),
-                default_cas=default_cas, default_ms2=data.ms2)
-        elif default_cas is not None:
-            config = parse_run_config("", default_cas=default_cas,
-                                      default_ms2=data.ms2)
-        else:
-            raise ValueError("FCIDUMP lacks NELEC and no --config given")
+            prop = parse_property_integrals(_read_text(args.prop, manifest),
+                                            n_orb)
+        if data.n_elec is not None:
+            default_cas = (data.n_elec, n_orb)
+        default_ms2 = data.ms2
+    text = _read_text(args.config, manifest) if args.config else ""
+    config = parse_run_config(text, default_cas=default_cas,
+                              default_ms2=default_ms2,
+                              needs_cas=ints is not None)
 
     roots = _parse_roots_flags(args.roots_mult)
     if roots:
         config = replace(config, roots_per_multiplicity=roots)
-    manifest.data["config"] = {
-        "cas": list(config.cas),
-        "roots_per_multiplicity": dict(config.roots_per_multiplicity),
-        "davidson": asdict(config.davidson),
-        "spectrum": asdict(config.spectrum),
-    }
-    return orbitals, ints, prop, config
+    manifest.data["config"] = asdict(config)
+    return ints, prop, config
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +220,8 @@ def _load_problem(args, manifest: Manifest):
 def cmd_count(args, manifest: Manifest) -> int:
     from casq.detspace import cas_dimension
 
-    manifest.stage("count")
-    n = cas_dimension(args.nelec, args.norb, args.ms2)
-    manifest.done("count")
+    with manifest.stage("count"):
+        n = cas_dimension(args.nelec, args.norb, args.ms2)
     print(n)
     manifest.data["config"] = {"nelec": args.nelec, "norb": args.norb,
                                "ms2": args.ms2, "count": n}
@@ -275,15 +263,13 @@ def _format_state_table(rows) -> str:
 def cmd_casci(args, manifest: Manifest) -> int:
     from casq.driver import solve_multiplets
 
-    orbitals, ints, prop, config = _load_problem(args, manifest)
-    manifest.stage("casci")
-    multiplets = solve_multiplets(ints, config)
-    manifest.done("casci")
+    ints, _, config = _load_problem(args, manifest)
+    with manifest.stage("casci"):
+        multiplets = solve_multiplets(ints, config)
 
     if args.oracle == "dense":
-        manifest.stage("oracle")
-        reference = solve_multiplets(ints, config, method="dense")
-        manifest.done("oracle")
+        with manifest.stage("oracle"):
+            reference = solve_multiplets(ints, config, method="dense")
         for a, b in zip(multiplets, reference):
             if abs(a.energy - b.energy) > 1e-9:
                 manifest.warn(
@@ -306,11 +292,11 @@ def cmd_gtensor(args, manifest: Manifest) -> int:
     from casq.driver import run_gtensor
     from casq.gtensor import format_gap_report
 
-    orbitals, ints, prop, config = _load_problem(args, manifest)
-    manifest.stage("gtensor")
-    result = run_gtensor(ints, prop, config,
-                         method="dense" if args.oracle == "dense" else "davidson")
-    manifest.done("gtensor")
+    ints, prop, config = _load_problem(args, manifest)
+    with manifest.stage("gtensor"):
+        result = run_gtensor(
+            ints, prop, config,
+            method="dense" if args.oracle == "dense" else "davidson")
     for w in result.warnings:
         manifest.warn(w)
 
@@ -367,36 +353,25 @@ def cmd_spectrum(args, manifest: Manifest) -> int:
     from casq.spectra import (LineTable, broaden, energy_grid, spectrum_csv,
                               transition_table)
 
-    if args.lines is not None:
+    ints, prop, config = _load_problem(args, manifest)
+    if ints is None:
         lines = _parse_lines_file(_read_text(args.lines, manifest))
-        from casq.ingest import SpectrumOptions
-
-        spec_opts = SpectrumOptions()
-        if args.config:
-            from casq.ingest import parse_run_config
-
-            cfg = parse_run_config(_read_text(args.config, manifest),
-                                   default_cas=(1, 1), default_ms2=1)
-            spec_opts = cfg.spectrum
     else:
-        orbitals, ints, prop, config = _load_problem(args, manifest)
         if not np.any(prop.D):
             raise ValueError("no dipole matrices available: provide DIP "
                              "sections in --prop or use --lines")
         from casq.driver import solve_multiplicity
 
-        manifest.stage("states")
-        mult = min(config.roots_per_multiplicity)
-        count = config.roots_per_multiplicity[mult]
-        states = solve_multiplicity(ints, config, mult, count)
-        manifest.done("states")
+        with manifest.stage("states"):
+            mult = min(config.roots_per_multiplicity)
+            count = config.roots_per_multiplicity[mult]
+            states = solve_multiplicity(ints, config, mult, count)
         lines = transition_table(states, prop)
-        spec_opts = config.spectrum
 
-    manifest.stage("broaden")
-    grid = energy_grid(spec_opts.min_ev, spec_opts.max_ev, spec_opts.step_ev)
-    curve = broaden(lines, spec_opts.fwhm_ev, grid)
-    manifest.done("broaden")
+    spec = config.spectrum
+    with manifest.stage("broaden"):
+        grid = energy_grid(spec.min_ev, spec.max_ev, spec.step_ev)
+        curve = broaden(lines, spec.fwhm_ev, grid)
 
     csv_text = spectrum_csv(grid, curve)
     _write(manifest.out_dir, "spectrum.csv", csv_text)
@@ -442,9 +417,6 @@ def main(argv=None) -> int:
     code = EXIT_OK
     try:
         code = handlers[args.command](args, manifest)
-    except InvariantBreach as exc:
-        print(f"error (invariant breach): {exc}", file=sys.stderr)
-        code = EXIT_INVARIANT
     except Exception as exc:
         code = _classify_error(exc)
         kind = {EXIT_INPUT: "input error", EXIT_NOCONV: "non-convergence",

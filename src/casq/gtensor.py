@@ -30,6 +30,13 @@ from .soc import (SocStateBasis, SoEigenstates, component_blocks,
                   time_reversal_matrix)
 from .units import G_E, HARTREE_TO_CM
 
+# largest deviation of |<j|T|i>| from 1 accepted for the ground Kramers pair
+TIME_REVERSAL_TOL = 1e-6
+
+# SOS excited multiplets closer than this to the ground one (Hartree)
+# make the perturbation sum diverge
+SOS_MIN_GAP = 1e-8
+
 _PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
@@ -100,15 +107,15 @@ def zeeman_basis_matrices(basis: SocStateBasis, multiplets: list[Multiplet],
 
 
 def g_tensor_eha(so: SoEigenstates, multiplets: list[Multiplet],
-                 prop: PropertyIntegrals, *, pair: int = 0,
-                 tr_tol: float = 1e-6) -> GTensor:
-    """Effective-Hamiltonian g from one Kramers pair of QDPT eigenstates."""
+                 prop: PropertyIntegrals) -> GTensor:
+    """Effective-Hamiltonian g from the ground Kramers pair of QDPT
+    eigenstates."""
     if not so.kramers_pairs:
         raise ValueError("no Kramers pairs available (even-electron system?)")
-    i, j = so.kramers_pairs[pair]
+    i, j = so.kramers_pairs[0]
     T = time_reversal_matrix(so.basis)
     overlap = abs(np.vdot(so.vectors[:, j], T @ np.conj(so.vectors[:, i])))
-    if abs(overlap - 1.0) > tr_tol:
+    if abs(overlap - 1.0) > TIME_REVERSAL_TOL:
         raise ValueError(
             f"states {i},{j} are not time-reversal conjugate "
             f"(|<j|T|i>| = {overlap:.6f})")
@@ -124,8 +131,7 @@ def g_tensor_eha(so: SoEigenstates, multiplets: list[Multiplet],
 
 
 def g_tensor_sos(ground: Multiplet, excited: list[Multiplet],
-                 prop: PropertyIntegrals, *,
-                 min_gap: float = 1e-8) -> GTensor:
+                 prop: PropertyIntegrals) -> GTensor:
     """Sum-over-states g for the ground multiplet (Delta g from same-S
     excited states, evaluated in the top M_S = S components)."""
     s = ground.two_s / 2.0
@@ -135,11 +141,11 @@ def g_tensor_sos(ground: Multiplet, excited: list[Multiplet],
     v0 = ground.component(top)
     same = [m for m in excited if m.two_s == ground.two_s]
     gaps = np.array([m.energy - ground.energy for m in same])
-    low = gaps < min_gap
+    low = gaps < SOS_MIN_GAP
     if low.any():
         raise ValueError(
             f"excited multiplet gap {gaps[low][0]:.3e} Hartree below "
-            f"{min_gap:.0e}; degenerate ground manifold, use the effective "
+            f"{SOS_MIN_GAP:.0e}; degenerate ground manifold, use the effective "
             f"Hamiltonian")
     dg = np.zeros((3, 3))
     if same:

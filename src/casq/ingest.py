@@ -18,7 +18,7 @@ Run configuration: flat ``key=value`` lines, ``#`` comments.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -155,7 +155,7 @@ class DavidsonOptions:
     """Iterative-solver controls."""
 
     # residual norm threshold, Hartree; the SOC matrix inherits the roots'
-    # residual, and soc.qdpt checks Kramers pairs to 1e-10 Eh
+    # residual, so this stays at or below soc.KRAMERS_SPLIT_TOL
     tol: float = 1e-10
     max_iter: int = 200
     guess_dim: int = 0             # 0 = auto
@@ -169,24 +169,34 @@ class DavidsonOptions:
 
 @dataclass(frozen=True)
 class SpectrumOptions:
+    """Broadening width and energy grid of a spectrum curve (eV)."""
+
     fwhm_ev: float = 0.1
     min_ev: float = 0.0
     max_ev: float = 5.0
     step_ev: float = 0.01
 
+    def __post_init__(self):
+        if self.fwhm_ev <= 0 or self.step_ev <= 0 or self.max_ev <= self.min_ev:
+            raise ValueError("spectrum settings need fwhm_ev > 0, step_ev > 0 "
+                             "and max_ev > min_ev")
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Complete run controls for the CASCI -> SOC -> spectra pipeline."""
+    """Complete run controls for the CASCI -> SOC -> spectra pipeline
+    (cas is None for a spectrum from a line list, which solves no CAS)."""
 
-    cas: tuple[int, int]
+    cas: tuple[int, int] | None
     roots_per_multiplicity: Mapping[int, int] = field(default_factory=dict)
     davidson: DavidsonOptions = field(default_factory=DavidsonOptions)
     spectrum: SpectrumOptions = field(default_factory=SpectrumOptions)
 
     def __post_init__(self):
-        n_elec, n_orb = self.cas
+        if self.cas is None and self.roots_per_multiplicity:
+            raise ValueError("root counts need a CAS")
         for mult, count in self.roots_per_multiplicity.items():
+            n_elec = self.cas[0]
             if count < 0:
                 raise ValueError(f"root count for multiplicity {mult} is negative")
             if mult < 1 or (mult - 1) > n_elec or (n_elec - (mult - 1)) % 2:
@@ -382,18 +392,24 @@ def parse_property_integrals(text: str, n_orb: int) -> PropertyIntegrals:
 # Run configuration
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "cas_nelec", "cas_norb", "davidson_tol", "davidson_max_iter", "guess_dim",
-    "spectrum_fwhm_ev", "spectrum_min_ev", "spectrum_max_ev",
-    "spectrum_step_ev",
+# config key -> (RunConfig field, option field); an option's value type and
+# default are those of its dataclass field
+_OPTION_KEYS = {
+    ("guess_dim" if f.name == "guess_dim" else f"{section}_{f.name}"): (section, f)
+    for section, cls in (("davidson", DavidsonOptions),
+                         ("spectrum", SpectrumOptions))
+    for f in fields(cls)
 }
 
 
 def parse_run_config(text: str, *, default_cas: tuple[int, int] | None = None,
-                     default_ms2: int | None = None) -> RunConfig:
-    """Parse the flat key=value run configuration."""
-    raw: dict[str, str] = {}
+                     default_ms2: int | None = None,
+                     needs_cas: bool = True) -> RunConfig:
+    """Parse the flat key=value run configuration; needs_cas=False (a
+    line-list run) checks the CAS and root keys, then drops them."""
+    cas_keys: dict[str, int] = {}
     roots: dict[int, int] = {}
+    options: dict[str, dict] = {"davidson": {}, "spectrum": {}}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -405,15 +421,24 @@ def parse_run_config(text: str, *, default_cas: tuple[int, int] | None = None,
         value = value.strip()
         m = re.fullmatch(r"roots_mult_(\d+)", key)
         if m:
-            roots[int(m.group(1))] = _parse_int(value, key, lineno)
-            continue
-        if key not in _CONFIG_KEYS:
+            roots[int(m.group(1))] = _parse_value(int, value, key, lineno)
+        elif key in ("cas_nelec", "cas_norb"):
+            cas_keys[key] = _parse_value(int, value, key, lineno)
+        elif key in _OPTION_KEYS:
+            section, f = _OPTION_KEYS[key]
+            options[section][f.name] = _parse_value(
+                type(f.default), value, key, lineno)
+        else:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
-        raw[key] = value
+    davidson = DavidsonOptions(**options["davidson"])
+    spectrum = SpectrumOptions(**options["spectrum"])
+    if not needs_cas:
+        return RunConfig(cas=None, davidson=davidson, spectrum=spectrum)
 
-    if "cas_nelec" in raw and "cas_norb" in raw:
-        cas = (_parse_int(raw["cas_nelec"], "cas_nelec"),
-               _parse_int(raw["cas_norb"], "cas_norb"))
+    if len(cas_keys) == 1:
+        raise ParseError("cas_nelec and cas_norb must be given together")
+    if cas_keys:
+        cas = (cas_keys["cas_nelec"], cas_keys["cas_norb"])
     elif default_cas is not None:
         cas = default_cas
     else:
@@ -423,26 +448,13 @@ def parse_run_config(text: str, *, default_cas: tuple[int, int] | None = None,
         # default: ground multiplicity block, enough roots to see low states
         ms2 = default_ms2 if default_ms2 is not None else cas[0] % 2
         roots = {abs(ms2) + 1: 5}
-
-    davidson = DavidsonOptions(
-        tol=float(raw.get("davidson_tol", DavidsonOptions.tol)),
-        max_iter=_parse_int(raw.get("davidson_max_iter", "200"),
-                            "davidson_max_iter"),
-        guess_dim=_parse_int(raw.get("guess_dim", "0"), "guess_dim"),
-    )
-    spectrum = SpectrumOptions(
-        fwhm_ev=float(raw.get("spectrum_fwhm_ev", "0.1")),
-        min_ev=float(raw.get("spectrum_min_ev", "0.0")),
-        max_ev=float(raw.get("spectrum_max_ev", "5.0")),
-        step_ev=float(raw.get("spectrum_step_ev", "0.01")),
-    )
     return RunConfig(cas=cas, roots_per_multiplicity=roots,
                      davidson=davidson, spectrum=spectrum)
 
 
-def _parse_int(value: str, key: str, lineno: int | None = None) -> int:
+def _parse_value(kind: type, value: str, key: str, lineno: int):
     try:
-        return int(value)
+        return kind(value)
     except ValueError:
-        where = f"line {lineno}: " if lineno else ""
-        raise ParseError(f"{where}{key} must be an integer, got {value!r}") from None
+        raise ParseError(f"line {lineno}: {key} must be {kind.__name__}, "
+                         f"got {value!r}") from None

@@ -22,8 +22,8 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from .ingest import (IntegralSet, OrbitalSpace, PropertyIntegrals, RunConfig,
-                     symmetrize_8fold)
+from .ingest import (IntegralSet, OrbitalSpace, PropertyIntegrals,
+                     parse_run_config, symmetrize_8fold)
 from .units import CM_TO_HARTREE, EV_TO_HARTREE
 
 D_LABELS = ("d_z2", "d_xz", "d_yz", "d_x2-y2", "d_xy")
@@ -186,11 +186,7 @@ def build_ligand_field_model(model: LigandFieldModel):
     prop = PropertyIntegrals(L=L, Z=Z, D=np.zeros((3, 5, 5)))
     orbitals = OrbitalSpace(5, D_LABELS, 0.0)
     ints = IntegralSet(h=h, g2=g2, core_energy=0.0)
-    ground_mult = 1 + model.n_elec % 2
-    config = RunConfig(
-        cas=(model.n_elec, 5),
-        roots_per_multiplicity={ground_mult: 5},
-    )
+    config = parse_run_config("", default_cas=(model.n_elec, 5))
     return orbitals, ints, prop, config
 
 

@@ -23,6 +23,14 @@ from .casci import Multiplet
 from .ingest import PropertyIntegrals
 from .spin import flip_lower_links, flip_raise_links
 
+# largest |H_SO - H_SO^+| element before symmetrizing (Hartree)
+HERMITICITY_TOL = 1e-8
+
+# Kramers partners: the largest energy split (Hartree) and the smallest
+# time-reversal overlap |<j|T|i>| that still count as one pair
+KRAMERS_SPLIT_TOL = 1e-10
+KRAMERS_OVERLAP_TOL = 1e-8
+
 
 class PhaseConsistencyError(ValueError):
     """Multiplet component phases are inconsistent (Hermiticity breach)."""
@@ -98,13 +106,12 @@ def _flip_tdm(links, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
 
 
 def soc_matrix(basis: SocStateBasis, multiplets: list[Multiplet],
-               prop: PropertyIntegrals, *,
-               hermiticity_tol: float = 1e-8) -> np.ndarray:
+               prop: PropertyIntegrals) -> np.ndarray:
     """Complex Hermitian H_SO over the basis entries (Hartree).
 
     Couples blocks with |Delta S| <= 1 and |Delta M_S| <= 1; the
     Delta M_S = -1 and +1 elements are evaluated independently and the
-    Hermiticity residual is checked against hermiticity_tol before
+    Hermiticity residual is checked against HERMITICITY_TOL before
     symmetrizing.
     """
     n = basis.size
@@ -125,10 +132,10 @@ def soc_matrix(basis: SocStateBasis, multiplets: list[Multiplet],
     two_s = np.array([e.two_s for e in basis.entries])
     H[np.abs(two_s[:, None] - two_s[None, :]) > 2] = 0.0
     resid = float(np.max(np.abs(H - H.conj().T)))
-    if resid > hermiticity_tol:
+    if resid > HERMITICITY_TOL:
         raise PhaseConsistencyError(
             f"SOC Hermiticity residual {resid:.3e} exceeds "
-            f"{hermiticity_tol:.0e}; multiplet phases are inconsistent")
+            f"{HERMITICITY_TOL:.0e}; multiplet phases are inconsistent")
     return (H + H.conj().T) / 2.0
 
 
@@ -155,14 +162,14 @@ class SoEigenstates:
     basis: SocStateBasis
 
 
-def qdpt(basis: SocStateBasis, energies: np.ndarray, soc: np.ndarray, *,
-         odd_electrons: bool | None = None, degeneracy_tol: float = 1e-10,
-         overlap_tol: float = 1e-8) -> SoEigenstates:
+def qdpt(basis: SocStateBasis, energies: np.ndarray,
+         soc: np.ndarray) -> SoEigenstates:
     """Diagonalize diag(energies) + soc and establish Kramers pairing.
 
-    For odd-electron systems every eigenvalue must be two-fold degenerate
-    (Kramers theorem); the pairing is located through time-reversal
-    overlaps and its failure signals broken Hermiticity or phases.
+    For odd-electron bases (half-integer spins) every eigenvalue must be
+    two-fold degenerate (Kramers theorem); the pairing is located through
+    time-reversal overlaps and its failure signals broken Hermiticity or
+    phases.
     """
     energies = np.asarray(energies, dtype=float)
     if soc.shape != (basis.size, basis.size):
@@ -170,9 +177,7 @@ def qdpt(basis: SocStateBasis, energies: np.ndarray, soc: np.ndarray, *,
     H = np.diag(energies).astype(complex) + soc
     w, V = np.linalg.eigh(H)
     pairs: list[tuple[int, int]] = []
-    if odd_electrons is None:
-        odd_electrons = bool(basis.entries and basis.entries[0].two_s % 2)
-    if odd_electrons:
+    if basis.entries and basis.entries[0].two_s % 2:
         T = time_reversal_matrix(basis)
         used = np.zeros(basis.size, dtype=bool)
         for i in range(basis.size):
@@ -183,11 +188,11 @@ def qdpt(basis: SocStateBasis, energies: np.ndarray, soc: np.ndarray, *,
             overlaps[used] = -1.0
             overlaps[i] = -1.0
             j = int(np.argmax(overlaps))
-            if overlaps[j] < overlap_tol:
+            if overlaps[j] < KRAMERS_OVERLAP_TOL:
                 raise KramersPairingError(
                     f"no time-reversal partner for state {i} "
                     f"(best overlap {overlaps[j]:.3e})")
-            if abs(w[i] - w[j]) > degeneracy_tol:
+            if abs(w[i] - w[j]) > KRAMERS_SPLIT_TOL:
                 raise KramersPairingError(
                     f"states {i},{j} are time-reversal partners but split "
                     f"by {abs(w[i] - w[j]):.3e} Hartree")

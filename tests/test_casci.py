@@ -4,6 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from casq.casci import (
+    DENSE_CAP,
     DavidsonNotConverged,
     _chunk_rows,
     _sigma_plan,
@@ -87,10 +88,12 @@ def test_dense_hamiltonian_matches_element_matrix(n_elec, n_orb, ms2, seed):
 
 
 def test_dense_cap_enforced():
-    ints = make_random_integrals(5, 1)
-    space = enumerate_cas(5, 5, 1)
+    # CAS(11,10) M_S = 1/2 holds 52,920 determinants, above DENSE_CAP
+    ints = make_random_integrals(10, 1)
+    space = enumerate_cas(11, 10, 1)
+    assert space.size > DENSE_CAP
     with pytest.raises(ValueError, match="cap"):
-        dense_hamiltonian(space, ints, cap=10)
+        dense_hamiltonian(space, ints)
 
 
 def test_sigma_equals_dense_columns():

@@ -5,6 +5,7 @@ import numpy as np
 from casq.cli import main
 from casq.ingest import write_fcidump
 from casq.ligandfield import build_ligand_field_model
+from casq.spectra import SpectrumLine, broaden
 
 from conftest import kramers_split_d5_model, make_random_integrals
 
@@ -58,6 +59,46 @@ def test_casci_oracle_mode(tmp_path):
         ["casci", "--lf", "d9-planar", "--oracle", "dense"], tmp_path)
     assert code == 0
     assert "oracle" in manifest["timings_s"]
+
+
+def test_oracle_mismatch_exits_three(tmp_path, monkeypatch, capsys):
+    import casq.driver
+
+    solve = casq.driver.solve_multiplets
+
+    def shifted(ints, config, method="davidson"):
+        out = solve(ints, config, method=method)
+        if method == "dense":
+            out[0].energy += 1e-6
+        return out
+
+    monkeypatch.setattr(casq.driver, "solve_multiplets", shifted)
+    code, _, manifest = run_cli(
+        ["casci", "--lf", "d1", "--oracle", "dense"], tmp_path)
+    assert code == 3 and manifest["exit_code"] == 3
+    assert "oracle" in manifest["timings_s"]
+    assert "error (invariant breach)" in capsys.readouterr().err
+
+
+def test_oracle_rejected_by_spectrum(tmp_path, capsys):
+    (tmp_path / "lines.txt").write_text("2.0 1.0\n")
+    code, _, manifest = run_cli(
+        ["spectrum", "--lines", str(tmp_path / "lines.txt"),
+         "--oracle", "dense"], tmp_path)
+    assert code == 1
+    assert manifest["status"] == "failed" and manifest["exit_code"] == 1
+    assert "--oracle" in capsys.readouterr().err
+
+
+def test_zeta_needs_lf(tmp_path, capsys):
+    ints = make_random_integrals(3, 207)
+    (tmp_path / "m.fcidump").write_text(write_fcidump(ints, 3, 1))
+    code, _, manifest = run_cli(
+        ["casci", "--fcidump", str(tmp_path / "m.fcidump"), "--zeta", "100"],
+        tmp_path)
+    assert code == 1
+    assert manifest["status"] == "failed" and manifest["exit_code"] == 1
+    assert "--zeta needs --lf" in capsys.readouterr().err
 
 
 def test_casci_fcidump_roundtrip(tmp_path):
@@ -140,6 +181,37 @@ def test_spectrum_from_lines(tmp_path):
     assert abs(peak - 2.0) <= 0.01
     lines = json.loads((out / "lines.json").read_text())
     assert lines[0]["band"] == "Q"
+
+
+def test_spectrum_from_lines_ignores_root_keys(tmp_path):
+    # root counts belong to a CASCI run; a line list has no CAS to check
+    # them against
+    (tmp_path / "lines.txt").write_text("2.0 1.0\n")
+    (tmp_path / "c.cfg").write_text("roots_mult_4=1\nspectrum_fwhm_ev=0.2\n")
+    code, out, manifest = run_cli(
+        ["spectrum", "--lines", str(tmp_path / "lines.txt"),
+         "--config", str(tmp_path / "c.cfg")], tmp_path)
+    assert code == 0
+    assert manifest["config"]["spectrum"]["fwhm_ev"] == 0.2
+    rows = (out / "spectrum.csv").read_text().strip().splitlines()[1:]
+    grid, curve = np.array([r.split(",") for r in rows], dtype=float).T
+    assert np.allclose(curve, broaden([SpectrumLine(2.0, 1.0, 0, 1)], 0.2,
+                                      grid), rtol=1e-7)
+
+
+def test_spectrum_bad_fwhm_fails_before_states(tmp_path, capsys):
+    ints = make_random_integrals(3, 208)
+    (tmp_path / "m.fcidump").write_text(write_fcidump(ints, 3, 1))
+    (tmp_path / "m.prop").write_text(
+        "DIP_X\n" + "\n".join(" ".join(["0.1"] * 3) for _ in range(3)))
+    (tmp_path / "c.cfg").write_text("spectrum_fwhm_ev=0\n")
+    code, _, manifest = run_cli(
+        ["spectrum", "--fcidump", str(tmp_path / "m.fcidump"),
+         "--prop", str(tmp_path / "m.prop"),
+         "--config", str(tmp_path / "c.cfg")], tmp_path)
+    assert code == 1
+    assert "states" not in manifest["timings_s"]
+    assert "fwhm" in capsys.readouterr().err
 
 
 def test_spectrum_zero_lines_flat(tmp_path):
@@ -230,6 +302,7 @@ def test_casci_nonconvergence_exit_code(tmp_path, capsys):
          "--config", str(tmp_path / "hard.cfg")], tmp_path)
     assert code == 2
     assert manifest["status"] == "failed"
+    assert "casci" in manifest["timings_s"]
     assert "non-convergence" in capsys.readouterr().err
 
 

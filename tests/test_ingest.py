@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from casq.ingest import (
     ParseError,
     PropertyIntegrals,
     RunConfig,
+    SpectrumOptions,
     parse_fcidump,
     parse_property_integrals,
     parse_run_config,
@@ -178,6 +181,12 @@ def test_run_config_defaults_and_errors():
         parse_run_config("cas_nelec=2\ncas_norb=2\ndavidson_max_subspace=10\n")
     with pytest.raises(ParseError, match="cas_nelec"):
         parse_run_config("roots_mult_2=1\n")
+    with pytest.raises(ParseError, match="together"):
+        parse_run_config("cas_nelec=5\n", default_cas=(3, 4))
+    with pytest.raises(ParseError, match="line 2: davidson_tol must be float"):
+        parse_run_config("cas_nelec=2\ndavidson_tol=abc\n")
+    with pytest.raises(ParseError, match="line 1: guess_dim must be int"):
+        parse_run_config("guess_dim=1.5\n", default_cas=(2, 2))
     with pytest.raises(ValueError, match="guess_dim"):
         RunConfig(cas=(3, 4), roots_per_multiplicity={2: 8},
                   davidson=DavidsonOptions(guess_dim=4))
@@ -185,6 +194,38 @@ def test_run_config_defaults_and_errors():
         RunConfig(cas=(3, 4), roots_per_multiplicity={2: -1})
     with pytest.raises(ValueError, match="multiplicity"):
         RunConfig(cas=(3, 4), roots_per_multiplicity={3: 1})  # parity
+
+
+# every Davidson and spectrum key with a value that differs from its default
+OPTION_KEYS = {
+    "davidson_tol": ("davidson", "tol", 1e-7),
+    "davidson_max_iter": ("davidson", "max_iter", 17),
+    "guess_dim": ("davidson", "guess_dim", 40),
+    "spectrum_fwhm_ev": ("spectrum", "fwhm_ev", 0.25),
+    "spectrum_min_ev": ("spectrum", "min_ev", 0.5),
+    "spectrum_max_ev": ("spectrum", "max_ev", 4.0),
+    "spectrum_step_ev": ("spectrum", "step_ev", 0.02),
+}
+
+
+def test_run_config_option_keys_round_trip():
+    covered = {(section, name) for section, name, _ in OPTION_KEYS.values()}
+    assert covered == (
+        {("davidson", f.name) for f in fields(DavidsonOptions)}
+        | {("spectrum", f.name) for f in fields(SpectrumOptions)})
+    default = parse_run_config("", default_cas=(3, 4))
+    for key, (section, name, value) in OPTION_KEYS.items():
+        assert getattr(getattr(default, section), name) != value
+        cfg = parse_run_config(f"{key}={value}\n", default_cas=(3, 4))
+        got = getattr(getattr(cfg, section), name)
+        assert got == value and type(got) is type(value), key
+
+
+@pytest.mark.parametrize("kwargs", [{"fwhm_ev": 0.0}, {"step_ev": -0.01},
+                                    {"min_ev": 2.0, "max_ev": 2.0}])
+def test_spectrum_options_rejected(kwargs):
+    with pytest.raises(ValueError, match="spectrum"):
+        SpectrumOptions(**kwargs)
 
 
 def test_set_chem_images():

@@ -4,7 +4,8 @@ import pytest
 from casq.casci import assemble_multiplets, dense_solve
 from casq.detspace import enumerate_cas
 from casq.driver import solve_multiplets
-from casq.ingest import PropertyIntegrals, RunConfig, zero_properties
+from casq.ingest import (DavidsonOptions, PropertyIntegrals, RunConfig,
+                         zero_properties)
 from casq.ligandfield import LigandFieldModel, build_ligand_field_model, dshell_l_matrices
 from casq import soc
 from casq.soc import (
@@ -136,6 +137,12 @@ def test_hermiticity_check_catches_a_corrupted_flip_table(monkeypatch):
     monkeypatch.setattr(soc, "flip_lower_links", corrupted)
     with pytest.raises(PhaseConsistencyError):
         soc_matrix(basis, mults, prop)
+
+
+def test_davidson_tol_within_kramers_split_tol():
+    # the SOC matrix inherits the roots' residual: a looser default solve
+    # splits Kramers partners beyond what qdpt accepts (exit 3)
+    assert DavidsonOptions().tol <= soc.KRAMERS_SPLIT_TOL
 
 
 def test_qdpt_zero_soc_identity():
