@@ -453,33 +453,43 @@ def _finalize_states(space: CasSpace, energies: np.ndarray,
     return states
 
 
-def dense_solve(space: CasSpace, ints: IntegralSet,
-                n_roots: int) -> list[CiState]:
-    """Brute-force eigensolver on the explicitly built H."""
-    if not 1 <= n_roots <= space.size:
-        raise ValueError(f"n_roots={n_roots} outside [1, {space.size}]")
+def dense_solve(space: CasSpace, ints: IntegralSet, n_roots: int,
+                locked: tuple[np.ndarray, ...] = ()) -> list[CiState]:
+    """Brute-force eigensolver on the explicitly built H, restricted to
+    the orthogonal complement of the `locked` orthonormal bases."""
+    q = sum(basis.shape[1] for basis in locked)
+    if not 1 <= n_roots <= space.size - q:
+        raise ValueError(f"n_roots={n_roots} outside [1, {space.size - q}]")
     H = dense_hamiltonian(space, ints)
-    w, U = np.linalg.eigh(H)
+    if q:   # an orthonormal basis Q of the complement: H -> Q^T H Q
+        Q = np.linalg.qr(np.hstack(locked), mode="complete")[0][:, q:]
+        w, U = np.linalg.eigh(Q.T @ H @ Q)
+        U = Q @ U
+    else:
+        w, U = np.linalg.eigh(H)
     return _finalize_states(space, w[:n_roots], U[:, :n_roots])
 
 
 def solve_davidson(space: CasSpace, ints: IntegralSet, n_roots: int,
-                   options: DavidsonOptions | None = None) -> list[CiState]:
-    """Lowest CI roots by block Davidson with a deterministic guess.
+                   options: DavidsonOptions | None = None,
+                   locked: tuple[np.ndarray, ...] = ()) -> list[CiState]:
+    """Lowest CI roots by block Davidson with a deterministic guess, on
+    the orthogonal complement of the `locked` orthonormal bases.
 
-    The guess block diagonalizes H over the guess_dim determinants of
-    lowest diagonal energy; when guess_dim reaches the space size the
-    space is solved by dense_solve instead.
+    The guess block, widened by the q locked columns, diagonalizes H over
+    the guess_dim determinants of lowest diagonal energy; when guess_dim
+    reaches the space size the space is solved by dense_solve instead.
     """
     options = options or DavidsonOptions()
     N = space.size
-    if not 1 <= n_roots <= N:
-        raise ValueError(f"n_roots={n_roots} outside [1, {N}]")
+    q = sum(basis.shape[1] for basis in locked)
+    if not 1 <= n_roots <= N - q:
+        raise ValueError(f"n_roots={n_roots} outside [1, {N - q}]")
     diag = hamiltonian_diagonal(space, ints).ravel()
     gd = options.guess_dim or max(32, 2 * n_roots)
-    gd = min(max(gd, n_roots), N)
+    gd = min(max(gd, n_roots + q), N)
     if gd == N:
-        return dense_solve(space, ints, n_roots)
+        return dense_solve(space, ints, n_roots, locked)
     sel = np.argsort(diag, kind="stable")[:gd]
     dets = [space.determinant(int(idx)) for idx in sel]
     Hg = np.empty((gd, gd))
@@ -487,12 +497,13 @@ def solve_davidson(space: CasSpace, ints: IntegralSet, n_roots: int,
         for b in range(a + 1):
             Hg[a, b] = Hg[b, a] = hamiltonian_element(dets[a], dets[b], ints)
     w, U = np.linalg.eigh(Hg)
-    n_start = min(gd, n_roots + 3)
+    n_start = min(gd, n_roots + 3 + q)
     v0 = np.zeros((N, n_start))
     v0[sel] = U[:, :n_start]
     result = davidson_lowest(
         lambda block: sigma_block(space, ints, block),
-        diag, n_roots, v0, tol=options.tol, max_iter=options.max_iter)
+        diag, n_roots, v0, tol=options.tol, max_iter=options.max_iter,
+        locked=locked)
     return _finalize_states(space, result.energies, result.vectors)
 
 

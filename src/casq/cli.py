@@ -87,9 +87,12 @@ class Manifest:
     def warn(self, message: str):
         self.data["warnings"].append(message)
 
-    def finish(self, exit_code: int):
+    def finish(self, exit_code: int, error: Exception | None = None):
         self.data["status"] = "ok" if exit_code == EXIT_OK else "failed"
         self.data["exit_code"] = exit_code
+        if error is not None:
+            self.data["error"] = {"type": type(error).__name__,
+                                  "message": str(error)}
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
             path = self.out_dir / "manifest.json"
@@ -408,22 +411,22 @@ def main(argv=None) -> int:
         _setup_threads(args.threads)
     except UsageError as exc:
         print(f"error (input error): {exc}", file=sys.stderr)
-        Manifest(None, _out_from_argv(argv), argv).finish(EXIT_INPUT)
+        Manifest(None, _out_from_argv(argv), argv).finish(EXIT_INPUT, exc)
         return EXIT_INPUT
 
     manifest = Manifest(args.command, args.out, argv)
     handlers = {"count": cmd_count, "casci": cmd_casci,
                 "gtensor": cmd_gtensor, "spectrum": cmd_spectrum}
-    code = EXIT_OK
+    code, error = EXIT_OK, None
     try:
         code = handlers[args.command](args, manifest)
     except Exception as exc:
-        code = _classify_error(exc)
+        code, error = _classify_error(exc), exc
         kind = {EXIT_INPUT: "input error", EXIT_NOCONV: "non-convergence",
                 EXIT_INVARIANT: "invariant breach"}[code]
         print(f"error ({kind}): {exc}", file=sys.stderr)
     finally:
-        manifest.finish(code)
+        manifest.finish(code, error)
     return code
 
 

@@ -37,23 +37,23 @@ class DavidsonNotConverged(RuntimeError):
             f"(worst residual {worst:.3e})")
 
 
-def _orthonormalize(block: np.ndarray, against: np.ndarray | None = None,
+def _orthonormalize(block: np.ndarray, against: tuple[np.ndarray, ...] = (),
                     drop_tol: float = 1e-10) -> np.ndarray:
     """Block Gram-Schmidt with reorthogonalization; drops dependent columns.
 
-    Each of two rounds projects the whole block against `against` (two
-    GEMMs), then runs modified Gram-Schmidt within the block.  A column is
-    dependent when the projections leave less than drop_tol of its own
-    norm; it is zeroed at once, so it takes no part in later projections.
-    The test is relative because correction vectors shrink with the
-    residual: an absolute cut drops them near convergence and stalls the
-    solver at residuals around 1e-9.
+    Each of two rounds projects the whole block against every orthonormal
+    basis in `against` (two GEMMs each), then runs modified Gram-Schmidt
+    within the block.  A column is dependent when the projections leave
+    less than drop_tol of its own norm; it is zeroed at once, so it takes
+    no part in later projections.  The test is relative because correction
+    vectors shrink with the residual: an absolute cut drops them near
+    convergence and stalls the solver at residuals around 1e-9.
     """
     B = np.array(block.T, dtype=float, order="C")    # one row per column
     cut = drop_tol * np.linalg.norm(B, axis=1)
     for _ in range(2):
-        if against is not None and against.shape[1]:
-            B -= (B @ against) @ against.T
+        for basis in against:
+            B -= (B @ basis) @ basis.T
         for j, v in enumerate(B):
             for u in B[:j]:
                 v -= u * (u @ v)
@@ -69,20 +69,24 @@ def _orthonormalize(block: np.ndarray, against: np.ndarray | None = None,
 
 def davidson_lowest(matvec, diagonal: np.ndarray, n_roots: int,
                     start: np.ndarray, *, tol: float = 1e-8,
-                    max_iter: int = 200) -> DavidsonResult:
-    """Iterate to the lowest n_roots eigenpairs.
+                    max_iter: int = 200,
+                    locked: tuple[np.ndarray, ...] = ()) -> DavidsonResult:
+    """Iterate to the lowest n_roots eigenpairs on the orthogonal
+    complement of the `locked` orthonormal bases (q columns in all).
 
     matvec maps an (N, k) block to H times the block.  `start` supplies
     the initial block (at least n_roots columns).  The subspace holds at
-    most min(N, max(6 n_roots + 12, 48)) columns, but no fewer than
-    2 n_roots, before a thick restart.
+    most min(N - q, max(6 n_roots + 12, 48)) columns before a thick
+    restart.  Residuals are projected off `locked` too, so locked
+    vectors that are eigenvectors only to within tol cannot stall it.
     """
     n = diagonal.shape[0]
-    if n_roots > n:
-        raise ValueError(f"n_roots={n_roots} exceeds dimension {n}")
-    max_subspace = max(min(n, max(6 * n_roots + 12, 48)), 2 * n_roots)
+    q = sum(basis.shape[1] for basis in locked)
+    if n_roots > n - q:
+        raise ValueError(f"n_roots={n_roots} exceeds dimension {n - q}")
+    max_subspace = min(n - q, max(6 * n_roots + 12, 48))
 
-    V = _orthonormalize(np.asarray(start, dtype=float))
+    V = _orthonormalize(np.asarray(start, dtype=float), against=locked)
     m = V.shape[1]
     if m < n_roots:
         raise ValueError("starting block is rank deficient")
@@ -101,6 +105,8 @@ def davidson_lowest(matvec, diagonal: np.ndarray, n_roots: int,
         X = V @ Y[:, :n_roots]
         SX = S @ Y[:, :n_roots]
         R = SX - X * theta[:n_roots]
+        for basis in locked:
+            R -= basis @ (basis.T @ R)
         norms = np.linalg.norm(R, axis=0)
         last = DavidsonResult(theta[:n_roots].copy(), X, iteration, norms,
                               bool(np.all(norms <= tol)), n_matvec)
@@ -126,13 +132,13 @@ def davidson_lowest(matvec, diagonal: np.ndarray, n_roots: int,
             denom = np.where(np.abs(denom) < LEVEL_SHIFT,
                              np.copysign(LEVEL_SHIFT, denom), denom)
             news.append(R[:, k] / denom)
-        block = _orthonormalize(np.stack(news, axis=1), against=V)
+        block = _orthonormalize(np.stack(news, axis=1), against=locked + (V,))
         if block.shape[1] == 0:
             # stagnation: inject the coordinate direction of the worst residual
             worst = int(np.argmax(np.abs(R[:, int(np.argmax(norms))])))
             unit = np.zeros((n, 1))
             unit[worst, 0] = 1.0
-            block = _orthonormalize(unit, against=V)
+            block = _orthonormalize(unit, against=locked + (V,))
             if block.shape[1] == 0:
                 break
         Sb = matvec(block)

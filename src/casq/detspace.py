@@ -42,9 +42,6 @@ class Determinant:
     def alpha_list(self) -> tuple[int, ...]:
         return occupied_orbitals(self.alpha)
 
-    def beta_list(self) -> tuple[int, ...]:
-        return occupied_orbitals(self.beta)
-
     def conjugate(self) -> "Determinant":
         """Swap alpha and beta occupations (u <-> d on open shells)."""
         return Determinant(self.beta, self.alpha, self.n_orb)

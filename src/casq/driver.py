@@ -1,9 +1,8 @@
 """End-to-end workflows: multiplicity-resolved CASCI, QDPT and g-tensors.
 
-Each requested multiplicity 2S+1 is solved in its top block M_S = S.
-Because low-lying higher-multiplicity states drop into lower-M_S blocks
-as extra components, the root count per block is padded and grown until
-the requested number of roots of the right multiplicity is found.
+Multiplicities are solved from the highest down, each in its top block
+M_S = S, where the higher-spin roots already known and every root a
+solver pass returns are locked (projected out): none is solved twice.
 """
 
 from __future__ import annotations
@@ -17,51 +16,52 @@ from .casci import (CiState, Multiplet, assemble_multiplets, dense_solve,
 from .gtensor import GapReport, GTensor, g_tensor_eha, g_tensor_sos, gap_report
 from .ingest import IntegralSet, PropertyIntegrals, RunConfig
 from .soc import SocStateBasis, SoEigenstates, diagonal_energies, qdpt, soc_basis, soc_matrix
+from .spin import apply_s_minus, apply_s_plus
 
 
 def solve_multiplicity(ints: IntegralSet, config: RunConfig, mult: int,
-                       count: int, *, method: str = "davidson") -> list[CiState]:
+                       count: int, higher: list[CiState] | None = None, *,
+                       method: str = "davidson") -> list[CiState]:
     """The lowest `count` roots of multiplicity 2S+1 = mult, solved at
-    the top block M_S = S."""
+    the top block M_S = S on the complement of the `higher` states."""
     n_elec, n_orb = config.cas
     if n_orb != ints.n_orb:
         raise ValueError(f"cas_norb={n_orb} does not match the "
                          f"{ints.n_orb}-orbital integral set")
-    ms2 = mult - 1
-    space = enumerate_cas(n_elec, n_orb, ms2)
-    intruders = sum(c for m, c in config.roots_per_multiplicity.items()
-                    if m > mult)
-    n_solve = min(space.size, count + intruders + 2)
-    while True:
-        states = _solve(space, ints, n_solve, config, method)
-        found = [s for s in states if s.multiplicity == mult]
-        if len(found) >= count or n_solve >= space.size:
-            break
-        n_solve = min(space.size, max(n_solve + 4, (3 * n_solve) // 2))
-    if len(found) < count:
-        raise ValueError(
-            f"only {len(found)} roots of multiplicity {mult} exist in "
-            f"CAS{config.cas} (requested {count})")
-    return found[:count]
+    space = enumerate_cas(n_elec, n_orb, mult - 1)
+    found: list[CiState] = []
+    locked = [s.coeffs for s in higher or ()]
+    while len(found) < count:
+        if len(locked) == space.size:
+            raise ValueError(f"only {len(found)} roots of multiplicity {mult} "
+                             f"exist in CAS{config.cas} (requested {count})")
+        states = _solve(space, ints, min(count - len(found), space.size - len(locked)),
+                        config, method, locked)
+        found += [s for s in states if s.multiplicity == mult]
+        # S-S+ cuts a higher-spin root's spin-S error, which would taint targets
+        locked += [s.coeffs if s.multiplicity == mult else
+                   apply_s_minus(*apply_s_plus(space, s.coeffs))[1] for s in states]
+    return found
 
 
-def _solve(space, ints, n_roots, config, method):
+def _solve(space, ints, n_roots, config, method, locked):
+    basis = (np.linalg.qr(np.column_stack(locked))[0],) if locked else ()
     if method == "dense":
-        return dense_solve(space, ints, n_roots)
+        return dense_solve(space, ints, n_roots, basis)
     if method == "davidson":
-        return solve_davidson(space, ints, n_roots, config.davidson)
+        return solve_davidson(space, ints, n_roots, config.davidson, basis)
     raise ValueError(f"unknown solver method {method!r}")
 
 
 def solve_multiplets(ints: IntegralSet, config: RunConfig, *,
                      method: str = "davidson") -> list[Multiplet]:
-    """Solve every requested multiplicity and ladder down to full multiplets."""
-    anchors: list[CiState] = []
-    for mult, count in sorted(config.roots_per_multiplicity.items()):
-        if count > 0:
-            anchors.extend(solve_multiplicity(ints, config, mult, count,
-                                              method=method))
-    return assemble_multiplets(anchors, ints)
+    """Solve every requested multiplicity, highest first, into multiplets."""
+    multiplets: list[Multiplet] = []
+    for mult, count in sorted(config.roots_per_multiplicity.items())[::-1]:
+        higher = [m.component(mult - 1) for m in multiplets]
+        multiplets += assemble_multiplets(solve_multiplicity(
+            ints, config, mult, count, higher, method=method), ints)
+    return sorted(multiplets, key=lambda m: m.energy)
 
 
 @dataclass

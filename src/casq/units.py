@@ -15,11 +15,3 @@ G_E = 2.002319
 
 # Gaussian FWHM -> standard deviation: 2*sqrt(2*ln 2)
 FWHM_TO_SIGMA = 1.0 / 2.3548200450309493
-
-
-def hartree_to_ev(e):
-    return e * HARTREE_TO_EV
-
-
-def hartree_to_cm(e):
-    return e * HARTREE_TO_CM

@@ -50,7 +50,7 @@ def test_casci_lf_preset_zeta_zero(tmp_path, capsys):
     for r in report:
         assert len(r["decomposition"]) == 1
         assert r["decomposition"][0].endswith("(100%)")
-    assert manifest["status"] == "ok"
+    assert manifest["status"] == "ok" and "error" not in manifest
     assert "casci" in manifest["timings_s"]
 
 
@@ -99,6 +99,8 @@ def test_zeta_needs_lf(tmp_path, capsys):
     assert code == 1
     assert manifest["status"] == "failed" and manifest["exit_code"] == 1
     assert "--zeta needs --lf" in capsys.readouterr().err
+    assert manifest["error"]["type"] == "ValueError"
+    assert "--zeta needs --lf" in manifest["error"]["message"]
 
 
 def test_casci_fcidump_roundtrip(tmp_path):
@@ -304,6 +306,8 @@ def test_casci_nonconvergence_exit_code(tmp_path, capsys):
     assert manifest["status"] == "failed"
     assert "casci" in manifest["timings_s"]
     assert "non-convergence" in capsys.readouterr().err
+    assert manifest["error"]["type"] == "DavidsonNotConverged"
+    assert "did not converge" in manifest["error"]["message"]
 
 
 def test_casci_norb_mismatch(tmp_path, capsys):
@@ -343,6 +347,8 @@ def test_usage_error_exits_one_with_manifest(tmp_path, capsys):
     assert code == 1
     assert manifest["status"] == "failed" and manifest["exit_code"] == 1
     assert "--ms2" in capsys.readouterr().err
+    assert manifest["error"]["type"] == "UsageError"
+    assert "--ms2" in manifest["error"]["message"]
 
 
 def test_non_integer_casq_threads_exits_one_with_manifest(

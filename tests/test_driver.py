@@ -1,0 +1,114 @@
+"""Multiplicity-resolved solves: top-down locking against full diagonalization."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from casq import driver
+from casq.casci import dense_hamiltonian
+from casq.detspace import cas_dimension, enumerate_cas
+from casq.ingest import DavidsonOptions, RunConfig
+from casq.ligandfield import LigandFieldModel, build_ligand_field_model
+from casq.spin import s_squared
+
+from conftest import make_random_integrals
+
+
+def _reference(ints, n_elec, n_orb, mult, count):
+    """The lowest `count` energies of multiplicity mult, from one full eigh
+    of the top block filtered by <S^2>."""
+    space = enumerate_cas(n_elec, n_orb, mult - 1)
+    w, U = np.linalg.eigh(dense_hamiltonian(space, ints))
+    s2 = np.array([s_squared(space, U[:, k]) for k in range(space.size)])
+    labels = np.rint(np.sqrt(1.0 + 4.0 * s2)).astype(int)    # 2S+1
+    return w[labels == mult][:count]
+
+
+@st.composite
+def _problems(draw):
+    n_orb = draw(st.integers(3, 5))
+    n_elec = draw(st.integers(1, 2 * n_orb - 1))
+    top = min(n_elec, 2 * n_orb - n_elec)          # largest 2S
+    roots = {}
+    for two_s in range(top % 2, top + 1, 2):
+        # roots of 2S+1 = dim(M_S = S) - dim(M_S = S + 1)
+        above = cas_dimension(n_elec, n_orb, two_s + 2) if two_s < top else 0
+        roots[two_s + 1] = draw(st.integers(
+            0, min(6, cas_dimension(n_elec, n_orb, two_s) - above)))
+    if not any(roots.values()):
+        roots[top % 2 + 1] = 1
+    return n_elec, n_orb, roots, draw(st.integers(0, 2 ** 16))
+
+
+@given(_problems(), st.sampled_from(["dense", "davidson"]))
+def test_solve_multiplets_matches_full_eigh(problem, method):
+    n_elec, n_orb, roots, seed = problem
+    ints = make_random_integrals(n_orb, seed)
+    # guess_dim at its floor keeps Davidson off its dense shortcut
+    config = RunConfig(cas=(n_elec, n_orb), roots_per_multiplicity=roots,
+                       davidson=DavidsonOptions(guess_dim=sum(roots.values())))
+    calls = []
+    solve = driver._solve
+
+    def spy(space, ints, n_roots, *rest):
+        states = solve(space, ints, n_roots, *rest)
+        calls.append((space.ms2 + 1, n_roots, states))
+        return states
+
+    with mock.patch.object(driver, "_solve", spy):
+        multiplets = driver.solve_multiplets(ints, config, method=method)
+
+    for mult, count in roots.items():
+        got = sorted(m.energy for m in multiplets if m.multiplicity == mult)
+        assert np.allclose(got, _reference(ints, n_elec, n_orb, mult, count),
+                           rtol=0.0, atol=1e-9)
+        passes = [(n, states) for m, n, states in calls if m == mult]
+        intruders = [s for _, states in passes for s in states
+                     if s.multiplicity != mult]
+        assert all(s.multiplicity > mult for s in intruders)
+        # each pass asks for exactly the missing roots: none is discarded
+        assert sum(n for n, _ in passes) == count + len(intruders)
+        # no intruder is a component of a multiplet already solved
+        for s in intruders:
+            assert all(abs(s.energy - m.energy) > 1e-8 for m in multiplets
+                       if m.multiplicity == s.multiplicity)
+
+
+@pytest.mark.parametrize("method", ["dense", "davidson"])
+@pytest.mark.parametrize("roots", [{2: 9}, {2: 9, 4: 1}])
+def test_too_many_roots_requested(method, roots):
+    # CAS(3,3) M_S = 1/2 holds 9 determinants: 8 doublets and one quartet
+    ints = make_random_integrals(3, 71)
+    config = RunConfig(cas=(3, 3), roots_per_multiplicity=roots)
+    with pytest.raises(ValueError, match="only 8 roots of multiplicity 2"):
+        driver.solve_multiplets(ints, config, method=method)
+
+
+def test_near_degenerate_intruder_leaves_targets_pure():
+    # a d7 field whose 10th root (a quartet) lies 5e-6 Eh above the 5th
+    # doublet: a one-root Davidson pass finds the quartet first, and had it
+    # been locked with its residual error along that doublet, the doublet
+    # would inherit it and its Kramers pair split by 1.4e-10 Eh
+    v_lf = [[1.4870961606104314, -0.5220744917395865, -0.3114089144892714,
+             -0.6216428835003601, 0.17803370829585005],
+            [-0.5220744917395865, 0.6715214110939286, 0.16246969050477428,
+             0.31502711243638415, -0.22396722074119307],
+            [-0.3114089144892714, 0.16246969050477428, 1.4925772371713553,
+             0.008547629150693231, 0.5399790594774387],
+            [-0.6216428835003601, 0.31502711243638415, 0.008547629150693231,
+             1.1776014275799114, 0.2095883720198219],
+            [0.17803370829585005, -0.22396722074119307, 0.5399790594774387,
+             0.2095883720198219, 1.2800900687704218]]
+    model = LigandFieldModel(v_lf=np.array(v_lf), racah_b=0.12762063362615733,
+                             racah_c=0.4045251793384107,
+                             zeta=489.09756126370934, n_elec=7)
+    _, ints, prop, config = build_ligand_field_model(model)
+    assert config.roots_per_multiplicity == {2: 5}
+    assert config.davidson.tol == 1e-10
+    result = driver.run_gtensor(ints, prop, config)   # pairs Kramers partners
+    for m in result.multiplets:
+        for comp in m.components.values():
+            assert abs(comp.s2_expect - 0.75) < 1e-12
