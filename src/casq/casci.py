@@ -6,9 +6,11 @@ The Hamiltonian lives entirely in the active space:
         + 1/2 sum_pqrs (pq|rs) (E_pq E_rs - delta_qr E_ps)
 
 Three independent routes to H are provided: per-element Slater-Condon
-rules (`hamiltonian_element`), an explicit dense build
-(`dense_hamiltonian`), and a string-driven matrix-free product (`sigma`)
-used by the Davidson solver.  They are cross-checked in the test suite.
+rules (`hamiltonian_element`; the Davidson guess block applies them
+vectorized), an explicit dense build (`dense_hamiltonian`, which also
+solves blocks of up to SMALL_SPACE determinants), and a string-driven
+matrix-free product (`sigma`) used by the Davidson solver.  They are
+cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -27,6 +29,15 @@ from .spin import (apply_s_minus, multiplicity_label, s_squared,
                    s_squared_matrix)
 
 DENSE_CAP = 20_000
+
+# With an automatic guess_dim, solve_davidson hands blocks of at most this
+# many determinants to dense_solve, which caches their explicit H.  On one
+# BLAS thread, 6 roots of model integrals: dense build + eigh 22 / 35 /
+# 107 ms at 300 / 400 / 735 determinants, Davidson 43 / 41 / 74 ms, and a
+# cached H needs the eigh only (11 / 23 ms at 300 / 400), which every pass
+# after the first of one multiplicity reuses.  PySCF's direct_spin1 also
+# diagonalizes its P-space directly up to 400.
+SMALL_SPACE = 400
 
 # largest Rayleigh-quotient drift of a laddered multiplet component from
 # its top component's energy (Hartree)
@@ -453,14 +464,26 @@ def _finalize_states(space: CasSpace, energies: np.ndarray,
     return states
 
 
+@lru_cache(maxsize=4)
+def _small_hamiltonian(space: CasSpace, ints: IntegralSet) -> np.ndarray:
+    """dense_hamiltonian of a block of at most SMALL_SPACE determinants,
+    read-only, kept across the passes of one multiplicity."""
+    H = dense_hamiltonian(space, ints)
+    H.flags.writeable = False
+    return H
+
+
 def dense_solve(space: CasSpace, ints: IntegralSet, n_roots: int,
                 locked: tuple[np.ndarray, ...] = ()) -> list[CiState]:
     """Brute-force eigensolver on the explicitly built H, restricted to
-    the orthogonal complement of the `locked` orthonormal bases."""
+    the orthogonal complement of the `locked` orthonormal bases.  The H
+    of a block of at most SMALL_SPACE determinants is cached; a larger
+    one is rebuilt on every call and freed with it."""
     q = sum(basis.shape[1] for basis in locked)
     if not 1 <= n_roots <= space.size - q:
         raise ValueError(f"n_roots={n_roots} outside [1, {space.size - q}]")
-    H = dense_hamiltonian(space, ints)
+    H = (_small_hamiltonian(space, ints) if space.size <= SMALL_SPACE
+         else dense_hamiltonian(space, ints))
     if q:   # an orthonormal basis Q of the complement: H -> Q^T H Q
         Q = np.linalg.qr(np.hstack(locked), mode="complete")[0][:, q:]
         w, U = np.linalg.eigh(Q.T @ H @ Q)
@@ -470,33 +493,84 @@ def dense_solve(space: CasSpace, ints: IntegralSet, n_roots: int,
     return _finalize_states(space, w[:n_roots], U[:, :n_roots])
 
 
+def _moves(ket: np.ndarray, bra: np.ndarray):
+    """Orbitals i -> a of each one-electron move from ket to bra strings,
+    with the fermionic sign of a+_a a_i on ket."""
+    # the index of a one-bit mask is the popcount of the bits below it
+    i, a = (np.bitwise_count(m - 1).astype(np.intp)
+            for m in (ket & ~bra, bra & ~ket))
+    lo, hi = np.minimum(i, a), np.maximum(i, a)
+    between = ((1 << hi) - 1) ^ ((1 << (lo + 1)) - 1)
+    return i, a, 1 - 2 * (np.bitwise_count(ket & between) & 1).astype(float)
+
+
+def _guess_hamiltonian(space: CasSpace, ints: IntegralSet, sel: np.ndarray,
+                       diag: np.ndarray) -> np.ndarray:
+    """H over the determinants `sel` of the space, diagonal taken from
+    `diag`: the Slater-Condon rules of hamiltonian_element, applied to all
+    pairs of one excitation class at once (classed by the popcounts of
+    the alpha and beta mask XORs)."""
+    nb = len(space.beta_strings)
+    A = np.array(space.alpha_strings, dtype=np.int64)[sel // nb]
+    B = np.array(space.beta_strings, dtype=np.int64)[sel % nb]
+    bra, ket = np.tril_indices(sel.size, -1)
+    da = np.bitwise_count(A[bra] ^ A[ket])
+    db = np.bitwise_count(B[bra] ^ B[ket])
+    h, g2 = ints.h, ints.g2
+    Jt = np.einsum("pqkk->pqk", g2)
+    Kt = np.einsum("pkkq->pqk", g2)
+    bits = 1 << np.arange(space.n_orb)
+    Hg = np.zeros((sel.size, sel.size))
+    for same, other, d_same, d_other in ((A, B, da, db), (B, A, db, da)):
+        single = (d_same == 2) & (d_other == 0)
+        r, c = bra[single], ket[single]
+        i, a, sign = _moves(same[c], same[r])
+        occ_same = (same[c, None] & bits) != 0
+        occ_other = (other[c, None] & bits) != 0
+        Hg[r, c] = sign * (h[a, i] + np.sum(occ_same * (Jt[a, i] - Kt[a, i])
+                                            + occ_other * Jt[a, i], axis=1))
+        double = (d_same == 4) & (d_other == 0)
+        r, c = bra[double], ket[double]
+        rem, add = same[c] & ~same[r], same[r] & ~same[c]
+        # the lower removed orbital moves to the lower added one first
+        mid = same[c] ^ (rem & -rem) ^ (add & -add)
+        i, a, s1 = _moves(same[c], mid)
+        j, b, s2 = _moves(mid, same[r])
+        Hg[r, c] = s1 * s2 * (g2[a, i, b, j] - g2[a, j, b, i])
+    mixed = (da == 2) & (db == 2)
+    r, c = bra[mixed], ket[mixed]
+    i, a, sa = _moves(A[c], A[r])
+    j, b, sb = _moves(B[c], B[r])
+    Hg[r, c] = sa * sb * g2[a, i, b, j]
+    Hg += Hg.T
+    Hg[np.diag_indices(sel.size)] = diag[sel]
+    return Hg
+
+
 def solve_davidson(space: CasSpace, ints: IntegralSet, n_roots: int,
                    options: DavidsonOptions | None = None,
                    locked: tuple[np.ndarray, ...] = ()) -> list[CiState]:
     """Lowest CI roots by block Davidson with a deterministic guess, on
     the orthogonal complement of the `locked` orthonormal bases.
 
-    The guess block, widened by the q locked columns, diagonalizes H over
-    the guess_dim determinants of lowest diagonal energy; when guess_dim
-    reaches the space size the space is solved by dense_solve instead.
+    A block goes to dense_solve instead when it has no more determinants
+    than guess_dim (SMALL_SPACE = 400 when guess_dim is 0, automatic), or
+    when the n_roots wanted and the q locked columns fill it.  Otherwise
+    the guess block, widened by the q locked columns, diagonalizes H over
+    the guess_dim determinants of lowest diagonal energy.
     """
     options = options or DavidsonOptions()
     N = space.size
     q = sum(basis.shape[1] for basis in locked)
     if not 1 <= n_roots <= N - q:
         raise ValueError(f"n_roots={n_roots} outside [1, {N - q}]")
+    if N <= max(options.guess_dim or SMALL_SPACE, n_roots + q):
+        return dense_solve(space, ints, n_roots, locked)
     diag = hamiltonian_diagonal(space, ints).ravel()
     gd = options.guess_dim or max(32, 2 * n_roots)
     gd = min(max(gd, n_roots + q), N)
-    if gd == N:
-        return dense_solve(space, ints, n_roots, locked)
     sel = np.argsort(diag, kind="stable")[:gd]
-    dets = [space.determinant(int(idx)) for idx in sel]
-    Hg = np.empty((gd, gd))
-    for a in range(gd):
-        for b in range(a + 1):
-            Hg[a, b] = Hg[b, a] = hamiltonian_element(dets[a], dets[b], ints)
-    w, U = np.linalg.eigh(Hg)
+    w, U = np.linalg.eigh(_guess_hamiltonian(space, ints, sel, diag))
     n_start = min(gd, n_roots + 3 + q)
     v0 = np.zeros((N, n_start))
     v0[sel] = U[:, :n_start]

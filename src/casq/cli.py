@@ -23,6 +23,10 @@ EXIT_INPUT = 1
 EXIT_NOCONV = 2
 EXIT_INVARIANT = 3
 
+# --oracle dense: largest sigma residual of a reported root (Hartree), or
+# the Davidson tol when that is larger
+ORACLE_RESIDUAL_TOL = 1e-8
+
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -273,6 +277,7 @@ def cmd_casci(args, manifest: Manifest) -> int:
     if args.oracle == "dense":
         with manifest.stage("oracle"):
             reference = solve_multiplets(ints, config, method="dense")
+            residual = _worst_residual(multiplets, ints)
         for a, b in zip(multiplets, reference):
             if abs(a.energy - b.energy) > 1e-9:
                 manifest.warn(
@@ -281,6 +286,14 @@ def cmd_casci(args, manifest: Manifest) -> int:
                 raise InvariantBreach(
                     f"Davidson energy deviates from the dense oracle by "
                     f"{abs(a.energy - b.energy):.3e} Hartree")
+        # a small block is solved densely on both sides, so the energies
+        # above compare the dense solver with itself; sigma checks it
+        bound = max(ORACLE_RESIDUAL_TOL, config.davidson.tol)
+        if residual > bound:
+            manifest.warn(f"sigma residual {residual:.3e} Hartree")
+            raise InvariantBreach(
+                f"a top component's residual |sigma(x) - E x| is "
+                f"{residual:.3e} Hartree (> {bound:.0e})")
 
     rows = _state_rows(multiplets)
     table = _format_state_table(rows)
@@ -289,6 +302,18 @@ def cmd_casci(args, manifest: Manifest) -> int:
     _write(manifest.out_dir, "casci_report.json",
            json.dumps(rows, indent=2) + "\n")
     return EXIT_OK
+
+
+def _worst_residual(multiplets, ints) -> float:
+    """Largest |sigma(x) - E x| over the top components of the multiplets."""
+    import numpy as np
+
+    from casq.casci import sigma
+
+    tops = (m.component(m.two_s) for m in multiplets)
+    return max((float(np.linalg.norm(sigma(c.space, ints, c.coeffs)
+                                     - c.energy * c.coeffs)) for c in tops),
+               default=0.0)
 
 
 def cmd_gtensor(args, manifest: Manifest) -> int:

@@ -74,3 +74,20 @@ def _symmetrize_8fold(g: np.ndarray) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+@pytest.fixture
+def davidson_runs(monkeypatch):
+    """The block size of every davidson_lowest call that solve_davidson
+    makes, recorded before the call (so a call that raises counts too)."""
+    import casq.casci
+
+    runs = []
+    solve = casq.casci.davidson_lowest
+
+    def spy(matvec, diagonal, *args, **kwargs):
+        runs.append(diagonal.size)
+        return solve(matvec, diagonal, *args, **kwargs)
+
+    monkeypatch.setattr(casq.casci, "davidson_lowest", spy)
+    return runs

@@ -38,22 +38,37 @@ ORACLE_SPACES = [
 ]
 
 
-def test_criterion_01_oracle_equivalence():
+def _davidson(space, n_roots):
+    """Options that keep solve_davidson on its iterative route: a
+    guess_dim below the block size (a block that the roots fill is
+    solved densely whatever the guess_dim)."""
+    return DavidsonOptions(guess_dim=max(n_roots, min(32, space.size - 1)))
+
+
+def _iterative(spaces_and_roots):
+    """The block sizes that solve_davidson must hand to davidson_lowest."""
+    return [space.size for space, nr in spaces_and_roots if nr < space.size]
+
+
+def test_criterion_01_oracle_equivalence(davidson_runs):
     assert len(ORACLE_SPACES) >= 25
     n_roots = 3
     t0 = time.perf_counter()
     worst = 0.0
+    solved = []
     for k, (n_elec, n_orb, ms2) in enumerate(ORACLE_SPACES):
         ints = make_random_integrals(n_orb, seed=1000 + k)
         space = enumerate_cas(n_elec, n_orb, ms2)
         assert space.size <= 20_000
         nr = min(n_roots, space.size)
-        dav = solve_davidson(space, ints, nr)
+        dav = solve_davidson(space, ints, nr, _davidson(space, nr))
+        solved.append((space, nr))
         ref = dense_solve(space, ints, nr)
         for a, b in zip(dav, ref):
             worst = max(worst, abs(a.energy - b.energy))
         assert worst <= 1e-9, f"set {k}: |dE| = {worst:.2e}"
     elapsed = time.perf_counter() - t0
+    assert davidson_runs == [space.size for space, _ in solved]
     assert elapsed <= 60.0, f"oracle sweep took {elapsed:.1f} s (> 60 s)"
     _report(1, f"{len(ORACLE_SPACES)} seeded sets, worst |dE| = {worst:.2e} "
                f"Hartree, {elapsed:.1f} s total")
@@ -61,9 +76,10 @@ def test_criterion_01_oracle_equivalence():
 
 # --- 2. spin purity ---------------------------------------------------------
 
-def test_criterion_02_spin_purity():
+def test_criterion_02_spin_purity(davidson_runs):
     checked = 0
     worst = 0.0
+    solved = []
     rng = np.random.default_rng(7)
     for n_elec in range(1, 10):
         a = rng.standard_normal((5, 5)) * 0.3
@@ -71,17 +87,22 @@ def test_criterion_02_spin_purity():
                                  racah_c=0.4, zeta=0.0, n_elec=n_elec)
         _, ints, _, _ = build_ligand_field_model(model)
         space = enumerate_cas(n_elec, 5, n_elec % 2)
-        for st in solve_davidson(space, ints, min(6, space.size)):
+        nr = min(6, space.size)
+        solved.append((space, nr))
+        for st in solve_davidson(space, ints, nr, _davidson(space, nr)):
             s = (st.multiplicity - 1) / 2.0
             worst = max(worst, abs(st.s2_expect - s * (s + 1.0)))
             checked += 1
     for k, (n_elec, n_orb, ms2) in enumerate(ORACLE_SPACES[:8]):
         ints = make_random_integrals(n_orb, seed=2000 + k)
         space = enumerate_cas(n_elec, n_orb, ms2)
-        for st in solve_davidson(space, ints, min(4, space.size)):
+        nr = min(4, space.size)
+        solved.append((space, nr))
+        for st in solve_davidson(space, ints, nr, _davidson(space, nr)):
             s = (st.multiplicity - 1) / 2.0
             worst = max(worst, abs(st.s2_expect - s * (s + 1.0)))
             checked += 1
+    assert davidson_runs == _iterative(solved)
     assert worst <= 1e-6
     _report(2, f"{checked} roots, worst |<S2> - S(S+1)| = {worst:.2e}")
 
@@ -210,16 +231,19 @@ def test_criterion_07_hund_quartet_flag():
 
 # --- 8. RDM invariants -------------------------------------------------------
 
-def test_criterion_08_rdm_invariants():
+def test_criterion_08_rdm_invariants(davidson_runs):
     rng = np.random.default_rng(21)
     checked = 0
+    solved = []
     for n_elec in range(1, 10):
         a = rng.standard_normal((5, 5)) * 0.3
         model = LigandFieldModel(v_lf=(a + a.T) / 2.0, racah_b=0.1,
                                  racah_c=0.4, zeta=0.0, n_elec=n_elec)
         _, ints, _, _ = build_ligand_field_model(model)
         space = enumerate_cas(n_elec, 5, n_elec % 2)
-        states = solve_davidson(space, ints, min(3, space.size))
+        nr = min(3, space.size)
+        solved.append((space, nr))
+        states = solve_davidson(space, ints, nr, _davidson(space, nr))
         dm = one_rdm(space, states, np.full(len(states), 1.0 / len(states)))
         assert abs(np.trace(dm.matrix) - n_elec) <= 1e-10
         occ = natural_occupations(dm)
@@ -228,7 +252,9 @@ def test_criterion_08_rdm_invariants():
     for k, (n_elec, n_orb, ms2) in enumerate(ORACLE_SPACES[:6]):
         ints = make_random_integrals(n_orb, seed=4000 + k)
         space = enumerate_cas(n_elec, n_orb, ms2)
-        states = solve_davidson(space, ints, min(2, space.size))
+        nr = min(2, space.size)
+        solved.append((space, nr))
+        states = solve_davidson(space, ints, nr, _davidson(space, nr))
         dm = one_rdm(space, states, np.full(len(states), 1.0 / len(states)))
         assert abs(np.trace(dm.matrix) - n_elec) <= 1e-10
         occ = natural_occupations(dm)
@@ -237,7 +263,9 @@ def test_criterion_08_rdm_invariants():
     # d9 preset ground state: one singly and four doubly occupied naturals
     _, ints, _, _ = build_ligand_field_model(preset_model("d9-planar"))
     space = enumerate_cas(9, 5, 1)
-    ground = solve_davidson(space, ints, 1)[0]
+    ground = solve_davidson(space, ints, 1, _davidson(space, 1))[0]
+    solved.append((space, 1))
+    assert davidson_runs == _iterative(solved)
     occ = natural_occupations(one_rdm(space, [ground], [1.0]))
     assert 0.9 < occ[-1] < 1.1
     assert np.all(occ[:4] > 1.9) and np.all(occ[:4] <= 2.0)

@@ -3,11 +3,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from casq import casci
 from casq.casci import (
     DENSE_CAP,
+    SMALL_SPACE,
     DavidsonNotConverged,
     _chunk_rows,
+    _guess_hamiltonian,
     _sigma_plan,
+    _small_hamiltonian,
     dense_hamiltonian,
     dense_solve,
     hamiltonian_diagonal,
@@ -193,12 +197,96 @@ def test_sigma_dense_and_slater_condon_agree(case):
         assert np.max(np.abs(got - ref)) < 1e-12
 
 
-def test_davidson_matches_dense_energies_and_vectors():
+@pytest.mark.parametrize("n_elec,n_orb,ms2,seed", [
+    (4, 5, 0, 71), (5, 5, 1, 72), (5, 5, -3, 73), (6, 6, 2, 74),
+    (7, 6, -1, 75), (3, 6, 3, 76), (8, 7, 0, 77),
+])
+def test_guess_block_matches_element_loop(n_elec, n_orb, ms2, seed):
+    ints = make_random_integrals(n_orb, seed)
+    space = enumerate_cas(n_elec, n_orb, ms2)
+    diag = hamiltonian_diagonal(space, ints).ravel()
+    rng = np.random.default_rng(seed)
+    sel = rng.permutation(space.size)[:150]
+    dets = [space.determinant(int(k)) for k in sel]
+    ref = np.array([[hamiltonian_element(d1, d2, ints) for d2 in dets]
+                    for d1 in dets])
+    assert np.max(np.abs(_guess_hamiltonian(space, ints, sel, diag) - ref)) < 1e-12
+
+
+def _count_sigma(monkeypatch) -> list:
+    """Records every sigma call made inside casci (sigma_block included)."""
+    calls = []
+    fn = casci.sigma
+    monkeypatch.setattr(casci, "sigma",
+                        lambda *a, **k: calls.append(a[0].size) or fn(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("n_locked", [0, 7])
+def test_small_block_skips_davidson_and_sigma(n_locked, davidson_runs,
+                                              monkeypatch):
+    ints = make_random_integrals(6, 47)
+    space = enumerate_cas(6, 6, 0)
+    assert space.size == SMALL_SPACE
+    w, U = np.linalg.eigh(dense_hamiltonian(space, ints))
+    locked = U[:, 0:2 * n_locked:2]          # every other lowest root
+    sigmas = _count_sigma(monkeypatch)
+    states = solve_davidson(space, ints, 5, locked=(locked,) if n_locked else ())
+    assert davidson_runs == [] and sigmas == []
+    ref = np.delete(w, np.arange(0, 2 * n_locked, 2))[:5]
+    assert np.max(np.abs([s.energy for s in states] - ref)) < 1e-10
+    X = np.column_stack([s.coeffs for s in states])
+    assert np.max(np.abs(locked.T @ X), initial=0.0) < 1e-10
+
+
+def test_block_one_above_small_space_runs_davidson(davidson_runs, monkeypatch):
+    ints = make_random_integrals(5, 48)
+    space = enumerate_cas(4, 5, 0)           # 100 determinants
+    ref = np.linalg.eigvalsh(dense_hamiltonian(space, ints))[:3]
+    for small, runs in ((space.size, []), (space.size - 1, [space.size])):
+        monkeypatch.setattr(casci, "SMALL_SPACE", small)
+        states = solve_davidson(space, ints, 3)
+        assert davidson_runs == runs
+        assert np.max(np.abs([s.energy for s in states] - ref)) < 1e-9
+
+
+def test_explicit_guess_dim_below_block_runs_davidson(davidson_runs):
+    ints = make_random_integrals(5, 49)
+    space = enumerate_cas(4, 5, 0)           # 100 determinants
+    ref = np.linalg.eigvalsh(dense_hamiltonian(space, ints))[:3]
+    for guess_dim, runs in ((space.size, []), (space.size - 1, [space.size])):
+        states = solve_davidson(space, ints, 3, DavidsonOptions(guess_dim=guess_dim))
+        assert davidson_runs == runs
+        assert np.max(np.abs([s.energy for s in states] - ref)) < 1e-9
+
+
+def test_cached_hamiltonian_is_read_only_and_small():
+    _small_hamiltonian.cache_clear()
+    ints = make_random_integrals(7, 50)
+    big = enumerate_cas(4, 7, 0)             # 441 determinants
+    small = enumerate_cas(4, 7, 2)           # 245 determinants
+    assert small.size <= SMALL_SPACE < big.size
+    dense_solve(big, ints, 2)
+    assert _small_hamiltonian.cache_info().currsize == 0
+    for _ in range(2):
+        dense_solve(small, ints, 2)
+    info = _small_hamiltonian.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
+    H = _small_hamiltonian(small, ints)
+    assert not H.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        H[0, 0] = 0.0
+    assert np.array_equal(H, dense_hamiltonian(small, ints))
+
+
+def test_davidson_matches_dense_energies_and_vectors(davidson_runs):
     ints = make_random_integrals(6, 41)
     space = enumerate_cas(6, 6, 0)  # 400 determinants
     n_roots = 8
+    # a guess_dim below the block size keeps it off the dense route
     dav = solve_davidson(space, ints, n_roots,
-                         DavidsonOptions(tol=1e-9))
+                         DavidsonOptions(tol=1e-9, guess_dim=32))
+    assert davidson_runs == [space.size]
     ref = dense_solve(space, ints, n_roots)
     for a, b in zip(dav, ref):
         assert abs(a.energy - b.energy) < 1e-9
@@ -239,12 +327,13 @@ def test_davidson_root_bounds():
         dense_solve(space, ints, 0)
 
 
-def test_davidson_nonconvergence_diagnostics():
+def test_davidson_nonconvergence_diagnostics(davidson_runs):
     ints = make_random_integrals(6, 45)
     space = enumerate_cas(6, 6, 0)
     with pytest.raises(DavidsonNotConverged) as exc:
         solve_davidson(space, ints, 4,
-                       DavidsonOptions(tol=1e-12, max_iter=2))
+                       DavidsonOptions(tol=1e-12, max_iter=2, guess_dim=32))
+    assert davidson_runs == [space.size]
     result = exc.value.result
     assert result.residual_norms.shape == (4,)
     assert not result.converged

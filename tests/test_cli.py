@@ -80,6 +80,29 @@ def test_oracle_mismatch_exits_three(tmp_path, monkeypatch, capsys):
     assert "error (invariant breach)" in capsys.readouterr().err
 
 
+def test_oracle_catches_a_dense_solve_error(tmp_path, monkeypatch, capsys):
+    # both the run and the oracle solve the 5-determinant d1 block densely,
+    # so only the sigma residual can see the perturbed root
+    import casq.casci
+    import casq.driver
+
+    solve = casq.casci.dense_solve
+
+    def perturbed(space, ints, n_roots, locked=()):
+        states = solve(space, ints, n_roots, locked)
+        v = states[0].coeffs + 1e-5 / np.sqrt(space.size)
+        states[0].coeffs = v / np.linalg.norm(v)
+        return states
+
+    monkeypatch.setattr(casq.casci, "dense_solve", perturbed)
+    monkeypatch.setattr(casq.driver, "dense_solve", perturbed)
+    code, _, manifest = run_cli(
+        ["casci", "--lf", "d1", "--oracle", "dense"], tmp_path)
+    assert code == 3 and manifest["exit_code"] == 3
+    assert "residual" in manifest["error"]["message"]
+    assert "error (invariant breach)" in capsys.readouterr().err
+
+
 def test_oracle_rejected_by_spectrum(tmp_path, capsys):
     (tmp_path / "lines.txt").write_text("2.0 1.0\n")
     code, _, manifest = run_cli(
@@ -293,7 +316,7 @@ def test_roots_mult_flag_parsing(tmp_path, capsys):
     assert "N=K" in capsys.readouterr().err
 
 
-def test_casci_nonconvergence_exit_code(tmp_path, capsys):
+def test_casci_nonconvergence_exit_code(tmp_path, capsys, davidson_runs):
     ints = make_random_integrals(6, 205)
     (tmp_path / "m.fcidump").write_text(write_fcidump(ints, 6, 0))
     (tmp_path / "hard.cfg").write_text(
@@ -303,6 +326,7 @@ def test_casci_nonconvergence_exit_code(tmp_path, capsys):
         ["casci", "--fcidump", str(tmp_path / "m.fcidump"),
          "--config", str(tmp_path / "hard.cfg")], tmp_path)
     assert code == 2
+    assert davidson_runs == [400]     # the CAS(6,6) singlet block
     assert manifest["status"] == "failed"
     assert "casci" in manifest["timings_s"]
     assert "non-convergence" in capsys.readouterr().err

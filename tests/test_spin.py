@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from casq.casci import assemble_multiplets, dense_solve, solve_davidson
 from casq.detspace import Determinant, enumerate_cas
+from casq.ingest import DavidsonOptions
 from casq.spin import (
     LadderAnnihilation,
     apply_s_minus,
@@ -252,10 +253,13 @@ def test_assemble_rejects_non_top_states():
         assemble_multiplets([quartet_component], ints)
 
 
-def test_davidson_states_spin_labels():
+def test_davidson_states_spin_labels(davidson_runs):
     ints = make_random_integrals(5, 55)
     space = enumerate_cas(5, 5, 1)
-    for st in solve_davidson(space, ints, 6):
+    # a guess_dim below the block size keeps it off the dense route
+    states = solve_davidson(space, ints, 6, DavidsonOptions(guess_dim=32))
+    assert davidson_runs == [space.size]
+    for st in states:
         s = (st.multiplicity - 1) / 2.0
         assert abs(st.s2_expect - s * (s + 1.0)) < 1e-6
         assert abs(np.linalg.norm(st.coeffs) - 1.0) < 1e-10
