@@ -493,15 +493,24 @@ def dense_solve(space: CasSpace, ints: IntegralSet, n_roots: int,
     return _finalize_states(space, w[:n_roots], U[:, :n_roots])
 
 
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)])
+
+
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """Set bits of each non-negative int64 mask, on numpy 1.x as well
+    (np.bitwise_count is numpy >= 2.0 only)."""
+    masks = np.ascontiguousarray(masks, dtype=np.int64)
+    return _BYTE_BITS[masks.view(np.uint8)].reshape(masks.shape + (8,)).sum(-1)
+
+
 def _moves(ket: np.ndarray, bra: np.ndarray):
     """Orbitals i -> a of each one-electron move from ket to bra strings,
     with the fermionic sign of a+_a a_i on ket."""
     # the index of a one-bit mask is the popcount of the bits below it
-    i, a = (np.bitwise_count(m - 1).astype(np.intp)
-            for m in (ket & ~bra, bra & ~ket))
+    i, a = (_popcount(m - 1) for m in (ket & ~bra, bra & ~ket))
     lo, hi = np.minimum(i, a), np.maximum(i, a)
     between = ((1 << hi) - 1) ^ ((1 << (lo + 1)) - 1)
-    return i, a, 1 - 2 * (np.bitwise_count(ket & between) & 1).astype(float)
+    return i, a, 1 - 2 * (_popcount(ket & between) & 1)
 
 
 def _guess_hamiltonian(space: CasSpace, ints: IntegralSet, sel: np.ndarray,
@@ -514,8 +523,8 @@ def _guess_hamiltonian(space: CasSpace, ints: IntegralSet, sel: np.ndarray,
     A = np.array(space.alpha_strings, dtype=np.int64)[sel // nb]
     B = np.array(space.beta_strings, dtype=np.int64)[sel % nb]
     bra, ket = np.tril_indices(sel.size, -1)
-    da = np.bitwise_count(A[bra] ^ A[ket])
-    db = np.bitwise_count(B[bra] ^ B[ket])
+    da = _popcount(A[bra] ^ A[ket])
+    db = _popcount(B[bra] ^ B[ket])
     h, g2 = ints.h, ints.g2
     Jt = np.einsum("pqkk->pqk", g2)
     Kt = np.einsum("pkkq->pqk", g2)
@@ -554,21 +563,22 @@ def solve_davidson(space: CasSpace, ints: IntegralSet, n_roots: int,
     the orthogonal complement of the `locked` orthonormal bases.
 
     A block goes to dense_solve instead when it has no more determinants
-    than guess_dim (SMALL_SPACE = 400 when guess_dim is 0, automatic), or
-    when the n_roots wanted and the q locked columns fill it.  Otherwise
-    the guess block, widened by the q locked columns, diagonalizes H over
-    the guess_dim determinants of lowest diagonal energy.
+    than guess_dim (when guess_dim is 0, automatic: SMALL_SPACE = 400 or
+    2 n_roots, whichever is larger), or when the n_roots wanted and the q
+    locked columns fill it.  Otherwise the guess block, widened by the q
+    locked columns, diagonalizes H over the guess_dim determinants of
+    lowest diagonal energy.
     """
     options = options or DavidsonOptions()
     N = space.size
     q = sum(basis.shape[1] for basis in locked)
     if not 1 <= n_roots <= N - q:
         raise ValueError(f"n_roots={n_roots} outside [1, {N - q}]")
-    if N <= max(options.guess_dim or SMALL_SPACE, n_roots + q):
+    # a guess block that would cover the whole block is the dense solve
+    if N <= max(options.guess_dim or max(SMALL_SPACE, 2 * n_roots), n_roots + q):
         return dense_solve(space, ints, n_roots, locked)
     diag = hamiltonian_diagonal(space, ints).ravel()
-    gd = options.guess_dim or max(32, 2 * n_roots)
-    gd = min(max(gd, n_roots + q), N)
+    gd = max(options.guess_dim or max(32, 2 * n_roots), n_roots + q)
     sel = np.argsort(diag, kind="stable")[:gd]
     w, U = np.linalg.eigh(_guess_hamiltonian(space, ints, sel, diag))
     n_start = min(gd, n_roots + 3 + q)

@@ -250,6 +250,19 @@ def test_block_one_above_small_space_runs_davidson(davidson_runs, monkeypatch):
         assert np.max(np.abs([s.energy for s in states] - ref)) < 1e-9
 
 
+def test_auto_guess_covering_the_block_solves_densely(davidson_runs,
+                                                      monkeypatch):
+    # above SMALL_SPACE, an automatic guess of 2 n_roots determinants that
+    # covers the block means the dense solve, not Davidson on an exact guess
+    ints = make_random_integrals(5, 50)
+    space = enumerate_cas(4, 5, 0)           # 100 determinants
+    monkeypatch.setattr(casci, "SMALL_SPACE", 10)
+    ref = np.linalg.eigvalsh(dense_hamiltonian(space, ints))[:50]
+    states = solve_davidson(space, ints, 50)
+    assert davidson_runs == []
+    assert np.max(np.abs([s.energy for s in states] - ref)) < 1e-10
+
+
 def test_explicit_guess_dim_below_block_runs_davidson(davidson_runs):
     ints = make_random_integrals(5, 49)
     space = enumerate_cas(4, 5, 0)           # 100 determinants

@@ -103,6 +103,22 @@ def test_oracle_catches_a_dense_solve_error(tmp_path, monkeypatch, capsys):
     assert "error (invariant breach)" in capsys.readouterr().err
 
 
+def test_oracle_accepts_a_loose_davidson_tol(tmp_path, davidson_runs):
+    # the 300-determinant doublet block is solved by Davidson at tol 1e-6
+    # with the four quartets' M_S = 1/2 components locked; its roots are
+    # converged to tol off them only, which the residual bound allows for
+    ints = make_random_integrals(6, 206)
+    (tmp_path / "m.fcidump").write_text(write_fcidump(ints, 5, 1))
+    (tmp_path / "m.cfg").write_text(
+        "cas_nelec=5\ncas_norb=6\nroots_mult_2=5\nroots_mult_4=4\n"
+        "davidson_tol=1e-6\nguess_dim=9\n")
+    code, _, manifest = run_cli(
+        ["casci", "--fcidump", str(tmp_path / "m.fcidump"),
+         "--config", str(tmp_path / "m.cfg"), "--oracle", "dense"], tmp_path)
+    assert code == 0, manifest.get("error")
+    assert 300 in davidson_runs and 90 in davidson_runs
+
+
 def test_oracle_rejected_by_spectrum(tmp_path, capsys):
     (tmp_path / "lines.txt").write_text("2.0 1.0\n")
     code, _, manifest = run_cli(
@@ -345,9 +361,11 @@ def test_casci_norb_mismatch(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
-def test_gtensor_fcidump_default_tol_pairs_kramers_states(tmp_path):
+def test_gtensor_fcidump_default_tol_pairs_kramers_states(tmp_path,
+                                                         davidson_runs):
     # without davidson_tol the FCIDUMP route must solve to the tolerance
-    # qdpt checks Kramers pairs against (at 1e-8 this model exits 3)
+    # qdpt checks Kramers pairs against (at 1e-8 this model exits 3);
+    # guess_dim 32 keeps the 100-determinant doublet block on Davidson
     _, ints, prop, _ = build_ligand_field_model(kramers_split_d5_model())
     (tmp_path / "m.fcidump").write_text(write_fcidump(ints, 5, 1))
     sections = []
@@ -357,11 +375,14 @@ def test_gtensor_fcidump_default_tol_pairs_kramers_states(tmp_path):
             sections.extend(" ".join(repr(float(x)) for x in row)
                             for row in mat)
     (tmp_path / "m.prop").write_text("\n".join(sections) + "\n")
+    (tmp_path / "m.cfg").write_text("guess_dim=32\n")
     code, _, manifest = run_cli(
         ["gtensor", "--fcidump", str(tmp_path / "m.fcidump"),
-         "--prop", str(tmp_path / "m.prop")], tmp_path)
+         "--prop", str(tmp_path / "m.prop"),
+         "--config", str(tmp_path / "m.cfg")], tmp_path)
     assert code == 0
     assert manifest["config"]["davidson"]["tol"] == 1e-10
+    assert 100 in davidson_runs
 
 
 def test_usage_error_exits_one_with_manifest(tmp_path, capsys):

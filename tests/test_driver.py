@@ -1,5 +1,6 @@
 """Multiplicity-resolved solves: top-down locking against full diagonalization."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -87,7 +88,7 @@ def test_too_many_roots_requested(method, roots):
         driver.solve_multiplets(ints, config, method=method)
 
 
-def test_near_degenerate_intruder_leaves_targets_pure():
+def test_near_degenerate_intruder_leaves_targets_pure(davidson_runs):
     # a d7 field whose 10th root (a quartet) lies 5e-6 Eh above the 5th
     # doublet: a one-root Davidson pass finds the quartet first, and had it
     # been locked with its residual error along that doublet, the doublet
@@ -108,7 +109,11 @@ def test_near_degenerate_intruder_leaves_targets_pure():
     _, ints, prop, config = build_ligand_field_model(model)
     assert config.roots_per_multiplicity == {2: 5}
     assert config.davidson.tol == 1e-10
+    # guess_dim 32 keeps the 50-determinant doublet block on Davidson,
+    # whose roots (and the quartet's) are converged only to tol
+    config = replace(config, davidson=replace(config.davidson, guess_dim=32))
     result = driver.run_gtensor(ints, prop, config)   # pairs Kramers partners
+    assert davidson_runs and set(davidson_runs) == {50}
     for m in result.multiplets:
         for comp in m.components.values():
             assert abs(comp.s2_expect - 0.75) < 1e-12

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -126,9 +128,13 @@ def test_rotational_invariance_of_spectrum():
     assert np.allclose(e0, e1, atol=1e-9)
 
 
-def test_returned_config_resolves_kramers_pairs():
+def test_returned_config_resolves_kramers_pairs(davidson_runs):
     _, ints, prop, config = build_ligand_field_model(kramers_split_d5_model())
+    # guess_dim 32 keeps the 100-determinant doublet block on Davidson,
+    # whose Kramers partners agree only as far as its tol allows
+    config = replace(config, davidson=replace(config.davidson, guess_dim=32))
     result = run_gtensor(ints, prop, config)
+    assert 100 in davidson_runs
     assert 2 * len(result.so_states.kramers_pairs) == result.basis.size
 
 
