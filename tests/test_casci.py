@@ -9,7 +9,6 @@ from casq.casci import (
     SMALL_SPACE,
     DavidsonNotConverged,
     _chunk_rows,
-    _guess_hamiltonian,
     _sigma_plan,
     _small_hamiltonian,
     dense_hamiltonian,
@@ -23,7 +22,7 @@ from casq.detspace import Determinant, enumerate_cas
 from casq.ingest import DavidsonOptions, IntegralSet
 
 from _oracles import fock_block, fock_hamiltonian
-from conftest import make_random_integrals
+from conftest import make_model_integrals, make_random_integrals
 
 
 def element_matrix(space, ints):
@@ -91,13 +90,22 @@ def test_dense_hamiltonian_matches_element_matrix(n_elec, n_orb, ms2, seed):
                          - np.diag(ref))) < 1e-12
 
 
-def test_dense_cap_enforced():
+def test_dense_cap_enforced(monkeypatch):
     # CAS(11,10) M_S = 1/2 holds 52,920 determinants, above DENSE_CAP
     ints = make_random_integrals(10, 1)
     space = enumerate_cas(11, 10, 1)
     assert space.size > DENSE_CAP
     with pytest.raises(ValueError, match="cap"):
         dense_hamiltonian(space, ints)
+    # an explicit guess block above the cap is an input error, not a
+    # (DENSE_CAP + 1)^2 allocation
+    with pytest.raises(ValueError, match="cap"):
+        solve_davidson(space, ints, 2, DavidsonOptions(guess_dim=DENSE_CAP + 1))
+    # a selection above the cap raises before any work: the diagonal,
+    # which comes before any pair is classed, is never reached
+    monkeypatch.setattr(casci, "hamiltonian_diagonal", None)
+    with pytest.raises(ValueError, match="cap"):
+        dense_hamiltonian(space, ints, np.arange(DENSE_CAP + 1))
 
 
 def test_sigma_equals_dense_columns():
@@ -201,16 +209,41 @@ def test_sigma_dense_and_slater_condon_agree(case):
     (4, 5, 0, 71), (5, 5, 1, 72), (5, 5, -3, 73), (6, 6, 2, 74),
     (7, 6, -1, 75), (3, 6, 3, 76), (8, 7, 0, 77),
 ])
-def test_guess_block_matches_element_loop(n_elec, n_orb, ms2, seed):
+def test_guess_block_matches_element_loop(n_elec, n_orb, ms2, seed,
+                                         monkeypatch):
     ints = make_random_integrals(n_orb, seed)
     space = enumerate_cas(n_elec, n_orb, ms2)
-    diag = hamiltonian_diagonal(space, ints).ravel()
     rng = np.random.default_rng(seed)
     sel = rng.permutation(space.size)[:150]
     dets = [space.determinant(int(k)) for k in sel]
     ref = np.array([[hamiltonian_element(d1, d2, ints) for d2 in dets]
                     for d1 in dets])
-    assert np.max(np.abs(_guess_hamiltonian(space, ints, sel, diag) - ref)) < 1e-12
+    assert np.max(np.abs(dense_hamiltonian(space, ints, sel) - ref)) < 1e-12
+    full = dense_hamiltonian(space, ints)
+    assert np.array_equal(full, full.T)
+    assert np.max(np.abs(full[np.ix_(sel, sel)] - ref)) < 1e-12
+    # chunks of 7 pairs end inside rows of the pair triangle
+    monkeypatch.setattr(casci, "PAIR_CHUNK", 7)
+    assert np.max(np.abs(dense_hamiltonian(space, ints, sel) - ref)) < 1e-12
+
+
+def test_64_orbitals_beyond_int64_masks(davidson_runs):
+    # strings that occupy orbital 63 do not fit an int64 bit mask
+    ints = make_model_integrals(64, 5)
+    space = enumerate_cas(2, 64, 2)          # 2,016 determinants
+    top = [k for k in range(space.size) if space.alpha_strings[k] >> 63]
+    rng = np.random.default_rng(64)
+    sel = np.r_[top, rng.choice(np.setdiff1d(np.arange(space.size), top), 37,
+                                replace=False)]
+    dets = [space.determinant(int(k)) for k in sel]
+    ref = np.array([[hamiltonian_element(d1, d2, ints) for d2 in dets]
+                    for d1 in dets])
+    assert np.max(np.abs(dense_hamiltonian(space, ints, sel) - ref)) < 1e-12
+    (dav,) = solve_davidson(space, ints, 1)
+    assert davidson_runs == [space.size]
+    (exact,) = dense_solve(space, ints, 1)
+    assert abs(dav.energy - exact.energy) < 1e-10
+    assert abs(dav.coeffs @ exact.coeffs) > 1.0 - 1e-10
 
 
 def _count_sigma(monkeypatch) -> list:

@@ -15,6 +15,7 @@ from casq.ingest import (
     parse_run_config,
     read_fcidump,
     set_chem,
+    symmetrize_8fold,
     write_fcidump,
     zero_properties,
 )
@@ -232,3 +233,14 @@ def test_set_chem_images():
     g = np.zeros((3, 3, 3, 3))
     set_chem(g, 0, 1, 2, 1, 0.9)
     assert g[1, 0, 1, 2] == 0.9 and g[2, 1, 0, 1] == 0.9
+
+
+def test_symmetrize_8fold_images():
+    g = np.random.default_rng(8).standard_normal((9,) * 4)
+    images = [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
+              (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0)]
+    sym = symmetrize_8fold(g)
+    for perm in images:
+        assert np.array_equal(sym, sym.transpose(perm))
+    mean = sum(g.transpose(perm) for perm in images) / 8.0
+    assert np.max(np.abs(sym - mean)) < 1e-15

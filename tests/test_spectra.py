@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from casq.casci import dense_solve
 from casq.detspace import enumerate_cas
@@ -140,7 +141,7 @@ def test_broaden_integral_conserves_f():
     sigma = fwhm / 2.3548200450309493
     grid = energy_grid(0.5, 4.5, sigma / 5.0)
     curve = broaden(lines, fwhm, grid)
-    integral = np.trapezoid(curve, grid)
+    integral = trapezoid(curve, grid)
     assert abs(integral - 0.95) / 0.95 < 1e-3
 
 
