@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 input error (command-line usage errors
 included), 2 numerical non-convergence, 3 internal invariant breach.
-Every run writes out/manifest.json, on failure paths included.  Heavy
-imports happen after thread setup so that --threads / CASQ_THREADS can
-pin the BLAS pool before numpy loads.
+Every run writes out/manifest.json, on failure paths included.  The
+BLAS thread count is set by OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS before start-up; the manifest records their values.
 """
 
 from __future__ import annotations
@@ -16,7 +16,23 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict, replace
 from pathlib import Path
+
+import numpy as np
+
+from casq import __version__, casci, driver
+from casq.analysis import decompose, format_decomposition
+from casq.davidson import DavidsonNotConverged
+from casq.detspace import cas_dimension
+from casq.gtensor import format_gap_report
+from casq.ingest import (ParseError, parse_property_integrals,
+                         parse_run_config, read_fcidump, zero_properties)
+from casq.ligandfield import build_ligand_field_model, preset_model
+from casq.soc import KramersPairingError, PhaseConsistencyError
+from casq.spectra import (SpectrumLine, broaden, energy_grid, spectrum_csv,
+                          transition_table)
+from casq.units import HARTREE_TO_CM, HARTREE_TO_EV
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -28,7 +44,8 @@ EXIT_INVARIANT = 3
 # off its locked roots only, and along them the residual carries theirs
 ORACLE_RESIDUAL_TOL = 1e-8
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# read by the BLAS libraries when numpy loads; recorded in the manifest
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class UsageError(ValueError):
@@ -43,32 +60,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
-def _setup_threads(threads: int | None) -> int | None:
-    n = threads
-    if n is None and os.environ.get("CASQ_THREADS"):
-        try:
-            n = int(os.environ["CASQ_THREADS"])
-        except ValueError:
-            raise UsageError("CASQ_THREADS must be an integer, got "
-                             f"{os.environ['CASQ_THREADS']!r}") from None
-    if n is not None:
-        for var in _THREAD_VARS:
-            os.environ[var] = str(n)
-    return n
-
-
 class Manifest:
     """Run record emitted on every invocation, success or failure."""
 
     def __init__(self, command: str | None, out: str | None, argv: list[str]):
-        from casq import __version__
-
         self.data = {
             "command": command,
             "argv": argv,
             "config": {},
             "inputs": {},
             "artifact_version": __version__,
+            "blas_threads": {var: os.environ.get(var) for var in _THREAD_VARS},
             "timings_s": {},
             "warnings": [],
             "status": "running",
@@ -114,9 +116,12 @@ def _read_text(path_str: str, manifest: Manifest) -> str:
     return path.read_text()
 
 
-def _write(out_dir: Path, name: str, text: str):
+def _report(out_dir: Path, stem: str, text: str, data):
+    """Print a text report and write it as <stem>.txt, data as <stem>.json."""
+    print(text, end="")
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text)
+    (out_dir / f"{stem}.txt").write_text(text)
+    (out_dir / f"{stem}.json").write_text(json.dumps(data, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="casq",
         description="Determinant CASCI with spin-orbit QDPT, g-tensors "
                     "and absorption spectra.")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="BLAS thread count (or env CASQ_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     count = sub.add_parser("count", help="determinant count of a CAS block")
@@ -138,10 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--ms2", type=int, required=True)
     count.add_argument("--out", default=None)
 
-    casci = sub.add_parser("casci", help="CASCI states and decompositions")
+    cas = sub.add_parser("casci", help="CASCI states and decompositions")
     gt = sub.add_parser("gtensor", help="EHA and sum-over-states g-tensors")
     spect = sub.add_parser("spectrum", help="oscillator strengths and curve")
-    for p in (casci, gt, spect):
+    for p in (cas, gt, spect):
         p.add_argument("--config", default=None, help="key=value run config")
         p.add_argument("--fcidump", default=None)
         p.add_argument("--prop", default=None,
@@ -154,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--roots-mult", action="append", default=[],
                        metavar="N=K", help="roots per multiplicity, repeatable")
         p.add_argument("--out", default=None, help="output directory")
-    for p in (casci, gt):
+    for p in (cas, gt):
         p.add_argument("--oracle", choices=["dense"], default=None,
                        help="solve by dense diagonalization as well (casci) "
                             "or instead (gtensor)")
@@ -177,12 +180,6 @@ def _parse_roots_flags(flags: list[str]) -> dict[int, int]:
 def _load_problem(args, manifest: Manifest):
     """(integrals, properties, config) from the input flags, with one run
     config parse; a line-list run has no integrals: (None, None, config)."""
-    from dataclasses import asdict, replace
-
-    from casq.ingest import (parse_property_integrals, parse_run_config,
-                             read_fcidump, zero_properties)
-    from casq.ligandfield import build_ligand_field_model, preset_model
-
     sources = [s for s in ("lf", "fcidump", "lines") if hasattr(args, s)]
     if sum(getattr(args, s) is not None for s in sources) != 1:
         raise ValueError("exactly one of "
@@ -226,8 +223,6 @@ def _load_problem(args, manifest: Manifest):
 # ---------------------------------------------------------------------------
 
 def cmd_count(args, manifest: Manifest) -> int:
-    from casq.detspace import cas_dimension
-
     with manifest.stage("count"):
         n = cas_dimension(args.nelec, args.norb, args.ms2)
     print(n)
@@ -237,9 +232,6 @@ def cmd_count(args, manifest: Manifest) -> int:
 
 
 def _state_rows(multiplets, threshold=1.0):
-    from casq.analysis import decompose, format_decomposition
-    from casq.units import HARTREE_TO_CM, HARTREE_TO_EV
-
     rows = []
     e0 = min(m.energy for m in multiplets)
     for m in sorted(multiplets, key=lambda m: m.energy):
@@ -269,15 +261,13 @@ def _format_state_table(rows) -> str:
 
 
 def cmd_casci(args, manifest: Manifest) -> int:
-    from casq.driver import solve_multiplets
-
     ints, _, config = _load_problem(args, manifest)
     with manifest.stage("casci"):
-        multiplets = solve_multiplets(ints, config)
+        multiplets = driver.solve_multiplets(ints, config)
 
     if args.oracle == "dense":
         with manifest.stage("oracle"):
-            reference = solve_multiplets(ints, config, method="dense")
+            reference = driver.solve_multiplets(ints, config, method="dense")
             residual = _worst_residual(multiplets, ints)
         for a, b in zip(multiplets, reference):
             if abs(a.energy - b.energy) > 1e-9:
@@ -297,33 +287,22 @@ def cmd_casci(args, manifest: Manifest) -> int:
                 f"{residual:.3e} Hartree (> {bound:.0e})")
 
     rows = _state_rows(multiplets)
-    table = _format_state_table(rows)
-    print(table, end="")
-    _write(manifest.out_dir, "casci_report.txt", table)
-    _write(manifest.out_dir, "casci_report.json",
-           json.dumps(rows, indent=2) + "\n")
+    _report(manifest.out_dir, "casci_report", _format_state_table(rows), rows)
     return EXIT_OK
 
 
 def _worst_residual(multiplets, ints) -> float:
     """Largest |sigma(x) - E x| over the top components of the multiplets."""
-    import numpy as np
-
-    from casq.casci import sigma
-
     tops = (m.component(m.two_s) for m in multiplets)
-    return max((float(np.linalg.norm(sigma(c.space, ints, c.coeffs)
+    return max((float(np.linalg.norm(casci.sigma(c.space, ints, c.coeffs)
                                      - c.energy * c.coeffs)) for c in tops),
                default=0.0)
 
 
 def cmd_gtensor(args, manifest: Manifest) -> int:
-    from casq.driver import run_gtensor
-    from casq.gtensor import format_gap_report
-
     ints, prop, config = _load_problem(args, manifest)
     with manifest.stage("gtensor"):
-        result = run_gtensor(
+        result = driver.run_gtensor(
             ints, prop, config,
             method="dense" if args.oracle == "dense" else "davidson")
     for w in result.warnings:
@@ -347,41 +326,34 @@ def cmd_gtensor(args, manifest: Manifest) -> int:
                      f"{r['g_x']:>6.3f}  {r['g_y']:>6.3f}  {r['g_z']:>6.3f}")
     gap_text = format_gap_report(result.gaps)
     text = "\n".join(table) + "\n\n" + gap_text + "\n"
-    print(text, end="")
-    _write(manifest.out_dir, "gtensor_report.txt", text)
-    _write(manifest.out_dir, "gtensor_report.json", json.dumps({
+    _report(manifest.out_dir, "gtensor_report", text, {
         "g": rows,
         "gaps": [dict(r) for r in result.gaps.rows],
         "quartet_below_doublet": result.gaps.quartet_below_doublet,
-    }, indent=2) + "\n")
+    })
     return EXIT_OK
 
 
 def _parse_lines_file(text: str):
-    from casq.spectra import SpectrumLine
-
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
         parts = body.split(None, 2)
-        if len(parts) < 2:
-            raise ValueError(f"lines file, line {lineno}: expected "
-                             f"'delta_e_ev f_osc [label]'")
-        label = parts[2] if len(parts) > 2 else ""
-        lines.append(SpectrumLine(delta_e_ev=float(parts[0]),
-                                  f_osc=float(parts[1]), from_state=0,
-                                  to_state=lineno, label=label))
+        try:
+            if len(parts) < 2:
+                raise ValueError("expected 'delta_e_ev f_osc [label]'")
+            lines.append(SpectrumLine(
+                delta_e_ev=float(parts[0]), f_osc=float(parts[1]),
+                from_state=0, to_state=lineno,
+                label=parts[2] if len(parts) > 2 else ""))
+        except ValueError as exc:
+            raise ParseError(f"lines file, line {lineno}: {exc}") from None
     return lines
 
 
 def cmd_spectrum(args, manifest: Manifest) -> int:
-    import numpy as np
-
-    from casq.spectra import (LineTable, broaden, energy_grid, spectrum_csv,
-                              transition_table)
-
     ints, prop, config = _load_problem(args, manifest)
     if ints is None:
         lines = _parse_lines_file(_read_text(args.lines, manifest))
@@ -389,12 +361,10 @@ def cmd_spectrum(args, manifest: Manifest) -> int:
         if not np.any(prop.D):
             raise ValueError("no dipole matrices available: provide DIP "
                              "sections in --prop or use --lines")
-        from casq.driver import solve_multiplicity
-
         with manifest.stage("states"):
             mult = min(config.roots_per_multiplicity)
             count = config.roots_per_multiplicity[mult]
-            states = solve_multiplicity(ints, config, mult, count)
+            states = driver.solve_multiplicity(ints, config, mult, count)
         lines = transition_table(states, prop)
 
     spec = config.spectrum
@@ -402,17 +372,16 @@ def cmd_spectrum(args, manifest: Manifest) -> int:
         grid = energy_grid(spec.min_ev, spec.max_ev, spec.step_ev)
         curve = broaden(lines, spec.fwhm_ev, grid)
 
-    csv_text = spectrum_csv(grid, curve)
-    _write(manifest.out_dir, "spectrum.csv", csv_text)
-    rows = LineTable(lines=lines).to_rows()
-    _write(manifest.out_dir, "lines.json", json.dumps(rows, indent=2) + "\n")
+    rows = [{"from": ln.from_state, "to": ln.to_state,
+             "delta_e_ev": ln.delta_e_ev, "f_osc": ln.f_osc,
+             "band": ln.label, "spin_forbidden": ln.spin_forbidden}
+            for ln in lines]
     table = ["from  to    dE (eV)      f_osc  band"]
     for r in rows:
         table.append(f"{r['from']:>4d}  {r['to']:>2d}  {r['delta_e_ev']:>9.4f}"
                      f"  {r['f_osc']:>9.6f}  {r['band']}")
-    text = "\n".join(table) + "\n"
-    print(text, end="")
-    _write(manifest.out_dir, "lines.txt", text)
+    _report(manifest.out_dir, "lines", "\n".join(table) + "\n", rows)
+    (manifest.out_dir / "spectrum.csv").write_text(spectrum_csv(grid, curve))
     return EXIT_OK
 
 
@@ -432,9 +401,14 @@ def _out_from_argv(argv: list[str]) -> str | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
-        _setup_threads(args.threads)
+        # casq takes no option before the subcommand; argparse would read
+        # the option's value as the subcommand and name that instead
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            parser.error(f"unrecognized arguments: {argv[0]} "
+                         f"(options follow the subcommand)")
+        args = parser.parse_args(argv)
     except UsageError as exc:
         print(f"error (input error): {exc}", file=sys.stderr)
         Manifest(None, _out_from_argv(argv), argv).finish(EXIT_INPUT, exc)
@@ -457,9 +431,6 @@ def main(argv=None) -> int:
 
 
 def _classify_error(exc: Exception) -> int:
-    from casq.davidson import DavidsonNotConverged
-    from casq.soc import KramersPairingError, PhaseConsistencyError
-
     if isinstance(exc, DavidsonNotConverged):
         return EXIT_NOCONV
     if isinstance(exc, (KramersPairingError, PhaseConsistencyError,

@@ -81,23 +81,20 @@ def zeeman_basis_matrices(basis: SocStateBasis, multiplets: list[Multiplet],
     """mu_K = L_K + g_e S_K over the basis entries, K in (x, y, z)."""
     n = basis.size
     mu = np.zeros((3, n, n), dtype=complex)
-    # spin part: analytic within each multiplet (ladder-phased components)
-    for ii, ei in enumerate(basis.entries):
-        for jj, ej in enumerate(basis.entries):
-            if ei.multiplet != ej.multiplet:
-                continue
-            s = ei.two_s / 2.0
-            mj = ej.ms2 / 2.0
-            if ei.ms2 == ej.ms2:
-                mu[2, ii, jj] += G_E * mj
-            elif ei.ms2 == ej.ms2 + 2:
-                c = 0.5 * np.sqrt(s * (s + 1.0) - mj * (mj + 1.0))
-                mu[0, ii, jj] += G_E * c
-                mu[1, ii, jj] += G_E * (-1.0j) * c
-            elif ei.ms2 == ej.ms2 - 2:
-                c = 0.5 * np.sqrt(s * (s + 1.0) - mj * (mj - 1.0))
-                mu[0, ii, jj] += G_E * c
-                mu[1, ii, jj] += G_E * (1.0j) * c
+    # spin part: analytic within each multiplet (ladder-phased components),
+    # bra entries along rows, ket entries along columns
+    mult, two_s, ms2 = basis.labels()
+    same = mult[:, None] == mult
+    step = ms2[:, None] - ms2
+    s = two_s[:, None] / 2.0
+    mj = ms2 / 2.0
+    up = same & (step == 2)          # <M+1|S+|M>
+    down = same & (step == -2)       # <M-1|S-|M>
+    c_up = 0.5 * np.sqrt(np.where(up, s * (s + 1.0) - mj * (mj + 1.0), 0.0))
+    c_down = 0.5 * np.sqrt(np.where(down, s * (s + 1.0) - mj * (mj - 1.0), 0.0))
+    mu[0] += G_E * (c_up + c_down)
+    mu[1] += 1.0j * (G_E * (c_down - c_up))
+    mu[2] += np.where(same & (step == 0), G_E * mj, 0.0)
     # orbital part: spin-free, couples equal M_S (and equal S in practice)
     for idx, space, C in component_blocks(basis, multiplets).values():
         ga, gb = spin_transition_densities(space, C, C)

@@ -292,15 +292,13 @@ def write_fcidump(integrals: IntegralSet, n_elec: int = 0, ms2: int = 0) -> str:
     """Serialize at full precision; unique integrals only."""
     n = integrals.n_orb
     out = [f"&FCI NORB={n},NELEC={n_elec},MS2={ms2},/"]
-    seen = set()
     for i in range(n):
         for j in range(i + 1):
             for k in range(i + 1):
                 lmax = j if k == i else k
                 for l in range(lmax + 1):
                     val = float(integrals.g2[i, j, k, l])
-                    if val != 0.0 and (i, j, k, l) not in seen:
-                        seen.add((i, j, k, l))
+                    if val != 0.0:
                         out.append(f"{val!r} {i + 1} {j + 1} {k + 1} {l + 1}")
     for i in range(n):
         for j in range(i + 1):

@@ -57,11 +57,10 @@ class SocStateBasis:
     def size(self) -> int:
         return len(self.entries)
 
-    def index(self, multiplet: int, ms2: int) -> int:
-        for k, e in enumerate(self.entries):
-            if e.multiplet == multiplet and e.ms2 == ms2:
-                return k
-        raise KeyError((multiplet, ms2))
+    def labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(multiplet, 2S, 2M_S) of every entry, as integer arrays."""
+        return tuple(np.array([(e.multiplet, e.two_s, e.ms2)
+                               for e in self.entries], dtype=int).reshape(-1, 3).T)
 
 
 def soc_basis(multiplets: list[Multiplet]) -> SocStateBasis:
@@ -129,7 +128,7 @@ def soc_matrix(basis: SocStateBasis, multiplets: list[Multiplet],
         H[np.ix_(low, idx)] = np.einsum("pq,pqij->ij", 1j * zx - zy, down)
         up = _flip_tdm(flip_raise_links(low_space), C, D)
         H[np.ix_(idx, low)] = np.einsum("pq,pqij->ij", 1j * zx + zy, up)
-    two_s = np.array([e.two_s for e in basis.entries])
+    _, two_s, _ = basis.labels()
     H[np.abs(two_s[:, None] - two_s[None, :]) > 2] = 0.0
     resid = float(np.max(np.abs(H - H.conj().T)))
     if resid > HERMITICITY_TOL:
@@ -144,12 +143,10 @@ def time_reversal_matrix(basis: SocStateBasis) -> np.ndarray:
 
     T|S, M> = (-1)^(S-M) |S, -M> for ladder-phased components.
     """
-    n = basis.size
-    T = np.zeros((n, n))
-    for k, e in enumerate(basis.entries):
-        partner = basis.index(e.multiplet, -e.ms2)
-        T[partner, k] = -1.0 if ((e.two_s - e.ms2) // 2) % 2 else 1.0
-    return T
+    mult, two_s, ms2 = basis.labels()
+    partner = (mult[:, None] == mult) & (ms2[:, None] == -ms2)
+    sign = np.where(((two_s - ms2) // 2) % 2, -1.0, 1.0)
+    return np.where(partner, sign, 0.0)
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,20 +123,3 @@ def spectrum_csv(grid: np.ndarray, intensity: np.ndarray) -> str:
     rows = ["energy_eV,intensity"]
     rows.extend(f"{e:.6f},{i:.8e}" for e, i in zip(grid, intensity))
     return "\n".join(rows) + "\n"
-
-
-@dataclass
-class LineTable:
-    """Rendered line list in the state/weight/energy/band column layout."""
-
-    lines: list[SpectrumLine] = field(default_factory=list)
-
-    def to_rows(self) -> list[dict]:
-        return [{
-            "from": ln.from_state,
-            "to": ln.to_state,
-            "delta_e_ev": ln.delta_e_ev,
-            "f_osc": ln.f_osc,
-            "band": ln.label,
-            "spin_forbidden": ln.spin_forbidden,
-        } for ln in self.lines]

@@ -224,6 +224,18 @@ def test_spectrum_from_lines(tmp_path):
     assert lines[0]["band"] == "Q"
 
 
+def test_spectrum_lines_errors_name_their_line(tmp_path, capsys):
+    for name, second in (("word", "abc 0.5"), ("negative", "3.1 -0.5")):
+        (tmp_path / f"{name}.txt").write_text(f"2.0 1.0\n{second}\n")
+        code, _, manifest = run_cli(
+            ["spectrum", "--lines", str(tmp_path / f"{name}.txt")],
+            tmp_path, name)
+        assert code == 1 and manifest["exit_code"] == 1
+        assert "lines file, line 2" in capsys.readouterr().err
+        assert manifest["error"]["type"] == "ParseError"
+        assert "line 2" in manifest["error"]["message"]
+
+
 def test_spectrum_from_lines_ignores_root_keys(tmp_path):
     # root counts belong to a CASCI run; a line list has no CAS to check
     # them against
@@ -394,14 +406,25 @@ def test_usage_error_exits_one_with_manifest(tmp_path, capsys):
     assert "--ms2" in capsys.readouterr().err
     assert manifest["error"]["type"] == "UsageError"
     assert "--ms2" in manifest["error"]["message"]
-
-
-def test_non_integer_casq_threads_exits_one_with_manifest(
-        tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CASQ_THREADS", "two")
-    monkeypatch.chdir(tmp_path)
-    code = main(["count", "--nelec", "1", "--norb", "5", "--ms2", "1"])
+    # so is an option before the subcommand, whose value argparse would
+    # otherwise report as an invalid subcommand
+    code, _, manifest = run_cli(["--threads", "2", "count", "--nelec", "1",
+                                 "--norb", "5", "--ms2", "1"], tmp_path, "t")
     assert code == 1
-    manifest = json.loads((tmp_path / "casq_out" / "manifest.json").read_text())
     assert manifest["status"] == "failed" and manifest["exit_code"] == 1
-    assert "CASQ_THREADS" in capsys.readouterr().err
+    assert "--threads" in capsys.readouterr().err
+    assert manifest["error"]["type"] == "UsageError"
+    assert "--threads" in manifest["error"]["message"]
+
+
+def test_manifest_records_blas_thread_variables(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    _, _, manifest = run_cli(["count", "--nelec", "1", "--norb", "5",
+                              "--ms2", "1"], tmp_path)
+    assert manifest["blas_threads"]["OMP_NUM_THREADS"] == "3"
+    assert manifest["blas_threads"]["MKL_NUM_THREADS"] is None
+    # the usage-error path records them too
+    _, _, manifest = run_cli(["count", "--bogus"], tmp_path, "bad")
+    assert manifest["exit_code"] == 1
+    assert manifest["blas_threads"]["OMP_NUM_THREADS"] == "3"

@@ -229,26 +229,31 @@ def test_time_reversal_matrix_squares_to_minus_one():
 
 def test_zeeman_spin_matrices_match_fock_oracle():
     # the analytic within-multiplet spin matrices must agree with explicit
-    # S_K matrix elements between the laddered components
+    # S_K matrix elements between the laddered components, and vanish
+    # between different multiplets (a quartet alone, doublets + a quartet)
     from casq.gtensor import zeeman_basis_matrices
     from casq.units import G_E
 
-    ints = make_random_integrals(3, 75)
-    quartets = [s for s in dense_solve(enumerate_cas(3, 3, 3), ints, 1)]
-    mults = assemble_multiplets(quartets, ints)
-    basis = soc_basis(mults)
-    prop = zero_properties(3)
-    mu = zeeman_basis_matrices(basis, mults, prop)
-    sp, sm, sz = fock_spin_ops(3)
-    sx = (sp + sm) / 2.0
-    sy = (sp - sm) / 2.0j
-    for k, op in enumerate((sx, sy, sz)):
-        ref = np.zeros((basis.size, basis.size), dtype=complex)
-        for ii, ei in enumerate(basis.entries):
-            ci = mults[ei.multiplet].component(ei.ms2)
-            Pi = space_projector(ci.space)
-            for jj, ej in enumerate(basis.entries):
-                cj = mults[ej.multiplet].component(ej.ms2)
-                Pj = space_projector(cj.space)
-                ref[ii, jj] = ci.coeffs @ (Pi @ op @ Pj.T) @ cj.coeffs
-        assert np.max(np.abs(mu[k] - G_E * ref)) < 1e-10
+    for n_orb, roots in ((3, {4: 1}), (4, {2: 2, 4: 1})):
+        ints = make_random_integrals(n_orb, 75)
+        mults = []
+        for mult, count in roots.items():
+            space = enumerate_cas(3, n_orb, mult - 1)
+            states = [s for s in dense_solve(space, ints, space.size)
+                      if s.multiplicity == mult][:count]
+            mults += assemble_multiplets(states, ints)
+        basis = soc_basis(mults)
+        mu = zeeman_basis_matrices(basis, mults, zero_properties(n_orb))
+        sp, sm, sz = fock_spin_ops(n_orb)
+        sx = (sp + sm) / 2.0
+        sy = (sp - sm) / 2.0j
+        for k, op in enumerate((sx, sy, sz)):
+            ref = np.zeros((basis.size, basis.size), dtype=complex)
+            for ii, ei in enumerate(basis.entries):
+                ci = mults[ei.multiplet].component(ei.ms2)
+                Pi = space_projector(ci.space)
+                for jj, ej in enumerate(basis.entries):
+                    cj = mults[ej.multiplet].component(ej.ms2)
+                    Pj = space_projector(cj.space)
+                    ref[ii, jj] = ci.coeffs @ (Pi @ op @ Pj.T) @ cj.coeffs
+            assert np.max(np.abs(mu[k] - G_E * ref)) < 1e-10
