@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from math import isqrt
 
 import numpy as np
@@ -37,9 +38,9 @@ DENSE_CAP = 20_000
 # many determinants to dense_solve, which caches their explicit H.  On one
 # BLAS thread, 6 roots of model integrals: dense build + eigh 22 / 35 /
 # 107 ms at 300 / 400 / 735 determinants, Davidson 43 / 41 / 74 ms, and a
-# cached H needs the eigh only (11 / 23 ms at 300 / 400), which every pass
-# after the first of one multiplicity reuses.  PySCF's direct_spin1 also
-# diagonalizes its P-space directly up to 400.
+# cached H needs the eigh only (11 / 23 ms at 300 / 400), which a second
+# solve of the same block, such as the dense oracle's, reuses.  PySCF's
+# direct_spin1 also diagonalizes its P-space directly up to 400.
 SMALL_SPACE = 400
 
 # dense_hamiltonian classes the determinant pairs this many at a time; a
@@ -478,64 +479,60 @@ def _finalize_states(space: CasSpace, energies: np.ndarray,
 @lru_cache(maxsize=4)
 def _small_hamiltonian(space: CasSpace, ints: IntegralSet) -> np.ndarray:
     """dense_hamiltonian of a block of at most SMALL_SPACE determinants,
-    read-only, kept across the passes of one multiplicity."""
+    read-only, kept for a second solve of the same block."""
     H = dense_hamiltonian(space, ints)
     H.flags.writeable = False
     return H
 
 
 def dense_solve(space: CasSpace, ints: IntegralSet, n_roots: int,
-                locked: tuple[np.ndarray, ...] = ()) -> list[CiState]:
-    """Brute-force eigensolver on the explicitly built H, restricted to
-    the orthogonal complement of the `locked` orthonormal bases.  The H
-    of a block of at most SMALL_SPACE determinants is cached; a larger
-    one is rebuilt on every call and freed with it."""
-    q = sum(basis.shape[1] for basis in locked)
-    if not 1 <= n_roots <= space.size - q:
-        raise ValueError(f"n_roots={n_roots} outside [1, {space.size - q}]")
+                project=None) -> list[CiState]:
+    """Brute-force eigensolver on the explicitly built H: its lowest
+    n_roots eigenvectors, or, given a projector that commutes with H, the
+    lowest n_roots whose projected norm^2 exceeds 1/2.  The H of a block
+    of at most SMALL_SPACE determinants is cached; a larger one is rebuilt
+    on every call and freed with it."""
+    if not 1 <= n_roots <= space.size:
+        raise ValueError(f"n_roots={n_roots} outside [1, {space.size}]")
     H = (_small_hamiltonian(space, ints) if space.size <= SMALL_SPACE
          else dense_hamiltonian(space, ints))
-    if q:   # an orthonormal basis Q of the complement: H -> Q^T H Q
-        Q = np.linalg.qr(np.hstack(locked), mode="complete")[0][:, q:]
-        w, U = np.linalg.eigh(Q.T @ H @ Q)
-        U = Q @ U
-    else:
-        w, U = np.linalg.eigh(H)
-    return _finalize_states(space, w[:n_roots], U[:, :n_roots])
+    w, U = np.linalg.eigh(H)
+    keep = list(islice((k for k, u in enumerate(U.T)     # lowest first
+                        if project is None or u @ project(u) > 0.5), n_roots))
+    if len(keep) < n_roots:
+        raise ValueError(f"only {len(keep)} roots lie in the projected range")
+    return _finalize_states(space, w[keep], U[:, keep])
 
 
 def solve_davidson(space: CasSpace, ints: IntegralSet, n_roots: int,
                    options: DavidsonOptions | None = None,
-                   locked: tuple[np.ndarray, ...] = ()) -> list[CiState]:
-    """Lowest CI roots by block Davidson with a deterministic guess, on
-    the orthogonal complement of the `locked` orthonormal bases.
+                   project=None) -> list[CiState]:
+    """Lowest CI roots by block Davidson with a deterministic guess,
+    within the range of the projector `project` when one is given.
 
     A block goes to dense_solve instead when it has no more determinants
     than guess_dim (when guess_dim is 0, automatic: SMALL_SPACE = 400 or
-    2 n_roots, whichever is larger), or when the n_roots wanted and the q
-    locked columns fill it.  Otherwise the guess block, widened by the q
-    locked columns, diagonalizes H over the guess_dim determinants of
-    lowest diagonal energy.
+    2 n_roots, whichever is larger).  Otherwise the guess diagonalizes H
+    over the guess_dim determinants of lowest diagonal energy.
     """
     options = options or DavidsonOptions()
     N = space.size
-    q = sum(basis.shape[1] for basis in locked)
-    if not 1 <= n_roots <= N - q:
-        raise ValueError(f"n_roots={n_roots} outside [1, {N - q}]")
+    if not 1 <= n_roots <= N:
+        raise ValueError(f"n_roots={n_roots} outside [1, {N}]")
     # a guess block that would cover the whole block is the dense solve
-    if N <= max(options.guess_dim or max(SMALL_SPACE, 2 * n_roots), n_roots + q):
-        return dense_solve(space, ints, n_roots, locked)
+    if N <= (options.guess_dim or max(SMALL_SPACE, 2 * n_roots)):
+        return dense_solve(space, ints, n_roots, project)
     diag = hamiltonian_diagonal(space, ints).ravel()
-    gd = max(options.guess_dim or max(32, 2 * n_roots), n_roots + q)
+    gd = max(options.guess_dim or max(32, 2 * n_roots), n_roots)
     sel = np.argsort(diag, kind="stable")[:gd]
     w, U = np.linalg.eigh(dense_hamiltonian(space, ints, sel))
-    n_start = min(gd, n_roots + 3 + q)
+    n_start = min(gd, n_roots + 3)
     v0 = np.zeros((N, n_start))
     v0[sel] = U[:, :n_start]
     result = davidson_lowest(
         lambda block: sigma_block(space, ints, block),
         diag, n_roots, v0, tol=options.tol, max_iter=options.max_iter,
-        locked=locked)
+        project=project)
     return _finalize_states(space, result.energies, result.vectors)
 
 

@@ -40,8 +40,8 @@ EXIT_NOCONV = 2
 EXIT_INVARIANT = 3
 
 # --oracle dense: largest sigma residual of a reported root (Hartree), or
-# 10 Davidson tol when that is larger: Davidson converges a root to tol
-# off its locked roots only, and along them the residual carries theirs
+# 10 Davidson tol when larger: each Ritz residual is below tol, and a root
+# of a degenerate group of k is their rotation to the S^2 eigenbasis (sqrt(k) tol)
 ORACLE_RESIDUAL_TOL = 1e-8
 
 # read by the BLAS libraries when numpy loads; recorded in the manifest

@@ -37,23 +37,25 @@ class DavidsonNotConverged(RuntimeError):
             f"(worst residual {worst:.3e})")
 
 
-def _orthonormalize(block: np.ndarray, against: tuple[np.ndarray, ...] = (),
-                    drop_tol: float = 1e-10) -> np.ndarray:
-    """Block Gram-Schmidt with reorthogonalization; drops dependent columns.
+def _orthonormalize(block: np.ndarray, against: np.ndarray,
+                    project=None, drop_tol: float = 1e-10) -> np.ndarray:
+    """Block Gram-Schmidt with reorthogonalization, after the projection
+    `project` if given; drops dependent columns.
 
-    Each of two rounds projects the whole block against every orthonormal
-    basis in `against` (two GEMMs each), then runs modified Gram-Schmidt
-    within the block.  A column is dependent when the projections leave
-    less than drop_tol of its own norm; it is zeroed at once, so it takes
-    no part in later projections.  The test is relative because correction
-    vectors shrink with the residual: an absolute cut drops them near
-    convergence and stalls the solver at residuals around 1e-9.
+    Each of two rounds projects the block against the orthonormal basis
+    `against` (two GEMMs), then runs modified Gram-Schmidt within it.  A
+    column is dependent when less than drop_tol of its norm before all
+    projections is left (what `project` leaves of a column it removes is
+    rounding error); it is zeroed at once.  The test is relative because
+    correction vectors shrink with the residual: an absolute cut drops
+    them near convergence and stalls the solver at residuals near 1e-9.
     """
     B = np.array(block.T, dtype=float, order="C")    # one row per column
     cut = drop_tol * np.linalg.norm(B, axis=1)
+    if project is not None:
+        B = np.ascontiguousarray(project(B.T).T)
     for _ in range(2):
-        for basis in against:
-            B -= (B @ basis) @ basis.T
+        B -= (B @ against) @ against.T
         for j, v in enumerate(B):
             for u in B[:j]:
                 v -= u * (u @ v)
@@ -69,27 +71,28 @@ def _orthonormalize(block: np.ndarray, against: tuple[np.ndarray, ...] = (),
 
 def davidson_lowest(matvec, diagonal: np.ndarray, n_roots: int,
                     start: np.ndarray, *, tol: float = 1e-8,
-                    max_iter: int = 200,
-                    locked: tuple[np.ndarray, ...] = ()) -> DavidsonResult:
-    """Iterate to the lowest n_roots eigenpairs on the orthogonal
-    complement of the `locked` orthonormal bases (q columns in all).
+                    max_iter: int = 200, project=None) -> DavidsonResult:
+    """Iterate to the lowest n_roots eigenpairs, within the range of the
+    projector `project` (which must commute with H) when one is given.
 
     matvec maps an (N, k) block to H times the block.  `start` supplies
-    the initial block (at least n_roots columns).  The subspace holds at
-    most min(N - q, max(6 n_roots + 12, 48)) columns before a thick
-    restart.  Residuals are projected off `locked` too, so locked
-    vectors that are eigenvectors only to within tol cannot stall it.
+    the initial block.  Every block added to the subspace is projected:
+    the start block, each correction block and a stagnation unit vector.
+    A start block left with fewer than n_roots columns is topped up with
+    the projected unit vectors of the lowest diagonal entries.  The
+    subspace holds at most min(N, max(6 n_roots + 12, 48)) columns
+    before a thick restart.
     """
     n = diagonal.shape[0]
-    q = sum(basis.shape[1] for basis in locked)
-    if n_roots > n - q:
-        raise ValueError(f"n_roots={n_roots} exceeds dimension {n - q}")
-    max_subspace = min(n - q, max(6 * n_roots + 12, 48))
-
-    V = _orthonormalize(np.asarray(start, dtype=float), against=locked)
+    max_subspace = min(n, max(6 * n_roots + 12, 48))
+    V = _orthonormalize(np.asarray(start), np.empty((n, 0)), project)
+    for k in np.argsort(diagonal, kind="stable"):
+        if V.shape[1] >= n_roots:
+            break
+        V = np.hstack([V, _orthonormalize(np.eye(n, 1, -k), V, project)])
+    if V.shape[1] < n_roots:
+        raise ValueError(f"n_roots={n_roots} exceeds dimension {V.shape[1]}")
     m = V.shape[1]
-    if m < n_roots:
-        raise ValueError("starting block is rank deficient")
     # V and S live in column buffers, so a new block copies only itself
     Vbuf = np.empty((n, max(max_subspace, m)), order="F")
     Sbuf = np.empty_like(Vbuf)
@@ -105,8 +108,6 @@ def davidson_lowest(matvec, diagonal: np.ndarray, n_roots: int,
         X = V @ Y[:, :n_roots]
         SX = S @ Y[:, :n_roots]
         R = SX - X * theta[:n_roots]
-        for basis in locked:
-            R -= basis @ (basis.T @ R)
         norms = np.linalg.norm(R, axis=0)
         last = DavidsonResult(theta[:n_roots].copy(), X, iteration, norms,
                               bool(np.all(norms <= tol)), n_matvec)
@@ -132,13 +133,11 @@ def davidson_lowest(matvec, diagonal: np.ndarray, n_roots: int,
             denom = np.where(np.abs(denom) < LEVEL_SHIFT,
                              np.copysign(LEVEL_SHIFT, denom), denom)
             news.append(R[:, k] / denom)
-        block = _orthonormalize(np.stack(news, axis=1), against=locked + (V,))
+        block = _orthonormalize(np.stack(news, axis=1), V, project)
         if block.shape[1] == 0:
             # stagnation: inject the coordinate direction of the worst residual
             worst = int(np.argmax(np.abs(R[:, int(np.argmax(norms))])))
-            unit = np.zeros((n, 1))
-            unit[worst, 0] = 1.0
-            block = _orthonormalize(unit, against=locked + (V,))
+            block = _orthonormalize(np.eye(n, 1, -worst), V, project)
             if block.shape[1] == 0:
                 break
         Sb = matvec(block)

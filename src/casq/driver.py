@@ -1,66 +1,58 @@
 """End-to-end workflows: multiplicity-resolved CASCI, QDPT and g-tensors.
 
-Multiplicities are solved from the highest down, each in its top block
-M_S = S, where the higher-spin roots already known and every root a
-solver pass returns are locked (projected out): none is solved twice.
+Each multiplicity 2S+1 is solved once, for exactly the roots asked for, in
+its top block M_S = S within the range of Löwdin's spin-S projector
+(`spin.project_spin`), so the multiplicities do not depend on one another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .casci import (CiState, Multiplet, assemble_multiplets, dense_solve,
                     enumerate_cas, solve_davidson)
+from .detspace import cas_dimension
 from .gtensor import GapReport, GTensor, g_tensor_eha, g_tensor_sos, gap_report
 from .ingest import IntegralSet, PropertyIntegrals, RunConfig
 from .soc import SocStateBasis, SoEigenstates, diagonal_energies, qdpt, soc_basis, soc_matrix
-from .spin import apply_s_minus, apply_s_plus
+from .spin import project_spin
 
 
 def solve_multiplicity(ints: IntegralSet, config: RunConfig, mult: int,
-                       count: int, higher: list[CiState] | None = None, *,
-                       method: str = "davidson") -> list[CiState]:
-    """The lowest `count` roots of multiplicity 2S+1 = mult, solved at
-    the top block M_S = S on the complement of the `higher` states."""
+                       count: int, *, method: str = "davidson") -> list[CiState]:
+    """The lowest `count` roots of multiplicity 2S+1 = mult, solved in one
+    call at the top block M_S = S within the range of the spin-S projector."""
     n_elec, n_orb = config.cas
     if n_orb != ints.n_orb:
         raise ValueError(f"cas_norb={n_orb} does not match the "
                          f"{ints.n_orb}-orbital integral set")
     space = enumerate_cas(n_elec, n_orb, mult - 1)
-    found: list[CiState] = []
-    locked = [s.coeffs for s in higher or ()]
-    while len(found) < count:
-        if len(locked) == space.size:
-            raise ValueError(f"only {len(found)} roots of multiplicity {mult} "
-                             f"exist in CAS{config.cas} (requested {count})")
-        states = _solve(space, ints, min(count - len(found), space.size - len(locked)),
-                        config, method, locked)
-        found += [s for s in states if s.multiplicity == mult]
-        # S-S+ cuts a higher-spin root's spin-S error, which would taint targets
-        locked += [s.coeffs if s.multiplicity == mult else
-                   apply_s_minus(*apply_s_plus(space, s.coeffs))[1] for s in states]
-    return found
-
-
-def _solve(space, ints, n_roots, config, method, locked):
-    basis = (np.linalg.qr(np.column_stack(locked))[0],) if locked else ()
+    # the roots of spin S number dim(M_S = S) - dim(M_S = S + 1)
+    exist = space.size - (cas_dimension(n_elec, n_orb, mult + 1)
+                          if mult - 1 < min(n_elec, 2 * n_orb - n_elec) else 0)
+    if count > exist:
+        raise ValueError(f"only {exist} roots of multiplicity {mult} "
+                         f"exist in CAS{config.cas} (requested {count})")
+    if not count:
+        return []
+    project = partial(project_spin, space)
     if method == "dense":
-        return dense_solve(space, ints, n_roots, basis)
+        return dense_solve(space, ints, count, project)
     if method == "davidson":
-        return solve_davidson(space, ints, n_roots, config.davidson, basis)
+        return solve_davidson(space, ints, count, config.davidson, project)
     raise ValueError(f"unknown solver method {method!r}")
 
 
 def solve_multiplets(ints: IntegralSet, config: RunConfig, *,
                      method: str = "davidson") -> list[Multiplet]:
-    """Solve every requested multiplicity, highest first, into multiplets."""
+    """Solve every requested multiplicity into multiplets."""
     multiplets: list[Multiplet] = []
-    for mult, count in sorted(config.roots_per_multiplicity.items())[::-1]:
-        higher = [m.component(mult - 1) for m in multiplets]
+    for mult, count in sorted(config.roots_per_multiplicity.items()):
         multiplets += assemble_multiplets(solve_multiplicity(
-            ints, config, mult, count, higher, method=method), ints)
+            ints, config, mult, count, method=method), ints)
     return sorted(multiplets, key=lambda m: m.energy)
 
 

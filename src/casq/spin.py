@@ -67,7 +67,7 @@ def _lower_space(space: CasSpace) -> CasSpace | None:
 def _s_minus_links(space: CasSpace):
     """Entries (src, dst, sign) of S- = sum_p a+_pb a_pa into ms2-2.
 
-    Sorted by src, then dst, so that np.add.at accumulates every output
+    Sorted by src, then dst, so that _ladder accumulates every output
     element in ascending input order whichever direction the table is read.
     """
     lower = _lower_space(space)
@@ -89,12 +89,14 @@ def _s_plus_links(space: CasSpace):
 
 
 def _ladder(links, vecs: np.ndarray):
-    """(target space, image) of (N,) or (N, k) vecs under a ladder table."""
+    """(target space, image) of (N,) or (N, k) vecs under a ladder table:
+    one bincount per column, which sums in table order as np.add.at does."""
     target, (src, dst, sign) = links
     vecs = np.asarray(vecs)
-    out = np.zeros((target.size,) + vecs.shape[1:])
-    np.add.at(out, dst, sign.reshape((-1,) + (1,) * (vecs.ndim - 1)) * vecs[src])
-    return target, out
+    out = np.empty((vecs.size // vecs.shape[0], target.size))
+    for row, col in zip(out, vecs.reshape(vecs.shape[0], -1).T):
+        row[:] = np.bincount(dst, weights=sign * col[src], minlength=target.size)
+    return target, out.T.reshape((target.size,) + vecs.shape[1:])
 
 
 def apply_s_plus(space: CasSpace, vec: np.ndarray):
@@ -121,14 +123,8 @@ def apply_s_minus(space: CasSpace, vec: np.ndarray, *, norm_tol: float = 1e-8):
 
 
 def s_squared(space: CasSpace, vec: np.ndarray) -> float:
-    """<v|S^2|v> via S^2 = S-S+ + Sz(Sz+1) for a normalized v."""
-    ms = space.ms2 / 2.0
-    base = ms * (ms + 1.0)
-    links = _s_plus_links(space)
-    if links is None:
-        return base
-    _, out = _ladder(links, vec)
-    return base + float(out @ out)
+    """<v|S^2|v> for a normalized v."""
+    return float(s_squared_matrix(space, np.reshape(vec, (-1, 1)))[0, 0])
 
 
 def s_squared_matrix(space: CasSpace, vecs: np.ndarray) -> np.ndarray:
@@ -141,6 +137,21 @@ def s_squared_matrix(space: CasSpace, vecs: np.ndarray) -> np.ndarray:
         return base
     _, raised = _ladder(links, vecs)
     return base + raised.T @ raised
+
+
+def project_spin(space: CasSpace, vecs: np.ndarray) -> np.ndarray:
+    """Löwdin's projector onto spin S = M_S of a top block, applied to (N,)
+    or (N, k) vecs (P.-O. Löwdin, Phys. Rev. 97, 1509 (1955)):
+    P_S = prod_{S' > S} (1 - S-S+ / (S'(S'+1) - S(S+1))).  Each factor is
+    one S+ and one S- scatter by _ladder, since apply_s_minus refuses the
+    zero S+ image of a pure spin-S vector."""
+    out = np.array(vecs, dtype=float)
+    ms2, top = space.ms2, min(space.n_elec, 2 * space.n_orb - space.n_elec)
+    for two_s in range(ms2 + 2, top + 1, 2):     # 2S' of each higher spin
+        upper, raised = _ladder(_s_plus_links(space), out)
+        gap = (two_s * (two_s + 2) - ms2 * (ms2 + 2)) / 4.0
+        out -= _ladder(_s_minus_links(upper), raised)[1] / gap
+    return out
 
 
 def multiplicity_label(s2: float, ms2: int, n_elec: int) -> int:

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -20,6 +22,7 @@ from casq.casci import (
 )
 from casq.detspace import Determinant, enumerate_cas
 from casq.ingest import DavidsonOptions, IntegralSet
+from casq.spin import project_spin, s_squared
 
 from _oracles import fock_block, fock_hamiltonian
 from conftest import make_model_integrals, make_random_integrals
@@ -255,21 +258,22 @@ def _count_sigma(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("n_locked", [0, 7])
-def test_small_block_skips_davidson_and_sigma(n_locked, davidson_runs,
+@pytest.mark.parametrize("projected", [False, True])
+def test_small_block_skips_davidson_and_sigma(projected, davidson_runs,
                                               monkeypatch):
     ints = make_random_integrals(6, 47)
     space = enumerate_cas(6, 6, 0)
     assert space.size == SMALL_SPACE
     w, U = np.linalg.eigh(dense_hamiltonian(space, ints))
-    locked = U[:, 0:2 * n_locked:2]          # every other lowest root
+    if projected:   # the lowest singlets of one full eigh
+        w = w[[abs(s_squared(space, u)) < 1e-8 for u in U.T]]
     sigmas = _count_sigma(monkeypatch)
-    states = solve_davidson(space, ints, 5, locked=(locked,) if n_locked else ())
+    states = solve_davidson(space, ints, 5, None,
+                            partial(project_spin, space) if projected else None)
     assert davidson_runs == [] and sigmas == []
-    ref = np.delete(w, np.arange(0, 2 * n_locked, 2))[:5]
-    assert np.max(np.abs([s.energy for s in states] - ref)) < 1e-10
-    X = np.column_stack([s.coeffs for s in states])
-    assert np.max(np.abs(locked.T @ X), initial=0.0) < 1e-10
+    assert np.max(np.abs([s.energy for s in states] - w[:5])) < 1e-10
+    if projected:
+        assert all(s.multiplicity == 1 for s in states)
 
 
 def test_block_one_above_small_space_runs_davidson(davidson_runs, monkeypatch):

@@ -88,8 +88,8 @@ def test_oracle_catches_a_dense_solve_error(tmp_path, monkeypatch, capsys):
 
     solve = casq.casci.dense_solve
 
-    def perturbed(space, ints, n_roots, locked=()):
-        states = solve(space, ints, n_roots, locked)
+    def perturbed(space, ints, n_roots, project=None):
+        states = solve(space, ints, n_roots, project)
         v = states[0].coeffs + 1e-5 / np.sqrt(space.size)
         states[0].coeffs = v / np.linalg.norm(v)
         return states
@@ -104,9 +104,10 @@ def test_oracle_catches_a_dense_solve_error(tmp_path, monkeypatch, capsys):
 
 
 def test_oracle_accepts_a_loose_davidson_tol(tmp_path, davidson_runs):
-    # the 300-determinant doublet block is solved by Davidson at tol 1e-6
-    # with the four quartets' M_S = 1/2 components locked; its roots are
-    # converged to tol off them only, which the residual bound allows for
+    # the 300-determinant doublet and 90-determinant quartet blocks are
+    # solved by Davidson at tol 1e-6, so their roots carry residuals up to
+    # tol (0.74 tol at worst here), far above the bound's 1e-8 floor: the
+    # bound must scale with the tol the run asked for
     ints = make_random_integrals(6, 206)
     (tmp_path / "m.fcidump").write_text(write_fcidump(ints, 5, 1))
     (tmp_path / "m.cfg").write_text(
@@ -117,6 +118,26 @@ def test_oracle_accepts_a_loose_davidson_tol(tmp_path, davidson_runs):
          "--config", str(tmp_path / "m.cfg"), "--oracle", "dense"], tmp_path)
     assert code == 0, manifest.get("error")
     assert 300 in davidson_runs and 90 in davidson_runs
+
+
+def test_phase_inconsistency_exits_three(tmp_path, monkeypatch, capsys):
+    # a sign error in the raising spin-flip table breaks the Hermiticity
+    # of the SOC matrix built from the projected roots' ladder phases
+    import casq.soc
+
+    links = casq.soc.flip_raise_links
+
+    def flipped(space):
+        upper, groups = links(space)
+        return upper, tuple((src, dst, -sign) for src, dst, sign in groups)
+
+    monkeypatch.setattr(casq.soc, "flip_raise_links", flipped)
+    code, _, manifest = run_cli(["gtensor", "--lf", "d9-planar"], tmp_path)
+    assert code == 3 and manifest["exit_code"] == 3
+    assert manifest["status"] == "failed"
+    assert manifest["error"]["type"] == "PhaseConsistencyError"
+    assert "Hermiticity" in manifest["error"]["message"]
+    assert "error (invariant breach)" in capsys.readouterr().err
 
 
 def test_oracle_rejected_by_spectrum(tmp_path, capsys):

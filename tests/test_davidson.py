@@ -1,11 +1,13 @@
+from functools import partial
+
 import numpy as np
 import pytest
-from scipy.linalg import null_space
 
 from casq.casci import dense_hamiltonian, dense_solve, solve_davidson
 from casq.davidson import DavidsonNotConverged, davidson_lowest
 from casq.detspace import enumerate_cas
 from casq.ingest import DavidsonOptions, IntegralSet
+from casq.spin import project_spin, s_squared
 
 from conftest import make_random_integrals
 
@@ -66,49 +68,41 @@ def test_root_count_bounds():
         davidson_lowest(lambda b: H @ b, np.diag(H), 5, np.eye(4))
 
 
-def _complement_eigvalsh(H, L):
-    """Eigenvalues of H on the orthogonal complement of the columns of L."""
-    Q = null_space(L.T)
-    return np.linalg.eigvalsh(Q.T @ H @ Q)
+def _doublet_energies(space, H):
+    """Eigenvalues of H whose eigenvectors are doublets, lowest first."""
+    w, U = np.linalg.eigh(H)
+    return w[[abs(s_squared(space, u) - 0.75) < 1e-8 for u in U.T]]
 
 
-def test_locked_random_matrix_matches_complement_eigh():
-    # 40 random orthonormal locked vectors leave a 20-dimensional
-    # complement, below the subspace cap of 48: the subspace must stop
-    # at N - q, and the residuals must be measured on the complement
-    # since the locked vectors are no eigenvectors of H
-    rng = np.random.default_rng(7)
-    n, q, k = 60, 40, 3
-    a = rng.standard_normal((n, n))
-    H = np.diag(np.linspace(0.0, 6.0, n)) + (a + a.T) / 4.0
-    L = np.linalg.qr(rng.standard_normal((n, q)))[0]
-    res = davidson_lowest(lambda b: H @ b, np.diag(H).copy(), k,
-                          np.eye(n)[:, :k + q + 3], tol=1e-10, locked=(L,))
-    assert res.converged
-    assert np.allclose(res.energies, _complement_eigvalsh(H, L)[:k],
-                       atol=1e-10)
-    assert np.max(np.abs(L.T @ res.vectors)) < 1e-12
-    with pytest.raises(ValueError, match="exceeds"):
-        davidson_lowest(lambda b: H @ b, np.diag(H).copy(), n - q + 1,
-                        np.eye(n), locked=(L,))
-
-
-def test_locked_cas_block_matches_complement_eigh():
-    # CAS(3,4) M_S = 1/2 has 24 determinants; locking 10 eigenvectors
-    # leaves 14, below the subspace cap, for Davidson (guess_dim 16 < 24)
-    # and for the dense solver alike
+def test_projected_cas_block_matches_spin_filtered_eigh():
+    # CAS(3,4) M_S = 1/2 holds 24 determinants: 20 doublets and 4 quartet
+    # components, some of them below the doublets asked for; Davidson
+    # (guess_dim 16 < 24) and the dense solver alike return the doublets
     ints = make_random_integrals(4, 61)
     space = enumerate_cas(3, 4, 1)
-    H = dense_hamiltonian(space, ints)
-    L = np.linalg.eigh(H)[1][:, 0:20:2]     # every other lowest root
-    ref = _complement_eigvalsh(H, L)
-    k = 5
-    for states in (dense_solve(space, ints, k, (L,)),
+    ref = _doublet_energies(space, dense_hamiltonian(space, ints))
+    project = partial(project_spin, space)
+    k = 8
+    for states in (dense_solve(space, ints, k, project),
                    solve_davidson(space, ints, k,
                                   DavidsonOptions(tol=1e-10, guess_dim=16),
-                                  (L,))):
+                                  project)):
         assert np.allclose([s.energy for s in states], ref[:k], atol=1e-10)
-        X = np.column_stack([s.coeffs for s in states])
-        assert np.max(np.abs(L.T @ X)) < 1e-10
-    with pytest.raises(ValueError, match="outside"):
-        dense_solve(space, ints, space.size - 9, (L,))
+        assert all(abs(s.s2_expect - 0.75) < 1e-12 for s in states)
+    with pytest.raises(ValueError, match="only 20 roots"):
+        dense_solve(space, ints, 21, project)
+
+
+def test_start_block_of_higher_spin_is_topped_up():
+    # a start block of pure quartet components projects to nothing: the
+    # solver tops it up with projected unit vectors instead of giving up
+    ints = make_random_integrals(4, 62)
+    space = enumerate_cas(3, 4, 1)
+    H = dense_hamiltonian(space, ints)
+    ref = _doublet_energies(space, H)
+    w, U = np.linalg.eigh(H)
+    quartets = U[:, [abs(s_squared(space, u) - 3.75) < 1e-8 for u in U.T]]
+    res = davidson_lowest(lambda b: H @ b, np.diag(H).copy(), 3, quartets,
+                          tol=1e-10, project=partial(project_spin, space))
+    assert res.converged
+    assert np.allclose(res.energies, ref[:3], atol=1e-10)

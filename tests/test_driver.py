@@ -1,4 +1,5 @@
-"""Multiplicity-resolved solves: top-down locking against full diagonalization."""
+"""Multiplicity-resolved solves: one spin-projected solve per multiplicity,
+checked against full diagonalization."""
 
 from dataclasses import replace
 from unittest import mock
@@ -52,30 +53,26 @@ def test_solve_multiplets_matches_full_eigh(problem, method):
     config = RunConfig(cas=(n_elec, n_orb), roots_per_multiplicity=roots,
                        davidson=DavidsonOptions(guess_dim=sum(roots.values())))
     calls = []
-    solve = driver._solve
 
-    def spy(space, ints, n_roots, *rest):
-        states = solve(space, ints, n_roots, *rest)
-        calls.append((space.ms2 + 1, n_roots, states))
-        return states
+    def spy(solve):
+        def solver(space, ints, n_roots, *rest):
+            states = solve(space, ints, n_roots, *rest)
+            calls.append((space.ms2 + 1, n_roots, states))
+            return states
+        return solver
 
-    with mock.patch.object(driver, "_solve", spy):
+    with mock.patch.object(driver, "dense_solve", spy(driver.dense_solve)), \
+            mock.patch.object(driver, "solve_davidson", spy(driver.solve_davidson)):
         multiplets = driver.solve_multiplets(ints, config, method=method)
 
     for mult, count in roots.items():
         got = sorted(m.energy for m in multiplets if m.multiplicity == mult)
         assert np.allclose(got, _reference(ints, n_elec, n_orb, mult, count),
                            rtol=0.0, atol=1e-9)
-        passes = [(n, states) for m, n, states in calls if m == mult]
-        intruders = [s for _, states in passes for s in states
-                     if s.multiplicity != mult]
-        assert all(s.multiplicity > mult for s in intruders)
-        # each pass asks for exactly the missing roots: none is discarded
-        assert sum(n for n, _ in passes) == count + len(intruders)
-        # no intruder is a component of a multiplet already solved
-        for s in intruders:
-            assert all(abs(s.energy - m.energy) > 1e-8 for m in multiplets
-                       if m.multiplicity == s.multiplicity)
+        # one solver call for exactly `count` roots, every one of spin mult
+        solves = [(n, states) for m, n, states in calls if m == mult]
+        assert [n for n, _ in solves] == ([count] if count else [])
+        assert all(s.multiplicity == mult for _, states in solves for s in states)
 
 
 @pytest.mark.parametrize("method", ["dense", "davidson"])

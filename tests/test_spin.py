@@ -4,15 +4,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from casq.casci import assemble_multiplets, dense_solve, solve_davidson
-from casq.detspace import Determinant, enumerate_cas
+from casq.detspace import Determinant, cas_dimension, enumerate_cas
 from casq.ingest import DavidsonOptions
 from casq.spin import (
     LadderAnnihilation,
+    _ladder,
+    _s_minus_links,
+    _s_plus_links,
     apply_s_minus,
     apply_s_plus,
     flip_lower_links,
     flip_raise_links,
     multiplicity_label,
+    project_spin,
     s_squared,
     s_squared_matrix,
 )
@@ -226,6 +230,66 @@ def test_s_plus_is_s_minus_of_block_above_transposed(block):
     assert np.array_equal(plus, minus.T)
     sp, _, _ = fock_spin_ops(n_orb)
     assert np.array_equal(plus, space_projector(upper) @ sp @ P.T)
+
+
+def _add_at_ladder(links, vecs):
+    """Reference ladder scatter by np.add.at, which sums in input order."""
+    target, (src, dst, sign) = links
+    out = np.zeros((target.size,) + vecs.shape[1:])
+    np.add.at(out, dst, sign.reshape((-1,) + (1,) * (vecs.ndim - 1)) * vecs[src])
+    return out
+
+
+def test_ladder_scatter_is_bit_identical_to_add_at():
+    # bit-reproducible runs need every ladder image summed in one fixed
+    # order, the table's: the bincount scatter must match np.add.at exactly
+    rng = np.random.default_rng(11)
+    for n_elec, n_orb in [(3, 4), (5, 6), (7, 8)]:
+        top = min(n_elec, 2 * n_orb - n_elec)
+        for ms2 in range(-top, top + 1, 2):
+            space = enumerate_cas(n_elec, n_orb, ms2)
+            for links in (_s_plus_links(space), _s_minus_links(space)):
+                if links is None:
+                    continue
+                for shape in [(space.size,), (space.size, 3)]:
+                    vecs = rng.standard_normal(shape)
+                    target, out = _ladder(links, vecs)
+                    assert out.shape == (target.size,) + shape[1:]
+                    assert np.array_equal(out, _add_at_ladder(links, vecs))
+
+
+@st.composite
+def top_blocks(draw):
+    """A top block M_S = S >= 0 of a CAS space with 2 to 5 orbitals."""
+    n_orb = draw(st.integers(2, 5))
+    n_elec = draw(st.integers(1, 2 * n_orb - 1))
+    top = min(n_elec, 2 * n_orb - n_elec)
+    return n_elec, n_orb, draw(st.sampled_from(range(top % 2, top + 1, 2)))
+
+
+@given(top_blocks(), st.integers(0, 2 ** 16))
+def test_spin_projector_is_the_spin_s_projector(block, seed):
+    n_elec, n_orb, ms2 = block
+    space = enumerate_cas(n_elec, n_orb, ms2)
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((2, space.size, 3))
+    px = project_spin(space, x)
+    assert np.max(np.abs(project_spin(space, px) - px)) < 1e-12     # P^2 = P
+    assert np.allclose(y.T @ px, project_spin(space, y).T @ x,
+                       rtol=0.0, atol=1e-12)                         # P = P^T
+    full = project_spin(space, np.eye(space.size))
+    top = min(n_elec, 2 * n_orb - n_elec)
+    if ms2 == top:
+        assert np.array_equal(full, np.eye(space.size))
+        return
+    # S+ P = 0, and P S- = 0 on the block above: P keeps spin S only
+    assert np.max(np.abs(apply_s_plus(space, px)[1])) < 1e-12
+    upper = enumerate_cas(n_elec, n_orb, ms2 + 2)
+    _, lowered = apply_s_minus(upper, rng.standard_normal((upper.size, 3)))
+    assert np.max(np.abs(project_spin(space, lowered))) < 1e-12
+    # the roots of spin S number dim(M_S = S) - dim(M_S = S + 1)
+    assert np.linalg.matrix_rank(full, tol=1e-8) == \
+        space.size - cas_dimension(n_elec, n_orb, ms2 + 2)
 
 
 def test_assemble_multiplets_doublet_and_quartet():
