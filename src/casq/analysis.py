@@ -2,19 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .casci import CiState
 from .detspace import CasSpace, excitation_links
-
-
-@dataclass(frozen=True)
-class RdmOne:
-    """Spin-traced one-particle density matrix (dimensionless)."""
-
-    matrix: np.ndarray
 
 
 def _link_densities(groups, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
@@ -79,7 +70,7 @@ def transition_density(space: CasSpace, bra: np.ndarray,
 
 
 def one_rdm(space: CasSpace, states: list[CiState] | list[np.ndarray],
-            weights) -> RdmOne:
+            weights) -> np.ndarray:
     """Weighted spin-traced one-particle density over states of one space."""
     weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-8:
@@ -97,12 +88,12 @@ def one_rdm(space: CasSpace, states: list[CiState] | list[np.ndarray],
     trace_err = abs(np.trace(dm) - space.n_elec)
     if trace_err > 1e-10:
         raise ValueError(f"density trace off by {trace_err:.3e}")
-    return RdmOne(matrix=dm)
+    return dm
 
 
-def natural_occupations(rdm: RdmOne | np.ndarray) -> np.ndarray:
+def natural_occupations(dm: np.ndarray) -> np.ndarray:
     """Eigenvalues of the one-particle density, descending, clipped to [0, 2]."""
-    dm = rdm.matrix if isinstance(rdm, RdmOne) else np.asarray(rdm)
+    dm = np.asarray(dm)
     if np.max(np.abs(dm - dm.T), initial=0.0) > 1e-10:
         raise ValueError("density matrix is not symmetric")
     occ = np.linalg.eigvalsh(dm)[::-1]

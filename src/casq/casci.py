@@ -35,12 +35,10 @@ from .spin import (apply_s_minus, multiplicity_label, s_squared,
 DENSE_CAP = 20_000
 
 # With an automatic guess_dim, solve_davidson hands blocks of at most this
-# many determinants to dense_solve, which caches their explicit H.  On one
-# BLAS thread, 6 roots of model integrals: dense build + eigh 22 / 35 /
-# 107 ms at 300 / 400 / 735 determinants, Davidson 43 / 41 / 74 ms, and a
-# cached H needs the eigh only (11 / 23 ms at 300 / 400), which a second
-# solve of the same block, such as the dense oracle's, reuses.  PySCF's
-# direct_spin1 also diagonalizes its P-space directly up to 400.
+# many determinants to dense_solve.  On one BLAS thread, 6 roots of model
+# integrals: dense build + eigh 22 / 35 / 107 ms at 300 / 400 / 735
+# determinants, Davidson 43 / 41 / 74 ms.  PySCF's direct_spin1 also
+# diagonalizes its P-space directly up to 400.
 SMALL_SPACE = 400
 
 # dense_hamiltonian classes the determinant pairs this many at a time; a
@@ -62,6 +60,10 @@ CHUNK_BYTES = 32 * 2**20
 # roots closer than this are treated as one degenerate group and rotated
 # to the S^2 eigenbasis for deterministic spin labels
 DEGENERACY_TOL = 1e-10
+
+
+class InvariantBreach(RuntimeError):
+    """A computed result failed an internal consistency check."""
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +432,6 @@ class CiState:
     def ms2(self) -> int:
         return self.space.ms2
 
-    @property
-    def spin(self) -> float:
-        return (self.multiplicity - 1) / 2.0
-
     def __repr__(self) -> str:
         return (f"CiState(E={self.energy:.10f}, mult={self.multiplicity}, "
                 f"ms2={self.ms2}, <S2>={self.s2_expect:.6f})")
@@ -476,27 +474,14 @@ def _finalize_states(space: CasSpace, energies: np.ndarray,
     return states
 
 
-@lru_cache(maxsize=4)
-def _small_hamiltonian(space: CasSpace, ints: IntegralSet) -> np.ndarray:
-    """dense_hamiltonian of a block of at most SMALL_SPACE determinants,
-    read-only, kept for a second solve of the same block."""
-    H = dense_hamiltonian(space, ints)
-    H.flags.writeable = False
-    return H
-
-
 def dense_solve(space: CasSpace, ints: IntegralSet, n_roots: int,
                 project=None) -> list[CiState]:
     """Brute-force eigensolver on the explicitly built H: its lowest
     n_roots eigenvectors, or, given a projector that commutes with H, the
-    lowest n_roots whose projected norm^2 exceeds 1/2.  The H of a block
-    of at most SMALL_SPACE determinants is cached; a larger one is rebuilt
-    on every call and freed with it."""
+    lowest n_roots whose projected norm^2 exceeds 1/2."""
     if not 1 <= n_roots <= space.size:
         raise ValueError(f"n_roots={n_roots} outside [1, {space.size}]")
-    H = (_small_hamiltonian(space, ints) if space.size <= SMALL_SPACE
-         else dense_hamiltonian(space, ints))
-    w, U = np.linalg.eigh(H)
+    w, U = np.linalg.eigh(dense_hamiltonian(space, ints))
     keep = list(islice((k for k, u in enumerate(U.T)     # lowest first
                         if project is None or u @ project(u) > 0.5), n_roots))
     if len(keep) < n_roots:
@@ -589,7 +574,7 @@ def assemble_multiplets(states: list[CiState],
             vec = vec / np.linalg.norm(vec)
             e = float(vec @ sigma(space, ints, vec))
             if abs(e - state.energy) > RAYLEIGH_TOL:
-                raise ValueError(
+                raise InvariantBreach(
                     f"Rayleigh quotient at ms2={ms2} deviates by "
                     f"{abs(e - state.energy):.3e} (> {RAYLEIGH_TOL:.0e}); "
                     f"degenerate roots may be mixed")

@@ -44,6 +44,9 @@ EXIT_INVARIANT = 3
 # of a degenerate group of k is their rotation to the S^2 eigenbasis (sqrt(k) tol)
 ORACLE_RESIDUAL_TOL = 1e-8
 
+# determinants below this weight (percent) are left out of the state table
+DECOMPOSITION_PERCENT = 1.0
+
 # read by the BLAS libraries when numpy loads; recorded in the manifest
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -231,12 +234,12 @@ def cmd_count(args, manifest: Manifest) -> int:
     return EXIT_OK
 
 
-def _state_rows(multiplets, threshold=1.0):
+def _state_rows(multiplets):
     rows = []
     e0 = min(m.energy for m in multiplets)
     for m in sorted(multiplets, key=lambda m: m.energy):
         top = m.component(m.two_s)
-        lines = decompose(top, threshold_percent=threshold)
+        lines = decompose(top, threshold_percent=DECOMPOSITION_PERCENT)
         rows.append({
             "multiplicity": m.multiplicity,
             "energy_hartree": m.energy,
@@ -274,7 +277,7 @@ def cmd_casci(args, manifest: Manifest) -> int:
                 manifest.warn(
                     f"davidson/dense mismatch {abs(a.energy - b.energy):.3e} "
                     f"Hartree")
-                raise InvariantBreach(
+                raise casci.InvariantBreach(
                     f"Davidson energy deviates from the dense oracle by "
                     f"{abs(a.energy - b.energy):.3e} Hartree")
         # a small block is solved densely on both sides, so the energies
@@ -282,7 +285,7 @@ def cmd_casci(args, manifest: Manifest) -> int:
         bound = max(ORACLE_RESIDUAL_TOL, 10 * config.davidson.tol)
         if residual > bound:
             manifest.warn(f"sigma residual {residual:.3e} Hartree")
-            raise InvariantBreach(
+            raise casci.InvariantBreach(
                 f"a top component's residual |sigma(x) - E x| is "
                 f"{residual:.3e} Hartree (> {bound:.0e})")
 
@@ -383,10 +386,6 @@ def cmd_spectrum(args, manifest: Manifest) -> int:
     _report(manifest.out_dir, "lines", "\n".join(table) + "\n", rows)
     (manifest.out_dir / "spectrum.csv").write_text(spectrum_csv(grid, curve))
     return EXIT_OK
-
-
-class InvariantBreach(RuntimeError):
-    pass
 
 
 def _out_from_argv(argv: list[str]) -> str | None:

@@ -15,6 +15,9 @@ import numpy as np
 # near-degenerate diagonals of almost-degenerate multiplet pairs.
 LEVEL_SHIFT = 1e-4
 
+# _orthonormalize drops a column when less than this share of its norm is left
+DROP_TOL = 1e-10
+
 
 @dataclass
 class DavidsonResult:
@@ -38,20 +41,20 @@ class DavidsonNotConverged(RuntimeError):
 
 
 def _orthonormalize(block: np.ndarray, against: np.ndarray,
-                    project=None, drop_tol: float = 1e-10) -> np.ndarray:
+                    project=None) -> np.ndarray:
     """Block Gram-Schmidt with reorthogonalization, after the projection
     `project` if given; drops dependent columns.
 
     Each of two rounds projects the block against the orthonormal basis
     `against` (two GEMMs), then runs modified Gram-Schmidt within it.  A
-    column is dependent when less than drop_tol of its norm before all
+    column is dependent when less than DROP_TOL of its norm before all
     projections is left (what `project` leaves of a column it removes is
     rounding error); it is zeroed at once.  The test is relative because
     correction vectors shrink with the residual: an absolute cut drops
     them near convergence and stalls the solver at residuals near 1e-9.
     """
     B = np.array(block.T, dtype=float, order="C")    # one row per column
-    cut = drop_tol * np.linalg.norm(B, axis=1)
+    cut = DROP_TOL * np.linalg.norm(B, axis=1)
     if project is not None:
         B = np.ascontiguousarray(project(B.T).T)
     for _ in range(2):

@@ -19,9 +19,6 @@ from math import comb
 
 import numpy as np
 
-SPIN_ALPHA = "alpha"
-SPIN_BETA = "beta"
-
 
 @dataclass(frozen=True)
 class Determinant:
@@ -38,9 +35,6 @@ class Determinant:
     @property
     def ms2(self) -> int:
         return self.alpha.bit_count() - self.beta.bit_count()
-
-    def alpha_list(self) -> tuple[int, ...]:
-        return occupied_orbitals(self.alpha)
 
     def conjugate(self) -> "Determinant":
         """Swap alpha and beta occupations (u <-> d on open shells)."""
@@ -164,25 +158,6 @@ def excitation_links(n_orb: int, k: int):
     return tuple(groups)
 
 
-class _DetSequence:
-    """Lazy ordered view of the determinants of a CasSpace."""
-
-    def __init__(self, space: "CasSpace"):
-        self._space = space
-
-    def __len__(self) -> int:
-        return self._space.size
-
-    def __getitem__(self, k: int) -> Determinant:
-        return self._space.determinant(k)
-
-    def __iter__(self):
-        space = self._space
-        for a in space.alpha_strings:
-            for b in space.beta_strings:
-                yield Determinant(a, b, space.n_orb)
-
-
 @dataclass(frozen=True, eq=False)
 class CasSpace:
     """Enumerated CAS(n_elec, n_orb) determinant basis at fixed M_S."""
@@ -204,10 +179,6 @@ class CasSpace:
     @property
     def size(self) -> int:
         return len(self.alpha_strings) * len(self.beta_strings)
-
-    @property
-    def dets(self) -> _DetSequence:
-        return _DetSequence(self)
 
     @property
     def alpha_index(self) -> dict[int, int]:
@@ -279,33 +250,3 @@ def enumerate_cas(n_elec: int, n_orb: int, ms2: int) -> CasSpace:
     n_a = (n_elec + ms2) // 2
     n_b = (n_elec - ms2) // 2
     return CasSpace(n_elec, n_orb, ms2, _strings(n_orb, n_a), _strings(n_orb, n_b))
-
-
-def excitation_degree(d1: Determinant, d2: Determinant) -> int:
-    """Number of orbital moves connecting two determinants."""
-    if d1.n_orb != d2.n_orb:
-        raise ValueError("determinants have different orbital counts")
-    return ((d1.alpha ^ d2.alpha).bit_count() + (d1.beta ^ d2.beta).bit_count()) // 2
-
-
-def connected_singles(det: Determinant):
-    """All single excitations of a determinant within its orbital window.
-
-    Returns a list of (Determinant, sign, from_orb, to_orb, spin) with the
-    sign set by the number of occupied same-spin orbitals between the two
-    positions.
-    """
-    out = []
-    full = (1 << det.n_orb) - 1
-    for spin, mask in ((SPIN_ALPHA, det.alpha), (SPIN_BETA, det.beta)):
-        occ = occupied_orbitals(mask)
-        virt = occupied_orbitals(full & ~mask)
-        for i in occ:
-            for a in virt:
-                new = (mask ^ (1 << i)) | (1 << a)
-                sign = single_excitation_sign(mask, i, a)
-                if spin == SPIN_ALPHA:
-                    out.append((Determinant(new, det.beta, det.n_orb), sign, i, a, spin))
-                else:
-                    out.append((Determinant(det.alpha, new, det.n_orb), sign, i, a, spin))
-    return out

@@ -46,11 +46,10 @@ _PAULI = (
 
 @dataclass(frozen=True)
 class GTensor:
-    """3x3 Zeeman coupling with unsigned principal values and axes."""
+    """3x3 Zeeman coupling with unsigned principal values."""
 
     matrix: np.ndarray
     principal: tuple[float, float, float]   # (g_x, g_y, g_z) by axis match
-    axes: np.ndarray                        # columns = principal directions
     method: str
 
     def __post_init__(self):
@@ -72,8 +71,7 @@ def _principal_from_g(g: np.ndarray, method: str) -> GTensor:
         if all(a >= 0 for a in assigned):
             break
     principal = tuple(float(vals[assigned[ax]]) for ax in range(3))
-    axes = vecs[:, assigned]
-    return GTensor(matrix=g, principal=principal, axes=axes, method=method)
+    return GTensor(matrix=g, principal=principal, method=method)
 
 
 def zeeman_basis_matrices(basis: SocStateBasis, multiplets: list[Multiplet],

@@ -283,11 +283,6 @@ def read_fcidump(text: str) -> FcidumpData:
     return FcidumpData(orbitals, IntegralSet(h, g2, core), n_elec, ms2)
 
 
-def parse_fcidump(text: str) -> tuple[OrbitalSpace, IntegralSet]:
-    data = read_fcidump(text)
-    return data.orbitals, data.integrals
-
-
 def write_fcidump(integrals: IntegralSet, n_elec: int = 0, ms2: int = 0) -> str:
     """Serialize at full precision; unique integrals only."""
     n = integrals.n_orb

@@ -1,4 +1,4 @@
-"""Transition dipoles, oscillator strengths and broadened absorption curves."""
+"""Oscillator strengths, stick spectra and broadened absorption curves."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import numpy as np
 
 from .analysis import transition_density
 from .casci import CiState
-from .detspace import CasSpace
 from .ingest import PropertyIntegrals
 from .units import FWHM_TO_SIGMA, HARTREE_TO_EV
 
@@ -33,22 +32,6 @@ class SpectrumLine:
             raise ValueError("oscillator strength must be non-negative")
 
 
-def transition_dipole(space: CasSpace, state0: CiState, state_n: CiState,
-                      prop: PropertyIntegrals) -> tuple[np.ndarray, bool]:
-    """<0|D|N> (atomic units) via the one-particle transition density.
-
-    Returns (mu, spin_forbidden); a multiplicity mismatch yields a zero
-    vector flagged spin-forbidden rather than an error.
-    """
-    if state0.space is not space or state_n.space is not space:
-        raise ValueError("both states must live in the given space")
-    if state0.multiplicity != state_n.multiplicity:
-        return np.zeros(3), True
-    dens = transition_density(space, state0.coeffs, state_n.coeffs)
-    mu = np.array([np.sum(prop.D[k] * dens) for k in range(3)])
-    return mu, False
-
-
 def oscillator_strength(delta_e_hartree: float, mu: np.ndarray) -> float:
     """f = (2/3) dE |mu|^2 in atomic units."""
     if delta_e_hartree < 0:
@@ -57,14 +40,13 @@ def oscillator_strength(delta_e_hartree: float, mu: np.ndarray) -> float:
     return (2.0 / 3.0) * float(delta_e_hartree) * float(mu @ mu)
 
 
-def transition_table(states: list[CiState], prop: PropertyIntegrals,
-                     labels: dict[int, str] | None = None) -> list[SpectrumLine]:
+def transition_table(states: list[CiState],
+                     prop: PropertyIntegrals) -> list[SpectrumLine]:
     """Stick spectrum from the first state to every higher one.
 
     Spin-forbidden transitions are listed with f = 0 rather than dropped.
-    User labels win; otherwise strong lines get a marked heuristic tag.
+    Strong lines get a marked heuristic tag.
     """
-    labels = labels or {}
     if not states:
         return []
     ground = states[0]
@@ -81,12 +63,11 @@ def transition_table(states: list[CiState], prop: PropertyIntegrals,
         forbidden = k not in allowed
         de = state.energy - ground.energy
         f = 0.0 if forbidden else oscillator_strength(de, mu[k])
-        label = labels.get(k, "")
-        if not label:
-            if forbidden:
-                label = "spin-forbidden"
-            elif f >= SORET_F_THRESHOLD:
-                label = "Soret-like (auto)"
+        label = ""
+        if forbidden:
+            label = "spin-forbidden"
+        elif f >= SORET_F_THRESHOLD:
+            label = "Soret-like (auto)"
         lines.append(SpectrumLine(delta_e_ev=de * HARTREE_TO_EV, f_osc=f,
                                   from_state=0, to_state=k, label=label,
                                   spin_forbidden=forbidden))

@@ -100,7 +100,8 @@ def space_projector(space: CasSpace) -> np.ndarray:
     """Rectangular map from Fock basis onto the CasSpace ordering."""
     dim = 1 << (2 * space.n_orb)
     P = np.zeros((space.size, dim))
-    for k, det in enumerate(space.dets):
+    for k in range(space.size):
+        det = space.determinant(k)
         P[k, fock_index(det.alpha, det.beta, space.n_orb)] = 1.0
     return P
 

@@ -15,7 +15,7 @@ from casq.detspace import cas_dimension, enumerate_cas
 from casq.driver import run_gtensor, solve_multiplets
 from casq.gtensor import format_gap_report, gap_report
 from casq.ingest import (DavidsonOptions, IntegralSet, RunConfig,
-                         parse_fcidump, set_chem, write_fcidump)
+                         read_fcidump, set_chem, write_fcidump)
 from casq.ligandfield import LigandFieldModel, build_ligand_field_model, preset_model
 from casq.units import EV_TO_HARTREE, G_E, HARTREE_TO_CM
 
@@ -245,7 +245,7 @@ def test_criterion_08_rdm_invariants(davidson_runs):
         solved.append((space, nr))
         states = solve_davidson(space, ints, nr, _davidson(space, nr))
         dm = one_rdm(space, states, np.full(len(states), 1.0 / len(states)))
-        assert abs(np.trace(dm.matrix) - n_elec) <= 1e-10
+        assert abs(np.trace(dm) - n_elec) <= 1e-10
         occ = natural_occupations(dm)
         assert np.all(occ >= 0.0) and np.all(occ <= 2.0)
         checked += 1
@@ -256,7 +256,7 @@ def test_criterion_08_rdm_invariants(davidson_runs):
         solved.append((space, nr))
         states = solve_davidson(space, ints, nr, _davidson(space, nr))
         dm = one_rdm(space, states, np.full(len(states), 1.0 / len(states)))
-        assert abs(np.trace(dm.matrix) - n_elec) <= 1e-10
+        assert abs(np.trace(dm) - n_elec) <= 1e-10
         occ = natural_occupations(dm)
         assert np.all(occ >= 0.0) and np.all(occ <= 2.0)
         checked += 1
@@ -341,7 +341,7 @@ def test_criterion_10_format_fidelity():
 
     ints = make_random_integrals(5, seed=5000)
     text = write_fcidump(ints, n_elec=5, ms2=1)
-    _, back = parse_fcidump(text)
+    back = read_fcidump(text).integrals
     assert np.array_equal(back.h, ints.h)
     assert np.array_equal(back.g2, ints.g2)
     assert back.core_energy == ints.core_energy

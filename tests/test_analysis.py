@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from casq.analysis import (
-    RdmOne,
     decompose,
     format_decomposition,
     natural_occupations,
@@ -108,7 +107,7 @@ def test_one_rdm_single_determinant():
     space = enumerate_cas(2, 2, 0)
     v = np.zeros(space.size)
     v[space.index(Determinant(0b01, 0b01, 2))] = 1.0
-    dm = one_rdm(space, [_state(space, v)], [1.0]).matrix
+    dm = one_rdm(space, [_state(space, v)], [1.0])
     assert np.allclose(dm, np.diag([2.0, 0.0]), atol=1e-12)
 
 
@@ -116,9 +115,9 @@ def test_one_rdm_trace_random_vectors():
     rng = np.random.default_rng(10)
     space = enumerate_cas(4, 4, 0)
     states = [_state(space, rng.standard_normal(space.size)) for _ in range(3)]
-    dm = one_rdm(space, states, [0.5, 0.3, 0.2]).matrix
+    dm = one_rdm(space, states, [0.5, 0.3, 0.2])
     assert abs(np.trace(dm) - space.n_elec) < 1e-10
-    occ = natural_occupations(RdmOne(dm))
+    occ = natural_occupations(dm)
     assert np.all(occ >= 0.0) and np.all(occ <= 2.0)
     assert abs(occ.sum() - space.n_elec) < 1e-10
 
@@ -135,14 +134,14 @@ def test_one_rdm_weight_validation():
 
 
 def test_natural_occupations_basic():
-    occ = natural_occupations(RdmOne(np.diag([2.0, 1.0, 0.0])))
+    occ = natural_occupations(np.diag([2.0, 1.0, 0.0]))
     assert np.allclose(occ, [2.0, 1.0, 0.0])
     with pytest.raises(ValueError, match="symmetric"):
         natural_occupations(np.array([[1.0, 0.1], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="outside"):
-        natural_occupations(RdmOne(np.diag([2.5, 0.0])))
+        natural_occupations(np.diag([2.5, 0.0]))
     # tiny eigenvalue overshoot from roundoff is clipped
-    occ = natural_occupations(RdmOne(np.diag([2.0 + 1e-12, -1e-13])))
+    occ = natural_occupations(np.diag([2.0 + 1e-12, -1e-13]))
     assert occ[0] == 2.0 and occ[1] == 0.0
 
 

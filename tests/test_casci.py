@@ -12,7 +12,6 @@ from casq.casci import (
     DavidsonNotConverged,
     _chunk_rows,
     _sigma_plan,
-    _small_hamiltonian,
     dense_hamiltonian,
     dense_solve,
     hamiltonian_diagonal,
@@ -20,7 +19,7 @@ from casq.casci import (
     sigma,
     solve_davidson,
 )
-from casq.detspace import Determinant, enumerate_cas
+from casq.detspace import Determinant, enumerate_cas, occupied_orbitals
 from casq.ingest import DavidsonOptions, IntegralSet
 from casq.spin import project_spin, s_squared
 
@@ -29,7 +28,7 @@ from conftest import make_model_integrals, make_random_integrals
 
 
 def element_matrix(space, ints):
-    dets = list(space.dets)
+    dets = [space.determinant(k) for k in range(space.size)]
     n = len(dets)
     H = np.empty((n, n))
     for i in range(n):
@@ -53,8 +52,9 @@ def test_element_one_electron_diagonal():
     # single electron in orbital p: h[p,p] + core, no two-electron part
     ints = make_random_integrals(3, 11)
     space = enumerate_cas(1, 3, 1)
-    for det in space.dets:
-        (p,) = det.alpha_list()
+    for k in range(space.size):
+        det = space.determinant(k)
+        (p,) = occupied_orbitals(det.alpha)
         val = hamiltonian_element(det, det, ints)
         assert val == pytest.approx(ints.h[p, p] + ints.core_energy, abs=1e-14)
 
@@ -190,7 +190,7 @@ def test_sigma_dense_and_slater_condon_agree(case):
     ints = make_random_integrals(n_orb, seed)
     space = enumerate_cas(n_elec, n_orb, ms2)
     H = dense_hamiltonian(space, ints)
-    dets = list(space.dets)
+    dets = [space.determinant(k) for k in range(space.size)]
     for i in rng.choice(space.size, min(3, space.size), replace=False):
         row = [hamiltonian_element(dets[i], d, ints) for d in dets]
         assert np.max(np.abs(H[i] - row)) < 1e-12
@@ -308,25 +308,6 @@ def test_explicit_guess_dim_below_block_runs_davidson(davidson_runs):
         states = solve_davidson(space, ints, 3, DavidsonOptions(guess_dim=guess_dim))
         assert davidson_runs == runs
         assert np.max(np.abs([s.energy for s in states] - ref)) < 1e-9
-
-
-def test_cached_hamiltonian_is_read_only_and_small():
-    _small_hamiltonian.cache_clear()
-    ints = make_random_integrals(7, 50)
-    big = enumerate_cas(4, 7, 0)             # 441 determinants
-    small = enumerate_cas(4, 7, 2)           # 245 determinants
-    assert small.size <= SMALL_SPACE < big.size
-    dense_solve(big, ints, 2)
-    assert _small_hamiltonian.cache_info().currsize == 0
-    for _ in range(2):
-        dense_solve(small, ints, 2)
-    info = _small_hamiltonian.cache_info()
-    assert (info.currsize, info.hits) == (1, 1)
-    H = _small_hamiltonian(small, ints)
-    assert not H.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        H[0, 0] = 0.0
-    assert np.array_equal(H, dense_hamiltonian(small, ints))
 
 
 def test_davidson_matches_dense_energies_and_vectors(davidson_runs):

@@ -140,6 +140,24 @@ def test_phase_inconsistency_exits_three(tmp_path, monkeypatch, capsys):
     assert "error (invariant breach)" in capsys.readouterr().err
 
 
+def test_rayleigh_drift_exits_three(tmp_path, monkeypatch, capsys):
+    # a sigma off by 1e-6 x moves the Rayleigh quotient of each laddered
+    # component away from its top component's energy
+    import casq.casci
+
+    sigma = casq.casci.sigma
+
+    def shifted(space, ints, vec, **kw):
+        return sigma(space, ints, vec, **kw) + 1e-6 * vec
+
+    monkeypatch.setattr(casq.casci, "sigma", shifted)
+    code, _, manifest = run_cli(["casci", "--lf", "d9-planar"], tmp_path)
+    assert code == 3 and manifest["exit_code"] == 3
+    assert manifest["error"]["type"] == "InvariantBreach"
+    assert "Rayleigh quotient" in manifest["error"]["message"]
+    assert "error (invariant breach)" in capsys.readouterr().err
+
+
 def test_oracle_rejected_by_spectrum(tmp_path, capsys):
     (tmp_path / "lines.txt").write_text("2.0 1.0\n")
     code, _, manifest = run_cli(

@@ -5,7 +5,7 @@ import pytest
 
 from casq.casci import dense_hamiltonian, dense_solve, solve_davidson
 from casq.davidson import DavidsonNotConverged, davidson_lowest
-from casq.detspace import enumerate_cas
+from casq.detspace import enumerate_cas, occupied_orbitals
 from casq.ingest import DavidsonOptions, IntegralSet
 from casq.spin import project_spin, s_squared
 
@@ -31,7 +31,7 @@ def test_diagonal_hamiltonian_through_solver():
     states = solve_davidson(space, ints, 1)
     assert states[0].energy == pytest.approx(1.0, abs=1e-12)
     k = int(np.argmax(np.abs(states[0].coeffs)))
-    assert states[0].space.determinant(k).alpha_list() == (1,)
+    assert occupied_orbitals(states[0].space.determinant(k).alpha) == (1,)
 
 
 def test_diagonally_dominant_block():

@@ -1,16 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from casq.detspace import (
     Determinant,
     cas_dimension,
-    connected_singles,
     enumerate_cas,
-    excitation_degree,
     excitation_links,
     occupation_matrix,
     occupied_orbitals,
     relative_sign,
+    single_excitation_sign,
 )
 
 from _oracles import annihilation_matrix, creation_matrix, fock_index, so_index
@@ -37,13 +38,15 @@ def test_enumerate_errors():
 def test_vacuum_space():
     space = enumerate_cas(0, 3, 0)
     assert space.size == 1
-    assert space.dets[0].alpha == 0 and space.dets[0].beta == 0
+    det = space.determinant(0)
+    assert det.alpha == 0 and det.beta == 0
 
 
 def test_index_bijection_exhaustive():
     for args in [(3, 4, 1), (4, 4, 0), (5, 5, 1), (6, 6, 0)]:
         space = enumerate_cas(*args)
-        for k, det in enumerate(space.dets):
+        for k in range(space.size):
+            det = space.determinant(k)
             assert space.index(det) == k
             assert det.n_elec == space.n_elec
             assert det.ms2 == space.ms2
@@ -68,37 +71,11 @@ def test_position_is_alpha_major():
     assert det.beta == space.beta_strings[1]
 
 
-def test_excitation_degree():
-    d1 = Determinant(0b00011, 0b00011, 5)
-    assert excitation_degree(d1, d1) == 0
-    d2 = Determinant(0b00101, 0b00011, 5)
-    assert excitation_degree(d1, d2) == 1
-    d3 = Determinant(0b00101, 0b00101, 5)
-    assert excitation_degree(d1, d3) == 2
-
-
 def test_to_string():
     det = Determinant(0b01011, 0b01101, 5)
     assert det.to_string() == "2 u d 2 0"
     closed = Determinant(0b11, 0b11, 2)
     assert closed.to_string() == "2 2"
-
-
-def test_connected_singles_simple_signs():
-    # one alpha electron: no intervening occupation, sign +1 everywhere
-    det = Determinant(0b00001, 0, 5)
-    moves = {(i, a): s for _, s, i, a, _ in connected_singles(det)}
-    assert moves[(0, 1)] == 1
-    # alpha = 11000 pattern (orbitals 0,1 occupied): 0 -> 2 hops over orbital 1
-    det = Determinant(0b00011, 0, 5)
-    moves = {(i, a): s for _, s, i, a, spin in connected_singles(det) if spin == "alpha"}
-    assert moves[(0, 2)] == -1
-    assert moves[(1, 2)] == 1
-
-
-def test_connected_singles_closed_shell_empty():
-    det = Determinant(0b11, 0b11, 2)
-    assert connected_singles(det) == []
 
 
 def test_single_signs_against_fock_oracle():
@@ -109,13 +86,20 @@ def test_single_signs_against_fock_oracle():
         n_so = 2 * n_orb
         cre = [creation_matrix(n_so, k) for k in range(n_so)]
         ann = [annihilation_matrix(n_so, k) for k in range(n_so)]
-        for det in space.dets:
+        for k in range(space.size):
+            det = space.determinant(k)
             src = fock_index(det.alpha, det.beta, n_orb)
-            for new, sign, i, a, spin in connected_singles(det):
-                dst = fock_index(new.alpha, new.beta, n_orb)
-                op = cre[so_index(a, spin, n_orb)] @ ann[so_index(i, spin, n_orb)]
-                assert op[dst, src] == pytest.approx(sign)
-                assert sign in (-1, 1)
+            for spin in ("alpha", "beta"):
+                mask = getattr(det, spin)
+                virt = occupied_orbitals(~mask & ((1 << n_orb) - 1))
+                for i in occupied_orbitals(mask):
+                    for a in virt:
+                        new = replace(det, **{spin: (mask ^ (1 << i)) | (1 << a)})
+                        dst = fock_index(new.alpha, new.beta, n_orb)
+                        sign = single_excitation_sign(mask, i, a)
+                        op = cre[so_index(a, spin, n_orb)] @ ann[so_index(i, spin, n_orb)]
+                        assert op[dst, src] == pytest.approx(sign)
+                        assert sign in (-1, 1)
 
 
 @pytest.mark.parametrize("n_orb", range(1, 7))
@@ -174,7 +158,8 @@ def test_index_bijection_large_space():
     space = enumerate_cas(17, 12, 1)
     assert space.size == 108_900
     nb = len(space.beta_strings)
-    for k, det in enumerate(space.dets):
+    for k in range(space.size):
+        det = space.determinant(k)
         ia = space.alpha_index[det.alpha]
         ib = space.beta_index[det.beta]
         assert ia * nb + ib == k

@@ -10,7 +10,6 @@ from casq.ingest import (
     PropertyIntegrals,
     RunConfig,
     SpectrumOptions,
-    parse_fcidump,
     parse_property_integrals,
     parse_run_config,
     read_fcidump,
@@ -29,7 +28,8 @@ def test_parse_fcidump_basic():
 -1.25 1 1 0 0
 0.75 0 0 0 0
 """
-    orbs, ints = parse_fcidump(text)
+    data = read_fcidump(text)
+    orbs, ints = data.orbitals, data.integrals
     assert orbs.n_orb == 2
     assert ints.g2[0, 0, 0, 0] == 0.5
     assert ints.h[0, 0] == -1.25
@@ -39,7 +39,7 @@ def test_parse_fcidump_basic():
 
 def test_parse_fcidump_symmetry_images():
     text = "&FCI NORB=3,NELEC=2,MS2=0/\n0.7 2 1 3 1\n0.0 0 0 0 0\n"
-    _, ints = parse_fcidump(text)
+    ints = read_fcidump(text).integrals
     val = 0.7
     for idx in ((1, 0, 2, 0), (0, 1, 2, 0), (1, 0, 0, 2), (0, 1, 0, 2),
                 (2, 0, 1, 0), (0, 2, 1, 0), (2, 0, 0, 1), (0, 2, 0, 1)):
@@ -48,7 +48,7 @@ def test_parse_fcidump_symmetry_images():
 
 def test_parse_fcidump_unicode_minus():
     text = "&FCI NORB=1,NELEC=1,MS2=1/\n−1.25 1 1 0 0\n0.0 0 0 0 0\n"
-    _, ints = parse_fcidump(text)
+    ints = read_fcidump(text).integrals
     assert ints.h[0, 0] == -1.25
 
 
@@ -61,21 +61,21 @@ def test_parse_fcidump_header_defaults():
 
 def test_parse_fcidump_errors():
     with pytest.raises(ParseError, match="header"):
-        parse_fcidump("1.0 1 1 0 0\n")
+        read_fcidump("1.0 1 1 0 0\n")
     with pytest.raises(ParseError, match="NORB"):
-        parse_fcidump("&FCI NELEC=2/\n")
+        read_fcidump("&FCI NELEC=2/\n")
     with pytest.raises(ParseError, match="line 2.*index 6"):
-        parse_fcidump("&FCI NORB=5/\n0.7 6 1 1 1\n")
+        read_fcidump("&FCI NORB=5/\n0.7 6 1 1 1\n")
     with pytest.raises(ParseError, match="line 3"):
-        parse_fcidump("&FCI NORB=2/\n0.5 1 1 1 1\nnot a line\n")
+        read_fcidump("&FCI NORB=2/\n0.5 1 1 1 1\nnot a line\n")
     with pytest.raises(ParseError, match="line 2"):
-        parse_fcidump("&FCI NORB=2/\n0.5 1 0 1 1\n")
+        read_fcidump("&FCI NORB=2/\n0.5 1 0 1 1\n")
 
 
 def test_fcidump_roundtrip_bit_exact():
     ints = make_random_integrals(4, 77, core=0.123456789012345678)
     text = write_fcidump(ints, n_elec=4, ms2=0)
-    orbs, back = parse_fcidump(text)
+    back = read_fcidump(text).integrals
     assert np.array_equal(back.h, ints.h)
     assert np.array_equal(back.g2, ints.g2)
     assert back.core_energy == ints.core_energy

@@ -11,7 +11,6 @@ from casq.spectra import (
     energy_grid,
     oscillator_strength,
     spectrum_csv,
-    transition_dipole,
     transition_table,
 )
 from casq.units import HARTREE_TO_EV
@@ -31,27 +30,33 @@ def test_transition_dipole_zero_operator():
     ints = make_random_integrals(3, 91)
     space = enumerate_cas(3, 3, 1)
     states = dense_solve(space, ints, 2)
-    mu, forbidden = transition_dipole(space, states[0], states[1],
-                                      zero_properties(3))
-    assert np.allclose(mu, 0.0) and not forbidden
+    (line,) = transition_table(states, zero_properties(3))
+    assert line.f_osc == 0.0 and not line.spin_forbidden
 
 
 def test_transition_dipole_matches_fock_oracle():
+    # f = 2/3 dE |<0|D|k>|^2 with the dipole taken in the Fock space
     ints = make_random_integrals(3, 92)
     prop = _prop_with_dipoles(3, 93)
     space = enumerate_cas(3, 3, 1)
     states = [s for s in dense_solve(space, ints, 4) if s.multiplicity == 2]
-    s0, s1 = states[0], states[1]
-    mu, forbidden = transition_dipole(space, s0, s1, prop)
-    assert not forbidden
+    lines = transition_table(states, prop)
+    assert len(lines) == len(states) - 1 >= 1
     P = space_projector(space)
     n = space.n_orb
+    ops = []
     for k in range(3):
         coeff = np.zeros((2 * n, 2 * n))
         coeff[:n, :n] = prop.D[k]
         coeff[n:, n:] = prop.D[k]
-        op = P @ fock_one_electron(coeff, n).real @ P.T
-        assert mu[k] == pytest.approx(s0.coeffs @ op @ s1.coeffs, abs=1e-12)
+        ops.append(P @ fock_one_electron(coeff, n).real @ P.T)
+    s0 = states[0]
+    for line in lines:
+        sk = states[line.to_state]
+        mu = np.array([s0.coeffs @ op @ sk.coeffs for op in ops])
+        assert not line.spin_forbidden
+        assert line.f_osc == pytest.approx(
+            2.0 / 3.0 * (sk.energy - s0.energy) * (mu @ mu), rel=1e-10, abs=1e-14)
 
 
 def test_transition_dipole_spin_forbidden():
@@ -61,8 +66,8 @@ def test_transition_dipole_spin_forbidden():
     states = dense_solve(space, ints, 8)
     doublet = next(s for s in states if s.multiplicity == 2)
     quartet = next(s for s in states if s.multiplicity == 4)
-    mu, forbidden = transition_dipole(space, doublet, quartet, prop)
-    assert forbidden and np.all(mu == 0.0)
+    (line,) = transition_table([doublet, quartet], prop)
+    assert line.spin_forbidden and line.f_osc == 0.0
 
 
 def test_oscillator_strength_values():
@@ -112,13 +117,11 @@ def test_transition_table_flags_and_labels():
     prop = _prop_with_dipoles(3, 100)
     space = enumerate_cas(3, 3, 1)
     states = dense_solve(space, ints, 8)
-    lines = transition_table(states, prop, labels={1: "Q"})
-    assert lines[0].label == "Q"
+    lines = transition_table(states, prop)
     forbidden = [ln for ln in lines if ln.spin_forbidden]
     assert forbidden and all(ln.f_osc == 0.0 for ln in forbidden)
-    assert all(ln.label == "spin-forbidden" for ln in forbidden
-               if ln.to_state != 1)
-    strong = [ln for ln in lines if ln.f_osc >= 0.5 and ln.to_state != 1]
+    assert all(ln.label == "spin-forbidden" for ln in forbidden)
+    strong = [ln for ln in lines if ln.f_osc >= 0.5]
     assert all(ln.label == "Soret-like (auto)" for ln in strong)
 
 
