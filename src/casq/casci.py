@@ -18,7 +18,7 @@ They are cross-checked in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 from math import isqrt
 
@@ -29,8 +29,7 @@ from .detspace import (CasSpace, Determinant, enumerate_cas,  # noqa: F401
                        excitation_links, occupation_matrix, occupied_orbitals,
                        relative_sign, single_excitation_sign)
 from .ingest import DavidsonOptions, IntegralSet
-from .spin import (apply_s_minus, multiplicity_label, s_squared,
-                   s_squared_matrix)
+from .spin import apply_s_minus, project_spin, s_squared, s_squared_matrix
 
 DENSE_CAP = 20_000
 
@@ -57,9 +56,9 @@ RAYLEIGH_TOL = 1e-8
 # 0.10-0.13 s in 33 MB chunks).
 CHUNK_BYTES = 32 * 2**20
 
-# roots closer than this are treated as one degenerate group and rotated
-# to the S^2 eigenbasis for deterministic spin labels
-DEGENERACY_TOL = 1e-10
+# largest |<S^2> - S(S+1)| of a root solved within the range of the spin-S
+# projector: a larger one means the projection failed
+SPIN_TOL = 1e-8
 
 
 class InvariantBreach(RuntimeError):
@@ -444,69 +443,63 @@ def _sign_fix(vec: np.ndarray) -> np.ndarray:
 
 def _finalize_states(space: CasSpace, energies: np.ndarray,
                      vectors: np.ndarray) -> list[CiState]:
-    """Rotate degenerate groups to the S^2 eigenbasis and label spins."""
-    energies = np.asarray(energies, dtype=float)
-    vectors = np.asarray(vectors, dtype=float)
-    k = energies.shape[0]
-    states: list[CiState] = []
-    i = 0
-    while i < k:
-        j = i + 1
-        while j < k and energies[j] - energies[j - 1] <= DEGENERACY_TOL:
-            j += 1
-        block = vectors[:, i:j]
-        evals = energies[i:j]
-        if j - i > 1:
-            s2m = s_squared_matrix(space, block)
-            _, rot = np.linalg.eigh((s2m + s2m.T) / 2.0)
-            block = block @ rot
-            evals = np.einsum("ik,i,ik->k", rot, evals, rot)
-        for c in range(block.shape[1]):
-            v = _sign_fix(block[:, c])
-            v = v / np.linalg.norm(v)
-            s2 = s_squared(space, v)
-            states.append(CiState(
-                energy=float(evals[c]), coeffs=v, space=space,
-                s2_expect=float(s2),
-                multiplicity=multiplicity_label(s2, space.ms2, space.n_elec)))
-        i = j
-    states.sort(key=lambda st: st.energy)
-    return states
+    """Sign-fix and normalize roots of spin S = M_S, checking their <S^2>."""
+    vectors = np.stack([_sign_fix(v) / np.linalg.norm(v)
+                        for v in np.asarray(vectors, dtype=float).T], axis=1)
+    s2 = np.diag(s_squared_matrix(space, vectors))
+    exact = space.ms2 * (space.ms2 + 2) / 4.0
+    worst = float(np.max(np.abs(s2 - exact)))
+    if worst > SPIN_TOL:
+        raise InvariantBreach(
+            f"a root solved at ms2={space.ms2} has <S^2> off S(S+1) = "
+            f"{exact} by {worst:.3e} (> {SPIN_TOL:.0e})")
+    return [CiState(energy=float(e), coeffs=v, space=space, s2_expect=float(x),
+                    multiplicity=space.ms2 + 1)
+            for e, v, x in zip(energies, vectors.T, s2)]
 
 
-def dense_solve(space: CasSpace, ints: IntegralSet, n_roots: int,
-                project=None) -> list[CiState]:
-    """Brute-force eigensolver on the explicitly built H: its lowest
-    n_roots eigenvectors, or, given a projector that commutes with H, the
-    lowest n_roots whose projected norm^2 exceeds 1/2."""
+def _spin_projector(space: CasSpace):
+    """Löwdin's projector onto spin S = M_S of a top block."""
+    if space.ms2 < 0:
+        raise ValueError(f"ms2={space.ms2} < 0: the roots of spin S = M_S "
+                         f"are solved in the top block ms2 >= 0")
+    return partial(project_spin, space)
+
+
+def dense_solve(space: CasSpace, ints: IntegralSet,
+                n_roots: int) -> list[CiState]:
+    """Brute-force eigensolver on the explicitly built H: the lowest
+    n_roots eigenvectors of spin S = M_S, those whose norm^2 within the
+    range of the spin-S projector exceeds 1/2."""
+    project = _spin_projector(space)
     if not 1 <= n_roots <= space.size:
         raise ValueError(f"n_roots={n_roots} outside [1, {space.size}]")
     w, U = np.linalg.eigh(dense_hamiltonian(space, ints))
     keep = list(islice((k for k, u in enumerate(U.T)     # lowest first
-                        if project is None or u @ project(u) > 0.5), n_roots))
+                        if u @ project(u) > 0.5), n_roots))
     if len(keep) < n_roots:
         raise ValueError(f"only {len(keep)} roots lie in the projected range")
     return _finalize_states(space, w[keep], U[:, keep])
 
 
 def solve_davidson(space: CasSpace, ints: IntegralSet, n_roots: int,
-                   options: DavidsonOptions | None = None,
-                   project=None) -> list[CiState]:
-    """Lowest CI roots by block Davidson with a deterministic guess,
-    within the range of the projector `project` when one is given.
+                   options: DavidsonOptions | None = None) -> list[CiState]:
+    """Lowest CI roots of spin S = M_S by block Davidson within the range
+    of the spin-S projector, from a deterministic guess.
 
     A block goes to dense_solve instead when it has no more determinants
     than guess_dim (when guess_dim is 0, automatic: SMALL_SPACE = 400 or
     2 n_roots, whichever is larger).  Otherwise the guess diagonalizes H
     over the guess_dim determinants of lowest diagonal energy.
     """
+    project = _spin_projector(space)
     options = options or DavidsonOptions()
     N = space.size
     if not 1 <= n_roots <= N:
         raise ValueError(f"n_roots={n_roots} outside [1, {N}]")
     # a guess block that would cover the whole block is the dense solve
     if N <= (options.guess_dim or max(SMALL_SPACE, 2 * n_roots)):
-        return dense_solve(space, ints, n_roots, project)
+        return dense_solve(space, ints, n_roots)
     diag = hamiltonian_diagonal(space, ints).ravel()
     gd = max(options.guess_dim or max(32, 2 * n_roots), n_roots)
     sel = np.argsort(diag, kind="stable")[:gd]

@@ -40,8 +40,8 @@ EXIT_NOCONV = 2
 EXIT_INVARIANT = 3
 
 # --oracle dense: largest sigma residual of a reported root (Hartree), or
-# 10 Davidson tol when larger: each Ritz residual is below tol, and a root
-# of a degenerate group of k is their rotation to the S^2 eigenbasis (sqrt(k) tol)
+# 10 Davidson tol when larger: each Ritz residual is below tol, and the
+# residual recomputed from the renormalized root keeps a margin above it
 ORACLE_RESIDUAL_TOL = 1e-8
 
 # determinants below this weight (percent) are left out of the state table

@@ -42,11 +42,15 @@ class DavidsonNotConverged(RuntimeError):
 
 def _orthonormalize(block: np.ndarray, against: np.ndarray,
                     project=None) -> np.ndarray:
-    """Block Gram-Schmidt with reorthogonalization, after the projection
-    `project` if given; drops dependent columns.
+    """Block Gram-Schmidt with reorthogonalization, within the range of the
+    projector `project` if given; drops dependent columns.
 
-    Each of two rounds projects the block against the orthonormal basis
-    `against` (two GEMMs), then runs modified Gram-Schmidt within it.  A
+    Each of two rounds applies `project`, projects the block against the
+    orthonormal basis `against` (two GEMMs), then runs modified
+    Gram-Schmidt within it.  Projecting in both rounds matters: a column
+    that keeps only a small share of its norm is rescaled by the first
+    round, and with it the projector's rounding error outside its range,
+    which the second projection removes again.  A
     column is dependent when less than DROP_TOL of its norm before all
     projections is left (what `project` leaves of a column it removes is
     rounding error); it is zeroed at once.  The test is relative because
@@ -55,9 +59,9 @@ def _orthonormalize(block: np.ndarray, against: np.ndarray,
     """
     B = np.array(block.T, dtype=float, order="C")    # one row per column
     cut = DROP_TOL * np.linalg.norm(B, axis=1)
-    if project is not None:
-        B = np.ascontiguousarray(project(B.T).T)
     for _ in range(2):
+        if project is not None:
+            B = np.ascontiguousarray(project(B.T).T)
         B -= (B @ against) @ against.T
         for j, v in enumerate(B):
             for u in B[:j]:

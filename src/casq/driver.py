@@ -8,7 +8,6 @@ its top block M_S = S within the range of Löwdin's spin-S projector
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from .detspace import cas_dimension
 from .gtensor import GapReport, GTensor, g_tensor_eha, g_tensor_sos, gap_report
 from .ingest import IntegralSet, PropertyIntegrals, RunConfig
 from .soc import SocStateBasis, SoEigenstates, diagonal_energies, qdpt, soc_basis, soc_matrix
-from .spin import project_spin
 
 
 def solve_multiplicity(ints: IntegralSet, config: RunConfig, mult: int,
@@ -38,11 +36,10 @@ def solve_multiplicity(ints: IntegralSet, config: RunConfig, mult: int,
                          f"exist in CAS{config.cas} (requested {count})")
     if not count:
         return []
-    project = partial(project_spin, space)
     if method == "dense":
-        return dense_solve(space, ints, count, project)
+        return dense_solve(space, ints, count)
     if method == "davidson":
-        return solve_davidson(space, ints, count, config.davidson, project)
+        return solve_davidson(space, ints, count, config.davidson)
     raise ValueError(f"unknown solver method {method!r}")
 
 

@@ -192,14 +192,11 @@ class RunConfig:
             if mult < 1 or (mult - 1) > n_elec or (n_elec - (mult - 1)) % 2:
                 raise ValueError(
                     f"multiplicity {mult} impossible for {n_elec} electrons")
-        total = self.total_roots
-        if self.davidson.guess_dim and self.davidson.guess_dim < total:
-            raise ValueError(
-                f"guess_dim={self.davidson.guess_dim} < total roots {total}")
-
-    @property
-    def total_roots(self) -> int:
-        return sum(self.roots_per_multiplicity.values())
+        # each multiplicity is solved on its own
+        most = max(self.roots_per_multiplicity.values(), default=0)
+        if self.davidson.guess_dim and self.davidson.guess_dim < most:
+            raise ValueError(f"guess_dim={self.davidson.guess_dim} < {most} "
+                             f"roots of one multiplicity")
 
 
 # ---------------------------------------------------------------------------

@@ -154,18 +154,6 @@ def project_spin(space: CasSpace, vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def multiplicity_label(s2: float, ms2: int, n_elec: int) -> int:
-    """Nearest valid 2S+1 for an <S^2> value, honoring parity and |M_S|."""
-    s_cont = 0.5 * (-1.0 + np.sqrt(max(0.0, 1.0 + 4.0 * s2)))
-    two_s = round(2.0 * s_cont)
-    if (two_s - n_elec) % 2:
-        lower, upper = two_s - 1, two_s + 1
-        two_s = lower if abs(lower / 2 * (lower / 2 + 1) - s2) <= \
-            abs(upper / 2 * (upper / 2 + 1) - s2) else upper
-    two_s = max(two_s, abs(ms2))
-    return int(two_s + 1)
-
-
 @lru_cache(maxsize=None)
 def flip_lower_links(space: CasSpace):
     """Orbital-resolved spin-flip table a+_pb a_qa: ms2 -> ms2-2.

@@ -65,6 +65,30 @@ def kramers_split_d5_model():
                             zeta=699.9149704319854, n_elec=5)
 
 
+def spin_purity_field(n_elec: int):
+    """The d^n ligand field of acceptance criterion 2: seeded, zeta = 0 and
+    Racah B = 0.1, so that higher-spin roots lie among the lowest."""
+    from casq.ligandfield import LigandFieldModel
+
+    rng = np.random.default_rng(7)
+    for _ in range(n_elec):
+        a = rng.standard_normal((5, 5)) * 0.3
+    return LigandFieldModel(v_lf=(a + a.T) / 2.0, racah_b=0.1, racah_c=0.4,
+                            zeta=0.0, n_elec=n_elec)
+
+
+def spin_filtered_energies(ints, space, mult: int, count: int | None = None):
+    """The lowest `count` energies of multiplicity mult in `space` (all of
+    them by default), from one full eigh of its H filtered by <S^2>."""
+    from casq.casci import dense_hamiltonian
+    from casq.spin import s_squared
+
+    w, U = np.linalg.eigh(dense_hamiltonian(space, ints))
+    s2 = np.array([s_squared(space, u) for u in U.T])
+    labels = np.rint(np.sqrt(1.0 + 4.0 * s2)).astype(int)    # 2S+1
+    return w[labels == mult][:count]
+
+
 def _symmetrize_8fold(g: np.ndarray) -> np.ndarray:
     from casq.ingest import symmetrize_8fold
 

@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -19,12 +17,11 @@ from casq.casci import (
     sigma,
     solve_davidson,
 )
-from casq.detspace import Determinant, enumerate_cas, occupied_orbitals
+from casq.detspace import Determinant, cas_dimension, enumerate_cas, occupied_orbitals
 from casq.ingest import DavidsonOptions, IntegralSet
-from casq.spin import project_spin, s_squared
 
 from _oracles import fock_block, fock_hamiltonian
-from conftest import make_model_integrals, make_random_integrals
+from conftest import make_model_integrals, make_random_integrals, spin_filtered_energies
 
 
 def element_matrix(space, ints):
@@ -258,28 +255,22 @@ def _count_sigma(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("projected", [False, True])
-def test_small_block_skips_davidson_and_sigma(projected, davidson_runs,
-                                              monkeypatch):
+def test_small_block_skips_davidson_and_sigma(davidson_runs, monkeypatch):
     ints = make_random_integrals(6, 47)
     space = enumerate_cas(6, 6, 0)
     assert space.size == SMALL_SPACE
-    w, U = np.linalg.eigh(dense_hamiltonian(space, ints))
-    if projected:   # the lowest singlets of one full eigh
-        w = w[[abs(s_squared(space, u)) < 1e-8 for u in U.T]]
+    ref = spin_filtered_energies(ints, space, 1, 5)
     sigmas = _count_sigma(monkeypatch)
-    states = solve_davidson(space, ints, 5, None,
-                            partial(project_spin, space) if projected else None)
+    states = solve_davidson(space, ints, 5)
     assert davidson_runs == [] and sigmas == []
-    assert np.max(np.abs([s.energy for s in states] - w[:5])) < 1e-10
-    if projected:
-        assert all(s.multiplicity == 1 for s in states)
+    assert np.max(np.abs([s.energy for s in states] - ref)) < 1e-10
+    assert all(s.multiplicity == 1 for s in states)
 
 
 def test_block_one_above_small_space_runs_davidson(davidson_runs, monkeypatch):
     ints = make_random_integrals(5, 48)
     space = enumerate_cas(4, 5, 0)           # 100 determinants
-    ref = np.linalg.eigvalsh(dense_hamiltonian(space, ints))[:3]
+    ref = spin_filtered_energies(ints, space, 1, 3)
     for small, runs in ((space.size, []), (space.size - 1, [space.size])):
         monkeypatch.setattr(casci, "SMALL_SPACE", small)
         states = solve_davidson(space, ints, 3)
@@ -292,9 +283,10 @@ def test_auto_guess_covering_the_block_solves_densely(davidson_runs,
     # above SMALL_SPACE, an automatic guess of 2 n_roots determinants that
     # covers the block means the dense solve, not Davidson on an exact guess
     ints = make_random_integrals(5, 50)
-    space = enumerate_cas(4, 5, 0)           # 100 determinants
+    space = enumerate_cas(4, 5, 0)           # 100 determinants, 50 singlets
     monkeypatch.setattr(casci, "SMALL_SPACE", 10)
-    ref = np.linalg.eigvalsh(dense_hamiltonian(space, ints))[:50]
+    ref = spin_filtered_energies(ints, space, 1)
+    assert ref.size == 50
     states = solve_davidson(space, ints, 50)
     assert davidson_runs == []
     assert np.max(np.abs([s.energy for s in states] - ref)) < 1e-10
@@ -303,7 +295,7 @@ def test_auto_guess_covering_the_block_solves_densely(davidson_runs,
 def test_explicit_guess_dim_below_block_runs_davidson(davidson_runs):
     ints = make_random_integrals(5, 49)
     space = enumerate_cas(4, 5, 0)           # 100 determinants
-    ref = np.linalg.eigvalsh(dense_hamiltonian(space, ints))[:3]
+    ref = spin_filtered_energies(ints, space, 1, 3)
     for guess_dim, runs in ((space.size, []), (space.size - 1, [space.size])):
         states = solve_davidson(space, ints, 3, DavidsonOptions(guess_dim=guess_dim))
         assert davidson_runs == runs
@@ -333,11 +325,13 @@ def test_davidson_matches_dense_energies_and_vectors(davidson_runs):
 def test_davidson_full_space_roots():
     ints = make_random_integrals(5, 42)
     space = enumerate_cas(2, 5, 0)  # C(5,1)^2 = 25 determinants
-    n = space.size
+    # every root of the block's spin: 15 singlets beside 10 triplet components
+    n = space.size - cas_dimension(2, 5, 2)
     dav = solve_davidson(space, ints, n)
-    H = dense_hamiltonian(space, ints)
-    w = np.linalg.eigvalsh(H)
-    assert np.allclose([s.energy for s in dav], w, atol=1e-9)
+    assert np.allclose([s.energy for s in dav],
+                       spin_filtered_energies(ints, space, 1), atol=1e-9)
+    with pytest.raises(ValueError, match="only 15 roots"):
+        solve_davidson(space, ints, n + 1)
 
 
 def test_davidson_ten_det_full_spectrum():

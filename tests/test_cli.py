@@ -7,7 +7,7 @@ from casq.ingest import write_fcidump
 from casq.ligandfield import build_ligand_field_model
 from casq.spectra import SpectrumLine, broaden
 
-from conftest import kramers_split_d5_model, make_random_integrals
+from conftest import kramers_split_d5_model, make_random_integrals, spin_purity_field
 
 
 def run_cli(args, tmp_path, out_name="out"):
@@ -88,8 +88,8 @@ def test_oracle_catches_a_dense_solve_error(tmp_path, monkeypatch, capsys):
 
     solve = casq.casci.dense_solve
 
-    def perturbed(space, ints, n_roots, project=None):
-        states = solve(space, ints, n_roots, project)
+    def perturbed(space, ints, n_roots):
+        states = solve(space, ints, n_roots)
         v = states[0].coeffs + 1e-5 / np.sqrt(space.size)
         states[0].coeffs = v / np.linalg.norm(v)
         return states
@@ -118,6 +118,26 @@ def test_oracle_accepts_a_loose_davidson_tol(tmp_path, davidson_runs):
          "--config", str(tmp_path / "m.cfg"), "--oracle", "dense"], tmp_path)
     assert code == 0, manifest.get("error")
     assert 300 in davidson_runs and 90 in davidson_runs
+
+
+def test_spin_impure_roots_exit_three(tmp_path, monkeypatch, capsys):
+    # quartets lie among the lowest roots of this d7 doublet block: solved
+    # without the spin projector, the roots fail the <S^2> check
+    import casq.casci
+
+    monkeypatch.setattr(casq.casci, "project_spin",
+                        lambda space, vecs: np.array(vecs, dtype=float))
+    _, ints, _, _ = build_ligand_field_model(spin_purity_field(7))
+    (tmp_path / "d7.fcidump").write_text(write_fcidump(ints, 7, 1))
+    (tmp_path / "d7.cfg").write_text("cas_nelec=7\ncas_norb=5\nroots_mult_2=5\n")
+    code, _, manifest = run_cli(
+        ["casci", "--fcidump", str(tmp_path / "d7.fcidump"),
+         "--config", str(tmp_path / "d7.cfg")], tmp_path)
+    assert code == 3 and manifest["exit_code"] == 3
+    assert manifest["status"] == "failed"
+    assert manifest["error"]["type"] == "InvariantBreach"
+    assert "<S^2>" in manifest["error"]["message"]
+    assert "error (invariant breach)" in capsys.readouterr().err
 
 
 def test_phase_inconsistency_exits_three(tmp_path, monkeypatch, capsys):

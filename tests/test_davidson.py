@@ -9,7 +9,7 @@ from casq.detspace import enumerate_cas, occupied_orbitals
 from casq.ingest import DavidsonOptions, IntegralSet
 from casq.spin import project_spin, s_squared
 
-from conftest import make_random_integrals
+from conftest import make_random_integrals, spin_filtered_energies
 
 
 def test_diagonal_matrix_lowest_root():
@@ -68,29 +68,21 @@ def test_root_count_bounds():
         davidson_lowest(lambda b: H @ b, np.diag(H), 5, np.eye(4))
 
 
-def _doublet_energies(space, H):
-    """Eigenvalues of H whose eigenvectors are doublets, lowest first."""
-    w, U = np.linalg.eigh(H)
-    return w[[abs(s_squared(space, u) - 0.75) < 1e-8 for u in U.T]]
-
-
 def test_projected_cas_block_matches_spin_filtered_eigh():
     # CAS(3,4) M_S = 1/2 holds 24 determinants: 20 doublets and 4 quartet
     # components, some of them below the doublets asked for; Davidson
     # (guess_dim 16 < 24) and the dense solver alike return the doublets
     ints = make_random_integrals(4, 61)
     space = enumerate_cas(3, 4, 1)
-    ref = _doublet_energies(space, dense_hamiltonian(space, ints))
-    project = partial(project_spin, space)
+    ref = spin_filtered_energies(ints, space, 2)
     k = 8
-    for states in (dense_solve(space, ints, k, project),
+    for states in (dense_solve(space, ints, k),
                    solve_davidson(space, ints, k,
-                                  DavidsonOptions(tol=1e-10, guess_dim=16),
-                                  project)):
+                                  DavidsonOptions(tol=1e-10, guess_dim=16))):
         assert np.allclose([s.energy for s in states], ref[:k], atol=1e-10)
         assert all(abs(s.s2_expect - 0.75) < 1e-12 for s in states)
     with pytest.raises(ValueError, match="only 20 roots"):
-        dense_solve(space, ints, 21, project)
+        dense_solve(space, ints, 21)
 
 
 def test_start_block_of_higher_spin_is_topped_up():
@@ -99,7 +91,7 @@ def test_start_block_of_higher_spin_is_topped_up():
     ints = make_random_integrals(4, 62)
     space = enumerate_cas(3, 4, 1)
     H = dense_hamiltonian(space, ints)
-    ref = _doublet_energies(space, H)
+    ref = spin_filtered_energies(ints, space, 2)
     w, U = np.linalg.eigh(H)
     quartets = U[:, [abs(s_squared(space, u) - 3.75) < 1e-8 for u in U.T]]
     res = davidson_lowest(lambda b: H @ b, np.diag(H).copy(), 3, quartets,

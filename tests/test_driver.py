@@ -10,23 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from casq import driver
-from casq.casci import dense_hamiltonian
 from casq.detspace import cas_dimension, enumerate_cas
 from casq.ingest import DavidsonOptions, RunConfig
 from casq.ligandfield import LigandFieldModel, build_ligand_field_model
-from casq.spin import s_squared
 
-from conftest import make_random_integrals
-
-
-def _reference(ints, n_elec, n_orb, mult, count):
-    """The lowest `count` energies of multiplicity mult, from one full eigh
-    of the top block filtered by <S^2>."""
-    space = enumerate_cas(n_elec, n_orb, mult - 1)
-    w, U = np.linalg.eigh(dense_hamiltonian(space, ints))
-    s2 = np.array([s_squared(space, U[:, k]) for k in range(space.size)])
-    labels = np.rint(np.sqrt(1.0 + 4.0 * s2)).astype(int)    # 2S+1
-    return w[labels == mult][:count]
+from conftest import make_random_integrals, spin_filtered_energies, spin_purity_field
 
 
 @st.composite
@@ -51,7 +39,7 @@ def test_solve_multiplets_matches_full_eigh(problem, method):
     ints = make_random_integrals(n_orb, seed)
     # guess_dim at its floor keeps Davidson off its dense shortcut
     config = RunConfig(cas=(n_elec, n_orb), roots_per_multiplicity=roots,
-                       davidson=DavidsonOptions(guess_dim=sum(roots.values())))
+                       davidson=DavidsonOptions(guess_dim=max(roots.values())))
     calls = []
 
     def spy(solve):
@@ -67,8 +55,9 @@ def test_solve_multiplets_matches_full_eigh(problem, method):
 
     for mult, count in roots.items():
         got = sorted(m.energy for m in multiplets if m.multiplicity == mult)
-        assert np.allclose(got, _reference(ints, n_elec, n_orb, mult, count),
-                           rtol=0.0, atol=1e-9)
+        ref = spin_filtered_energies(
+            ints, enumerate_cas(n_elec, n_orb, mult - 1), mult, count)
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-9)
         # one solver call for exactly `count` roots, every one of spin mult
         solves = [(n, states) for m, n, states in calls if m == mult]
         assert [n for n, _ in solves] == ([count] if count else [])
@@ -83,6 +72,24 @@ def test_too_many_roots_requested(method, roots):
     config = RunConfig(cas=(3, 3), roots_per_multiplicity=roots)
     with pytest.raises(ValueError, match="only 8 roots of multiplicity 2"):
         driver.solve_multiplets(ints, config, method=method)
+
+
+@pytest.mark.parametrize("n_elec,mult", [(6, 1), (7, 2)])
+def test_targets_above_higher_spin_roots_converge(n_elec, mult, davidson_runs):
+    # in these d6 and d7 fields triplets and quartets lie among the lowest
+    # roots of the singlet and doublet blocks, and correction columns keep
+    # as little as 1e-10 of their norm under the projector: normalizing
+    # them scales up its rounding error outside its range, which only a
+    # projection in each Gram-Schmidt round keeps from stalling Davidson
+    _, ints, _, _ = build_ligand_field_model(spin_purity_field(n_elec))
+    config = RunConfig(cas=(n_elec, 5), roots_per_multiplicity={mult: 6},
+                       davidson=DavidsonOptions(guess_dim=32))
+    multiplets = driver.solve_multiplets(ints, config)
+    space = enumerate_cas(n_elec, 5, mult - 1)
+    assert davidson_runs == [space.size]
+    assert np.allclose([m.energy for m in multiplets],
+                       spin_filtered_energies(ints, space, mult, 6),
+                       rtol=0.0, atol=1e-9)
 
 
 def test_near_degenerate_intruder_leaves_targets_pure(davidson_runs):

@@ -169,7 +169,6 @@ spectrum_fwhm_ev = 0.2
     assert cfg.davidson.tol == 1e-9
     assert cfg.davidson.guess_dim == 40
     assert cfg.spectrum.fwhm_ev == 0.2
-    assert cfg.total_roots == 7
 
 
 def test_run_config_defaults_and_errors():
@@ -191,6 +190,10 @@ def test_run_config_defaults_and_errors():
     with pytest.raises(ValueError, match="guess_dim"):
         RunConfig(cas=(3, 4), roots_per_multiplicity={2: 8},
                   davidson=DavidsonOptions(guess_dim=4))
+    # each multiplicity is solved on its own: guess_dim bounds the largest
+    # count, not the total
+    RunConfig(cas=(3, 4), roots_per_multiplicity={2: 8, 4: 1},
+              davidson=DavidsonOptions(guess_dim=8))
     with pytest.raises(ValueError, match="multiplicity"):
         RunConfig(cas=(3, 4), roots_per_multiplicity={2: -1})
     with pytest.raises(ValueError, match="multiplicity"):

@@ -91,10 +91,8 @@ def test_soc_t2g_block_pattern():
 def test_soc_selection_rules():
     # 3 electrons in 3 orbitals: doublets and quartets coexist
     ints = make_random_integrals(3, 71)
-    doublets = [s for s in dense_solve(enumerate_cas(3, 3, 1), ints, 8)
-                if s.multiplicity == 2][:2]
-    quartets = [s for s in dense_solve(enumerate_cas(3, 3, 3), ints, 1)
-                if s.multiplicity == 4]
+    doublets = dense_solve(enumerate_cas(3, 3, 1), ints, 2)
+    quartets = dense_solve(enumerate_cas(3, 3, 3), ints, 1)
     mults = assemble_multiplets(doublets + quartets, ints)
     rng = np.random.default_rng(7)
     Z = rng.standard_normal((3, 3, 3))
@@ -117,10 +115,8 @@ def test_hermiticity_check_catches_a_corrupted_flip_table(monkeypatch):
     # the Delta M_S = +1 blocks come from their own raising table, so a
     # sign error in the lowering table alone must break Hermiticity
     ints = make_random_integrals(3, 71)
-    doublets = [s for s in dense_solve(enumerate_cas(3, 3, 1), ints, 8)
-                if s.multiplicity == 2][:2]
-    quartets = [s for s in dense_solve(enumerate_cas(3, 3, 3), ints, 1)
-                if s.multiplicity == 4]
+    doublets = dense_solve(enumerate_cas(3, 3, 1), ints, 2)
+    quartets = dense_solve(enumerate_cas(3, 3, 3), ints, 1)
     mults = assemble_multiplets(doublets + quartets, ints)
     Z = np.zeros((3, 3, 3))
     Z[0, 0, 1], Z[0, 1, 0] = 0.3, -0.3          # only (p, q) = (0, 1), (1, 0)
@@ -168,9 +164,8 @@ def test_qdpt_kramers_degeneracy_d1():
 def test_qdpt_kramers_random_z():
     # arbitrary antisymmetric SOC matrices on an odd-electron model
     ints = make_random_integrals(3, 72)
-    doublets = [s for s in dense_solve(enumerate_cas(3, 3, 1), ints, 6)
-                if s.multiplicity == 2][:3]
-    quartets = [s for s in dense_solve(enumerate_cas(3, 3, 3), ints, 1)]
+    doublets = dense_solve(enumerate_cas(3, 3, 1), ints, 3)
+    quartets = dense_solve(enumerate_cas(3, 3, 3), ints, 1)
     mults = assemble_multiplets(doublets + quartets, ints)
     basis = soc_basis(mults)
     rng = np.random.default_rng(73)
@@ -218,8 +213,7 @@ def test_component_swap_detected_by_kramers_pairing():
 
 def test_time_reversal_matrix_squares_to_minus_one():
     ints = make_random_integrals(3, 74)
-    doublets = [s for s in dense_solve(enumerate_cas(3, 3, 1), ints, 2)
-                if s.multiplicity == 2]
+    doublets = dense_solve(enumerate_cas(3, 3, 1), ints, 2)
     mults = assemble_multiplets(doublets, ints)
     basis = soc_basis(mults)
     T = time_reversal_matrix(basis)
@@ -238,9 +232,7 @@ def test_zeeman_spin_matrices_match_fock_oracle():
         ints = make_random_integrals(n_orb, 75)
         mults = []
         for mult, count in roots.items():
-            space = enumerate_cas(3, n_orb, mult - 1)
-            states = [s for s in dense_solve(space, ints, space.size)
-                      if s.multiplicity == mult][:count]
+            states = dense_solve(enumerate_cas(3, n_orb, mult - 1), ints, count)
             mults += assemble_multiplets(states, ints)
         basis = soc_basis(mults)
         mu = zeeman_basis_matrices(basis, mults, zero_properties(n_orb))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from casq.casci import dense_solve
+from casq.casci import assemble_multiplets, dense_solve
 from casq.detspace import enumerate_cas
 from casq.ingest import PropertyIntegrals, zero_properties
 from casq.spectra import (
@@ -26,6 +26,14 @@ def _prop_with_dipoles(n, seed):
     return PropertyIntegrals(L=np.zeros((3, n, n)), Z=np.zeros((3, n, n)), D=D)
 
 
+def _doublets_and_quartet(ints):
+    """The eight doublets and the M_S = 1/2 component of the quartet of
+    CAS(3,3), lowest first."""
+    states = (dense_solve(enumerate_cas(3, 3, 1), ints, 8)
+              + dense_solve(enumerate_cas(3, 3, 3), ints, 1))
+    return [m.component(1) for m in assemble_multiplets(states, ints)]
+
+
 def test_transition_dipole_zero_operator():
     ints = make_random_integrals(3, 91)
     space = enumerate_cas(3, 3, 1)
@@ -39,7 +47,7 @@ def test_transition_dipole_matches_fock_oracle():
     ints = make_random_integrals(3, 92)
     prop = _prop_with_dipoles(3, 93)
     space = enumerate_cas(3, 3, 1)
-    states = [s for s in dense_solve(space, ints, 4) if s.multiplicity == 2]
+    states = dense_solve(space, ints, 4)
     lines = transition_table(states, prop)
     assert len(lines) == len(states) - 1 >= 1
     P = space_projector(space)
@@ -62,8 +70,7 @@ def test_transition_dipole_matches_fock_oracle():
 def test_transition_dipole_spin_forbidden():
     ints = make_random_integrals(3, 94)
     prop = _prop_with_dipoles(3, 95)
-    space = enumerate_cas(3, 3, 1)
-    states = dense_solve(space, ints, 8)
+    states = _doublets_and_quartet(ints)
     doublet = next(s for s in states if s.multiplicity == 2)
     quartet = next(s for s in states if s.multiplicity == 4)
     (line,) = transition_table([doublet, quartet], prop)
@@ -115,9 +122,7 @@ def test_f_sum_invariant_under_orbital_rotation():
 def test_transition_table_flags_and_labels():
     ints = make_random_integrals(3, 99)
     prop = _prop_with_dipoles(3, 100)
-    space = enumerate_cas(3, 3, 1)
-    states = dense_solve(space, ints, 8)
-    lines = transition_table(states, prop)
+    lines = transition_table(_doublets_and_quartet(ints), prop)
     forbidden = [ln for ln in lines if ln.spin_forbidden]
     assert forbidden and all(ln.f_osc == 0.0 for ln in forbidden)
     assert all(ln.label == "spin-forbidden" for ln in forbidden)

@@ -15,7 +15,6 @@ from casq.spin import (
     apply_s_plus,
     flip_lower_links,
     flip_raise_links,
-    multiplicity_label,
     project_spin,
     s_squared,
     s_squared_matrix,
@@ -27,7 +26,7 @@ from _oracles import (
     fock_spin_ops,
     space_projector,
 )
-from conftest import make_random_integrals
+from conftest import make_random_integrals, spin_filtered_energies
 
 # Every M_S block of CAS(3,4), CAS(4,4) and CAS(5,4) that has a block
 # below it; the blocks at the two ends are in test_ladders_at_edge_blocks.
@@ -135,17 +134,15 @@ def test_spin_purity_of_cas_roots():
 
 
 def test_ms_independence_of_doublet_spectrum():
+    # the doublets solved at M_S = +1/2 are those of the M_S = -1/2 block,
+    # where the solvers, whose spin projector needs a top block, refuse
     ints = make_random_integrals(4, 52)
     up = [s.energy for s in dense_solve(enumerate_cas(3, 4, 1), ints, 6)]
-    dn = [s.energy for s in dense_solve(enumerate_cas(3, 4, -1), ints, 6)]
-    assert np.allclose(up, dn, atol=1e-10)
-
-
-def test_multiplicity_label():
-    assert multiplicity_label(0.7500002, 1, 3) == 2
-    assert multiplicity_label(3.75, 3, 3) == 4
-    assert multiplicity_label(0.0, 0, 4) == 1
-    assert multiplicity_label(2.0, 0, 4) == 3
+    down = enumerate_cas(3, 4, -1)
+    assert np.allclose(up, spin_filtered_energies(ints, down, 2, 6), atol=1e-10)
+    for solve in (dense_solve, solve_davidson):
+        with pytest.raises(ValueError, match="ms2=-1"):
+            solve(down, ints, 6)
 
 
 def test_flip_lower_links_match_fock_oracle():
@@ -294,10 +291,8 @@ def test_spin_projector_is_the_spin_s_projector(block, seed):
 
 def test_assemble_multiplets_doublet_and_quartet():
     ints = make_random_integrals(3, 53)
-    doublets = [s for s in dense_solve(enumerate_cas(3, 3, 1), ints, 8)
-                if s.multiplicity == 2][:2]
-    quartets = [s for s in dense_solve(enumerate_cas(3, 3, 3), ints, 1)
-                if s.multiplicity == 4]
+    doublets = dense_solve(enumerate_cas(3, 3, 1), ints, 2)
+    quartets = dense_solve(enumerate_cas(3, 3, 3), ints, 1)
     mults = assemble_multiplets(doublets + quartets, ints)
     for m in mults:
         assert len(m.components) == m.multiplicity
@@ -311,8 +306,9 @@ def test_assemble_multiplets_doublet_and_quartet():
 
 def test_assemble_rejects_non_top_states():
     ints = make_random_integrals(3, 54)
-    states = dense_solve(enumerate_cas(3, 3, 1), ints, 8)
-    quartet_component = next(s for s in states if s.multiplicity == 4)
+    (quartet,) = assemble_multiplets(
+        dense_solve(enumerate_cas(3, 3, 3), ints, 1), ints)
+    quartet_component = quartet.component(1)
     with pytest.raises(ValueError, match="top component"):
         assemble_multiplets([quartet_component], ints)
 
