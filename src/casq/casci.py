@@ -25,9 +25,9 @@ from math import isqrt
 import numpy as np
 
 from .davidson import DavidsonNotConverged, davidson_lowest  # noqa: F401 (re-export)
-from .detspace import (CasSpace, Determinant, enumerate_cas,  # noqa: F401
-                       excitation_links, occupation_matrix, occupied_orbitals,
-                       relative_sign, single_excitation_sign)
+from .detspace import (CasSpace, Determinant, cas_dimension,  # noqa: F401
+                       enumerate_cas, excitation_links, occupation_matrix,
+                       occupied_orbitals, relative_sign, single_excitation_sign)
 from .ingest import DavidsonOptions, IntegralSet
 from .spin import apply_s_minus, project_spin, s_squared, s_squared_matrix
 
@@ -458,11 +458,20 @@ def _finalize_states(space: CasSpace, energies: np.ndarray,
             for e, v, x in zip(energies, vectors.T, s2)]
 
 
-def _spin_projector(space: CasSpace):
-    """Löwdin's projector onto spin S = M_S of a top block."""
+def _spin_projector(space: CasSpace, n_roots: int):
+    """Löwdin's projector onto spin S = M_S of a top block, after checking
+    that the block holds n_roots roots of that spin: it holds
+    dim(M_S = S) - dim(M_S = S + 1) of them."""
     if space.ms2 < 0:
         raise ValueError(f"ms2={space.ms2} < 0: the roots of spin S = M_S "
                          f"are solved in the top block ms2 >= 0")
+    n_elec, n_orb, ms2 = space.n_elec, space.n_orb, space.ms2
+    exist = space.size - (cas_dimension(n_elec, n_orb, ms2 + 2)
+                          if ms2 < min(n_elec, 2 * n_orb - n_elec) else 0)
+    if n_roots > exist:
+        raise ValueError(f"only {exist} roots of multiplicity {ms2 + 1} "
+                         f"exist in CAS({n_elec}, {n_orb}) "
+                         f"(requested {n_roots})")
     return partial(project_spin, space)
 
 
@@ -471,14 +480,13 @@ def dense_solve(space: CasSpace, ints: IntegralSet,
     """Brute-force eigensolver on the explicitly built H: the lowest
     n_roots eigenvectors of spin S = M_S, those whose norm^2 within the
     range of the spin-S projector exceeds 1/2."""
-    project = _spin_projector(space)
-    if not 1 <= n_roots <= space.size:
-        raise ValueError(f"n_roots={n_roots} outside [1, {space.size}]")
+    project = _spin_projector(space, n_roots)
     w, U = np.linalg.eigh(dense_hamiltonian(space, ints))
     keep = list(islice((k for k, u in enumerate(U.T)     # lowest first
                         if u @ project(u) > 0.5), n_roots))
     if len(keep) < n_roots:
-        raise ValueError(f"only {len(keep)} roots lie in the projected range")
+        raise InvariantBreach(f"only {len(keep)} of the {n_roots} roots of "
+                              f"spin S = M_S lie in the projected range")
     return _finalize_states(space, w[keep], U[:, keep])
 
 
@@ -492,11 +500,9 @@ def solve_davidson(space: CasSpace, ints: IntegralSet, n_roots: int,
     2 n_roots, whichever is larger).  Otherwise the guess diagonalizes H
     over the guess_dim determinants of lowest diagonal energy.
     """
-    project = _spin_projector(space)
+    project = _spin_projector(space, n_roots)
     options = options or DavidsonOptions()
     N = space.size
-    if not 1 <= n_roots <= N:
-        raise ValueError(f"n_roots={n_roots} outside [1, {N}]")
     # a guess block that would cover the whole block is the dense solve
     if N <= (options.guess_dim or max(SMALL_SPACE, 2 * n_roots)):
         return dense_solve(space, ints, n_roots)

@@ -11,45 +11,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .casci import (CiState, Multiplet, assemble_multiplets, dense_solve,
-                    enumerate_cas, solve_davidson)
-from .detspace import cas_dimension
+from .casci import (CiState, Multiplet, assemble_multiplets, enumerate_cas,
+                    solve_davidson)
 from .gtensor import GapReport, GTensor, g_tensor_eha, g_tensor_sos, gap_report
 from .ingest import IntegralSet, PropertyIntegrals, RunConfig
 from .soc import SocStateBasis, SoEigenstates, diagonal_energies, qdpt, soc_basis, soc_matrix
 
 
 def solve_multiplicity(ints: IntegralSet, config: RunConfig, mult: int,
-                       count: int, *, method: str = "davidson") -> list[CiState]:
+                       count: int) -> list[CiState]:
     """The lowest `count` roots of multiplicity 2S+1 = mult, solved in one
     call at the top block M_S = S within the range of the spin-S projector."""
     n_elec, n_orb = config.cas
     if n_orb != ints.n_orb:
         raise ValueError(f"cas_norb={n_orb} does not match the "
                          f"{ints.n_orb}-orbital integral set")
-    space = enumerate_cas(n_elec, n_orb, mult - 1)
-    # the roots of spin S number dim(M_S = S) - dim(M_S = S + 1)
-    exist = space.size - (cas_dimension(n_elec, n_orb, mult + 1)
-                          if mult - 1 < min(n_elec, 2 * n_orb - n_elec) else 0)
-    if count > exist:
-        raise ValueError(f"only {exist} roots of multiplicity {mult} "
-                         f"exist in CAS{config.cas} (requested {count})")
     if not count:
         return []
-    if method == "dense":
-        return dense_solve(space, ints, count)
-    if method == "davidson":
-        return solve_davidson(space, ints, count, config.davidson)
-    raise ValueError(f"unknown solver method {method!r}")
+    return solve_davidson(enumerate_cas(n_elec, n_orb, mult - 1), ints, count,
+                          config.davidson)
 
 
-def solve_multiplets(ints: IntegralSet, config: RunConfig, *,
-                     method: str = "davidson") -> list[Multiplet]:
+def solve_multiplets(ints: IntegralSet, config: RunConfig) -> list[Multiplet]:
     """Solve every requested multiplicity into multiplets."""
     multiplets: list[Multiplet] = []
     for mult, count in sorted(config.roots_per_multiplicity.items()):
         multiplets += assemble_multiplets(solve_multiplicity(
-            ints, config, mult, count, method=method), ints)
+            ints, config, mult, count), ints)
     return sorted(multiplets, key=lambda m: m.energy)
 
 
@@ -68,7 +56,7 @@ class MagneticResult:
 
 
 def run_gtensor(ints: IntegralSet, prop: PropertyIntegrals,
-                config: RunConfig, *, method: str = "davidson",
+                config: RunConfig, *,
                 multiplets: list[Multiplet] | None = None) -> MagneticResult:
     """CASCI -> multiplets -> SOC -> QDPT -> EHA and SOS g-tensors."""
     n_elec = config.cas[0]
@@ -76,7 +64,7 @@ def run_gtensor(ints: IntegralSet, prop: PropertyIntegrals,
         raise ValueError("g-tensor extraction needs an odd electron count "
                          "(no Kramers pair otherwise)")
     if multiplets is None:
-        multiplets = solve_multiplets(ints, config, method=method)
+        multiplets = solve_multiplets(ints, config)
     basis = soc_basis(multiplets)
     soc = soc_matrix(basis, multiplets, prop)
     so_states = qdpt(basis, diagonal_energies(basis, multiplets), soc)

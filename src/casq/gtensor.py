@@ -81,7 +81,7 @@ def zeeman_basis_matrices(basis: SocStateBasis, multiplets: list[Multiplet],
     mu = np.zeros((3, n, n), dtype=complex)
     # spin part: analytic within each multiplet (ladder-phased components),
     # bra entries along rows, ket entries along columns
-    mult, two_s, ms2 = basis.labels()
+    mult, two_s, ms2 = basis.multiplet, basis.two_s, basis.ms2
     same = mult[:, None] == mult
     step = ms2[:, None] - ms2
     s = two_s[:, None] / 2.0

@@ -30,22 +30,13 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class OrbitalSpace:
-    """Active spatial orbitals with text labels and the core energy."""
+    """The active spatial orbitals."""
 
     n_orb: int
-    labels: tuple[str, ...]
-    core_energy: float = 0.0
 
     def __post_init__(self):
         if self.n_orb < 1:
             raise ValueError(f"n_orb must be >= 1, got {self.n_orb}")
-        if len(self.labels) != self.n_orb:
-            raise ValueError(
-                f"{len(self.labels)} labels for {self.n_orb} orbitals")
-
-
-def default_labels(n_orb: int) -> tuple[str, ...]:
-    return tuple(f"orb{p + 1}" for p in range(n_orb))
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,8 +267,7 @@ def read_fcidump(text: str) -> FcidumpData:
         else:
             raise ParseError(
                 f"line {lineno + 1}: unsupported index pattern {i} {j} {k} {l}")
-    orbitals = OrbitalSpace(n_orb, default_labels(n_orb), core)
-    return FcidumpData(orbitals, IntegralSet(h, g2, core), n_elec, ms2)
+    return FcidumpData(OrbitalSpace(n_orb), IntegralSet(h, g2, core), n_elec, ms2)
 
 
 def write_fcidump(integrals: IntegralSet, n_elec: int = 0, ms2: int = 0) -> str:

@@ -26,15 +26,13 @@ from .ingest import (IntegralSet, OrbitalSpace, PropertyIntegrals,
                      parse_run_config, symmetrize_8fold)
 from .units import CM_TO_HARTREE, EV_TO_HARTREE
 
-D_LABELS = ("d_z2", "d_xz", "d_yz", "d_x2-y2", "d_xy")
-
 
 @dataclass(frozen=True)
 class LigandFieldModel:
     """One-shell d^n model parameterization.
 
     v_lf is the 5x5 symmetric one-electron matrix (eV) over the real d
-    orbitals in D_LABELS order; racah_b/racah_c in eV; zeta in cm^-1.
+    orbitals in the fixed order above; racah_b/racah_c in eV; zeta in cm^-1.
     """
 
     v_lf: np.ndarray
@@ -184,10 +182,9 @@ def build_ligand_field_model(model: LigandFieldModel):
     L = dshell_l_matrices()
     Z = 0.5 * model.zeta * CM_TO_HARTREE * L
     prop = PropertyIntegrals(L=L, Z=Z, D=np.zeros((3, 5, 5)))
-    orbitals = OrbitalSpace(5, D_LABELS, 0.0)
     ints = IntegralSet(h=h, g2=g2, core_energy=0.0)
     config = parse_run_config("", default_cas=(model.n_elec, 5))
-    return orbitals, ints, prop, config
+    return OrbitalSpace(5), ints, prop, config
 
 
 # Built-in illustrative presets: generic VO(2+)-like and Cu(2+)-like

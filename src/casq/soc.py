@@ -40,41 +40,30 @@ class KramersPairingError(ValueError):
     """QDPT eigenstates of an odd-electron system failed to pair."""
 
 
-@dataclass(frozen=True)
-class BasisEntry:
-    multiplet: int      # index into the multiplet list
-    two_s: int
-    ms2: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SocStateBasis:
-    """Ordered (multiplet, S, M_S) component labels entering QDPT."""
+    """The components entering QDPT, in basis order: multiplet index, 2S
+    and 2M_S of each, as integer arrays."""
 
-    entries: tuple[BasisEntry, ...]
+    multiplet: np.ndarray
+    two_s: np.ndarray
+    ms2: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.entries)
-
-    def labels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(multiplet, 2S, 2M_S) of every entry, as integer arrays."""
-        return tuple(np.array([(e.multiplet, e.two_s, e.ms2)
-                               for e in self.entries], dtype=int).reshape(-1, 3).T)
+        return self.ms2.size
 
 
 def soc_basis(multiplets: list[Multiplet]) -> SocStateBasis:
     """All 2S+1 components of every multiplet, M_S descending."""
-    entries = []
-    for idx, m in enumerate(multiplets):
-        for ms2 in range(m.two_s, -m.two_s - 1, -2):
-            entries.append(BasisEntry(idx, m.two_s, ms2))
-    return SocStateBasis(tuple(entries))
+    labels = [(idx, m.two_s, ms2) for idx, m in enumerate(multiplets)
+              for ms2 in range(m.two_s, -m.two_s - 1, -2)]
+    return SocStateBasis(*np.array(labels, dtype=int).reshape(-1, 3).T)
 
 
 def diagonal_energies(basis: SocStateBasis,
                       multiplets: list[Multiplet]) -> np.ndarray:
-    return np.array([multiplets[e.multiplet].energy for e in basis.entries])
+    return np.array([m.energy for m in multiplets])[basis.multiplet]
 
 
 def component_blocks(basis: SocStateBasis, multiplets: list[Multiplet]):
@@ -83,14 +72,11 @@ def component_blocks(basis: SocStateBasis, multiplets: list[Multiplet]):
     The columns stack the CI vectors of the block's components in basis
     order; every component of one M_S lives in the same CAS space.
     """
-    members: dict[int, list[int]] = {}
-    for k, e in enumerate(basis.entries):
-        members.setdefault(e.ms2, []).append(k)
     blocks = {}
-    for ms2, idx in members.items():
-        comps = [multiplets[basis.entries[k].multiplet].component(ms2)
-                 for k in idx]
-        blocks[ms2] = (np.array(idx), comps[0].space,
+    for ms2 in dict.fromkeys(basis.ms2.tolist()):     # first-seen order
+        idx = np.flatnonzero(basis.ms2 == ms2)
+        comps = [multiplets[k].component(ms2) for k in basis.multiplet[idx]]
+        blocks[ms2] = (idx, comps[0].space,
                        np.column_stack([c.coeffs for c in comps]))
     return blocks
 
@@ -128,8 +114,7 @@ def soc_matrix(basis: SocStateBasis, multiplets: list[Multiplet],
         H[np.ix_(low, idx)] = np.einsum("pq,pqij->ij", 1j * zx - zy, down)
         up = _flip_tdm(flip_raise_links(low_space), C, D)
         H[np.ix_(idx, low)] = np.einsum("pq,pqij->ij", 1j * zx + zy, up)
-    _, two_s, _ = basis.labels()
-    H[np.abs(two_s[:, None] - two_s[None, :]) > 2] = 0.0
+    H[np.abs(basis.two_s[:, None] - basis.two_s) > 2] = 0.0
     resid = float(np.max(np.abs(H - H.conj().T)))
     if resid > HERMITICITY_TOL:
         raise PhaseConsistencyError(
@@ -143,7 +128,7 @@ def time_reversal_matrix(basis: SocStateBasis) -> np.ndarray:
 
     T|S, M> = (-1)^(S-M) |S, -M> for ladder-phased components.
     """
-    mult, two_s, ms2 = basis.labels()
+    mult, two_s, ms2 = basis.multiplet, basis.two_s, basis.ms2
     partner = (mult[:, None] == mult) & (ms2[:, None] == -ms2)
     sign = np.where(((two_s - ms2) // 2) % 2, -1.0, 1.0)
     return np.where(partner, sign, 0.0)
@@ -174,7 +159,7 @@ def qdpt(basis: SocStateBasis, energies: np.ndarray,
     H = np.diag(energies).astype(complex) + soc
     w, V = np.linalg.eigh(H)
     pairs: list[tuple[int, int]] = []
-    if basis.entries and basis.entries[0].two_s % 2:
+    if basis.size and basis.two_s[0] % 2:
         T = time_reversal_matrix(basis)
         used = np.zeros(basis.size, dtype=bool)
         for i in range(basis.size):

@@ -25,6 +25,10 @@ import numpy as np
 from .detspace import CasSpace, annihilators, enumerate_cas
 
 
+# apply_s_minus reads an image of smaller norm as zero: the state was M_S = -S
+S_MINUS_NORM_TOL = 1e-8
+
+
 class LadderAnnihilation(ValueError):
     """S- (or S+) maps the state to zero: M_S is already extremal."""
 
@@ -107,17 +111,17 @@ def apply_s_plus(space: CasSpace, vec: np.ndarray):
     return _ladder(links, vec)
 
 
-def apply_s_minus(space: CasSpace, vec: np.ndarray, *, norm_tol: float = 1e-8):
+def apply_s_minus(space: CasSpace, vec: np.ndarray):
     """Unnormalized S- image with norm^2 = S(S+1) - M(M-1).
 
-    Raises LadderAnnihilation when the image norm falls below norm_tol,
-    which signals M_S = -S.
+    Raises LadderAnnihilation when the image norm falls below
+    S_MINUS_NORM_TOL, which signals M_S = -S.
     """
     links = _s_minus_links(space)
     if links is None:
         raise LadderAnnihilation("S- annihilates every state of this block")
     lower, out = _ladder(links, vec)
-    if np.linalg.norm(out) < norm_tol:
+    if np.linalg.norm(out) < S_MINUS_NORM_TOL:
         raise LadderAnnihilation("S- annihilated the state (M_S = -S)")
     return lower, out
 

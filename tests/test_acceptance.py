@@ -163,7 +163,7 @@ def _d1_run(zeta_ev, d_xz=1.9, d_x2y2=2.6):
         v_lf=np.diag([4.5, d_xz, d_xz, d_x2y2, 0.0]),
         racah_b=0.0, racah_c=0.0, zeta=zeta_cm, n_elec=1)
     _, ints, prop, config = build_ligand_field_model(model)
-    return run_gtensor(ints, prop, config, method="dense")
+    return run_gtensor(ints, prop, config)
 
 
 def test_criterion_05_analytic_epr_limit():
@@ -193,11 +193,11 @@ def test_criterion_05_analytic_epr_limit():
 
 def test_criterion_06_g_orderings():
     _, ints, prop, config = build_ligand_field_model(preset_model("d1-tetragonal"))
-    d1 = run_gtensor(ints, prop, config, method="dense")
+    d1 = run_gtensor(ints, prop, config)
     gx, gy, gz = d1.g_eha.principal
     assert gz < gx < G_E and gz < gy < G_E
     _, ints, prop, config = build_ligand_field_model(preset_model("d9-planar"))
-    d9 = run_gtensor(ints, prop, config, method="dense")
+    d9 = run_gtensor(ints, prop, config)
     hx, hy, hz = d9.g_eha.principal
     assert hz > hx > G_E and hz > hy > G_E
     _report(6, f"d1: {gz:.3f} < {gx:.3f} < g_e; d9: {hz:.3f} > {hx:.3f} > g_e")
@@ -217,7 +217,7 @@ def test_criterion_07_hund_quartet_flag():
                 set_chem(g2, p, q, q, p, 0.05)
     ints = IntegralSet(h=h, g2=g2)
     config = RunConfig(cas=(3, 3), roots_per_multiplicity={2: 2, 4: 1})
-    mults = solve_multiplets(ints, config, method="dense")
+    mults = solve_multiplets(ints, config)
     rep = gap_report(mults)
     assert rep.quartet_below_doublet
     quartet = min(m.energy for m in mults if m.multiplicity == 4)

@@ -66,10 +66,9 @@ def test_oracle_mismatch_exits_three(tmp_path, monkeypatch, capsys):
 
     solve = casq.driver.solve_multiplets
 
-    def shifted(ints, config, method="davidson"):
-        out = solve(ints, config, method=method)
-        if method == "dense":
-            out[0].energy += 1e-6
+    def shifted(ints, config):
+        out = solve(ints, config)
+        out[0].energy += 1e-6
         return out
 
     monkeypatch.setattr(casq.driver, "solve_multiplets", shifted)
@@ -84,7 +83,6 @@ def test_oracle_catches_a_dense_solve_error(tmp_path, monkeypatch, capsys):
     # both the run and the oracle solve the 5-determinant d1 block densely,
     # so only the sigma residual can see the perturbed root
     import casq.casci
-    import casq.driver
 
     solve = casq.casci.dense_solve
 
@@ -95,12 +93,43 @@ def test_oracle_catches_a_dense_solve_error(tmp_path, monkeypatch, capsys):
         return states
 
     monkeypatch.setattr(casq.casci, "dense_solve", perturbed)
-    monkeypatch.setattr(casq.driver, "dense_solve", perturbed)
     code, _, manifest = run_cli(
         ["casci", "--lf", "d1", "--oracle", "dense"], tmp_path)
     assert code == 3 and manifest["exit_code"] == 3
     assert "residual" in manifest["error"]["message"]
     assert "error (invariant breach)" in capsys.readouterr().err
+
+
+def test_oracle_solves_each_top_block_once(tmp_path, monkeypatch):
+    # guess_dim 3 keeps the run's 24-determinant doublet and 4-determinant
+    # quartet blocks on Davidson: every dense solve is the oracle's, one
+    # per multiplicity, and the run assembles each multiplicity once
+    import casq.casci
+    import casq.driver
+
+    dense, assembled = [], []
+    solve, assemble = casq.casci.dense_solve, casq.driver.assemble_multiplets
+
+    def spy_dense(space, ints, n_roots):
+        dense.append((space.ms2 + 1, n_roots))
+        return solve(space, ints, n_roots)
+
+    def spy_assemble(states, ints):
+        assembled.append(states[0].multiplicity)
+        return assemble(states, ints)
+
+    monkeypatch.setattr(casq.casci, "dense_solve", spy_dense)
+    monkeypatch.setattr(casq.driver, "assemble_multiplets", spy_assemble)
+    ints = make_random_integrals(4, 61)
+    (tmp_path / "m.fcidump").write_text(write_fcidump(ints, 3, 1))
+    (tmp_path / "m.cfg").write_text(
+        "roots_mult_2=3\nroots_mult_4=1\ndavidson_tol=1e-10\nguess_dim=3\n")
+    code, _, manifest = run_cli(
+        ["casci", "--fcidump", str(tmp_path / "m.fcidump"),
+         "--config", str(tmp_path / "m.cfg"), "--oracle", "dense"], tmp_path)
+    assert code == 0, manifest.get("error")
+    assert sorted(dense) == [(2, 3), (4, 1)]
+    assert sorted(assembled) == [2, 4]
 
 
 def test_oracle_accepts_a_loose_davidson_tol(tmp_path, davidson_runs):
@@ -186,6 +215,15 @@ def test_oracle_rejected_by_spectrum(tmp_path, capsys):
     assert code == 1
     assert manifest["status"] == "failed" and manifest["exit_code"] == 1
     assert "--oracle" in capsys.readouterr().err
+
+
+def test_gtensor_oracle_is_a_usage_error(tmp_path, capsys):
+    code, out, manifest = run_cli(
+        ["gtensor", "--lf", "d1", "--oracle", "dense"], tmp_path)
+    assert code == 1
+    assert manifest["status"] == "failed" and manifest["exit_code"] == 1
+    assert "--oracle" in capsys.readouterr().err
+    assert not (out / "gtensor_report.txt").exists()
 
 
 def test_zeta_needs_lf(tmp_path, capsys):

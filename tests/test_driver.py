@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casq import driver
+from casq import casci, driver
 from casq.detspace import cas_dimension, enumerate_cas
 from casq.ingest import DavidsonOptions, RunConfig
 from casq.ligandfield import LigandFieldModel, build_ligand_field_model
@@ -33,25 +33,28 @@ def _problems(draw):
     return n_elec, n_orb, roots, draw(st.integers(0, 2 ** 16))
 
 
-@given(_problems(), st.sampled_from(["dense", "davidson"]))
-def test_solve_multiplets_matches_full_eigh(problem, method):
+@given(_problems(), st.booleans())
+def test_solve_multiplets_matches_full_eigh(problem, at_floor):
     n_elec, n_orb, roots, seed = problem
     ints = make_random_integrals(n_orb, seed)
-    # guess_dim at its floor keeps Davidson off its dense shortcut
+    # these blocks hold at most 100 determinants: an automatic guess_dim
+    # (0) sends them to the dense route, guess_dim at its floor to Davidson
+    floor = max(roots.values())
     config = RunConfig(cas=(n_elec, n_orb), roots_per_multiplicity=roots,
-                       davidson=DavidsonOptions(guess_dim=max(roots.values())))
-    calls = []
+                       davidson=DavidsonOptions(guess_dim=floor if at_floor else 0))
+    calls, dense = [], []
 
-    def spy(solve):
+    def spy(solve, log):
         def solver(space, ints, n_roots, *rest):
             states = solve(space, ints, n_roots, *rest)
-            calls.append((space.ms2 + 1, n_roots, states))
+            log.append((space.ms2 + 1, n_roots, states))
             return states
         return solver
 
-    with mock.patch.object(driver, "dense_solve", spy(driver.dense_solve)), \
-            mock.patch.object(driver, "solve_davidson", spy(driver.solve_davidson)):
-        multiplets = driver.solve_multiplets(ints, config, method=method)
+    with mock.patch.object(casci, "dense_solve", spy(casci.dense_solve, dense)), \
+            mock.patch.object(driver, "solve_davidson",
+                              spy(driver.solve_davidson, calls)):
+        multiplets = driver.solve_multiplets(ints, config)
 
     for mult, count in roots.items():
         got = sorted(m.energy for m in multiplets if m.multiplicity == mult)
@@ -62,16 +65,35 @@ def test_solve_multiplets_matches_full_eigh(problem, method):
         solves = [(n, states) for m, n, states in calls if m == mult]
         assert [n for n, _ in solves] == ([count] if count else [])
         assert all(s.multiplicity == mult for _, states in solves for s in states)
+        # the dense route takes the block unless it exceeds guess_dim
+        size = cas_dimension(n_elec, n_orb, mult - 1)
+        routed = count and (not at_floor or size <= floor)
+        assert [n for m, n, _ in dense if m == mult] == ([count] if routed else [])
 
 
-@pytest.mark.parametrize("method", ["dense", "davidson"])
+@pytest.mark.parametrize("solver", ["dense", "davidson"])
 @pytest.mark.parametrize("roots", [{2: 9}, {2: 9, 4: 1}])
-def test_too_many_roots_requested(method, roots):
+def test_too_many_roots_requested(solver, roots):
     # CAS(3,3) M_S = 1/2 holds 9 determinants: 8 doublets and one quartet
     ints = make_random_integrals(3, 71)
     config = RunConfig(cas=(3, 3), roots_per_multiplicity=roots)
     with pytest.raises(ValueError, match="only 8 roots of multiplicity 2"):
-        driver.solve_multiplets(ints, config, method=method)
+        driver.solve_multiplets(ints, config)
+    # each solver rejects the request itself, before it builds any H
+    solve = {"dense": casci.dense_solve, "davidson": casci.solve_davidson}[solver]
+    with mock.patch.object(casci, "dense_hamiltonian", None), \
+            pytest.raises(ValueError, match="only 8 roots of multiplicity 2 "
+                                            r"exist in CAS\(3, 3\)"):
+        solve(enumerate_cas(3, 3, 1), ints, 9)
+
+
+def test_projector_failure_is_an_invariant_breach(monkeypatch):
+    # the count lets 2 roots through; a projector that leaves nothing of
+    # any eigenvector is a failure of the solve, not of the input
+    ints = make_random_integrals(3, 71)
+    monkeypatch.setattr(casci, "project_spin", lambda space, v: 0.0 * v)
+    with pytest.raises(casci.InvariantBreach, match="only 0 of the 2 roots"):
+        casci.dense_solve(enumerate_cas(3, 3, 1), ints, 2)
 
 
 @pytest.mark.parametrize("n_elec,mult", [(6, 1), (7, 2)])

@@ -28,7 +28,7 @@ def run_lf(model, roots=None):
     if roots is not None:
         config = RunConfig(cas=config.cas, roots_per_multiplicity=roots,
                            davidson=config.davidson)
-    return run_gtensor(ints, prop, config, method="dense")
+    return run_gtensor(ints, prop, config)
 
 
 def test_free_electron_limit():
@@ -96,7 +96,7 @@ def test_rotational_covariance():
 
     model = preset_model("d1-tetragonal")
     _, ints, prop, config = build_ligand_field_model(model)
-    res0 = run_gtensor(ints, prop, config, method="dense")
+    res0 = run_gtensor(ints, prop, config)
     L = dshell_l_matrices()
     theta = np.array([0.4, -0.25, 0.65])
     gen = sum(t * L[k] for k, t in enumerate(theta))
@@ -119,7 +119,7 @@ def test_rotational_covariance():
         L=0.5 * (L_rot - L_rot.transpose(0, 2, 1)),
         Z=0.5 * (Z_rot - Z_rot.transpose(0, 2, 1)),
         D=np.zeros((3, 5, 5)))
-    res1 = run_gtensor(ints_rot, prop_rot, config, method="dense")
+    res1 = run_gtensor(ints_rot, prop_rot, config)
     G0 = res0.g_eha.matrix @ res0.g_eha.matrix.T
     G1 = res1.g_eha.matrix @ res1.g_eha.matrix.T
     assert np.allclose(np.sort(res0.g_eha.principal),
@@ -130,11 +130,11 @@ def test_rotational_covariance():
 def test_gauge_invariance_of_g_under_multiplet_sign():
     model = preset_model("d1-tetragonal")
     _, ints, prop, config = build_ligand_field_model(model)
-    mults = solve_multiplets(ints, config, method="dense")
-    res0 = run_gtensor(ints, prop, config, method="dense", multiplets=mults)
+    mults = solve_multiplets(ints, config)
+    res0 = run_gtensor(ints, prop, config, multiplets=mults)
     for comp in mults[3].components.values():
         comp.coeffs = -comp.coeffs
-    res1 = run_gtensor(ints, prop, config, method="dense", multiplets=mults)
+    res1 = run_gtensor(ints, prop, config, multiplets=mults)
     assert np.allclose(res0.g_eha.principal, res1.g_eha.principal, atol=1e-10)
     assert np.allclose(res0.so_states.energies, res1.so_states.energies,
                        atol=1e-12)
@@ -146,7 +146,7 @@ def test_sos_rejects_degenerate_ground():
         v_lf=np.diag([4.5, 0.0, 0.0, 2.6, 1.9]), racah_b=0.0, racah_c=0.0,
         zeta=100.0, n_elec=1)
     _, ints, prop, config = build_ligand_field_model(model)
-    mults = solve_multiplets(ints, config, method="dense")
+    mults = solve_multiplets(ints, config)
     with pytest.raises(ValueError, match="degenerate ground"):
         g_tensor_sos(mults[0], mults[1:], prop)
 
@@ -191,7 +191,7 @@ def test_hund_exchange_model_quartet_below_doublet():
                 set_chem(g2, p, q, q, p, 0.05)
     ints = IntegralSet(h=h, g2=g2)
     config = RunConfig(cas=(3, 3), roots_per_multiplicity={2: 2, 4: 1})
-    mults = solve_multiplets(ints, config, method="dense")
+    mults = solve_multiplets(ints, config)
     rep = gap_report(mults)
     assert rep.quartet_below_doublet
     lowest = min(mults, key=lambda m: m.energy)

@@ -34,7 +34,6 @@ def test_parse_fcidump_basic():
     assert ints.g2[0, 0, 0, 0] == 0.5
     assert ints.h[0, 0] == -1.25
     assert ints.core_energy == 0.75
-    assert orbs.core_energy == 0.75
 
 
 def test_parse_fcidump_symmetry_images():
