@@ -498,7 +498,8 @@ def solve_davidson(space: CasSpace, ints: IntegralSet, n_roots: int,
     A block goes to dense_solve instead when it has no more determinants
     than guess_dim (when guess_dim is 0, automatic: SMALL_SPACE = 400 or
     2 n_roots, whichever is larger).  Otherwise the guess diagonalizes H
-    over the guess_dim determinants of lowest diagonal energy.
+    over the guess_dim determinants of lowest diagonal energy, the P
+    space whose eigendecomposition also preconditions Davidson there.
     """
     project = _spin_projector(space, n_roots)
     options = options or DavidsonOptions()
@@ -516,7 +517,7 @@ def solve_davidson(space: CasSpace, ints: IntegralSet, n_roots: int,
     result = davidson_lowest(
         lambda block: sigma_block(space, ints, block),
         diag, n_roots, v0, tol=options.tol, max_iter=options.max_iter,
-        project=project)
+        project=project, pspace=(sel, w, U))
     return _finalize_states(space, result.energies, result.vectors)
 
 

@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 from contextlib import contextmanager
@@ -100,9 +101,18 @@ class Manifest:
     def finish(self, exit_code: int, error: Exception | None = None):
         self.data["status"] = "ok" if exit_code == EXIT_OK else "failed"
         self.data["exit_code"] = exit_code
+        # Linux reports ru_maxrss in KiB
+        self.data["peak_rss_mb"] = round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
         if error is not None:
             self.data["error"] = {"type": type(error).__name__,
                                   "message": str(error)}
+        if isinstance(error, DavidsonNotConverged):
+            part = error.result
+            self.data["error"].update(
+                iterations=part.iterations, matvecs=part.n_matvec,
+                energies=part.energies.tolist(),
+                residual_norms=part.residual_norms.tolist())
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
             path = self.out_dir / "manifest.json"

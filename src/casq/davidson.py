@@ -1,8 +1,9 @@
 """Block Davidson-Liu eigensolver for the lowest roots of a symmetric matrix.
 
-Operates through a caller-supplied matrix-vector product, with diagonal
-(Jacobi) preconditioning and thick restarts.  Fully deterministic for a
-fixed starting block.
+Operates through a caller-supplied matrix-vector product, with thick
+restarts, preconditioned by (H - theta)^-1 on an optional diagonalized
+P space (Knowles & Handy, Chem. Phys. Lett. 111, 315 (1984)) and by the
+diagonal (Jacobi) elsewhere.  Fully deterministic for a fixed start.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Jacobi denominators are clamped away from zero to survive the
-# near-degenerate diagonals of almost-degenerate multiplet pairs.
+# Jacobi D_ii - theta and P-space w_j - theta are clamped away from zero, where
+# near-degenerate multiplet pairs and a start on P eigenvectors put theta.
 LEVEL_SHIFT = 1e-4
 
 # _orthonormalize drops a column when less than this share of its norm is left
@@ -76,11 +77,21 @@ def _orthonormalize(block: np.ndarray, against: np.ndarray,
     return B[np.isfinite(cut)].T
 
 
+def _shifted(denom: np.ndarray) -> np.ndarray:
+    """Denominators clamped to at least LEVEL_SHIFT in magnitude."""
+    return np.where(np.abs(denom) < LEVEL_SHIFT,
+                    np.copysign(LEVEL_SHIFT, denom), denom)
+
+
 def davidson_lowest(matvec, diagonal: np.ndarray, n_roots: int,
                     start: np.ndarray, *, tol: float = 1e-8,
-                    max_iter: int = 200, project=None) -> DavidsonResult:
+                    max_iter: int = 200, project=None,
+                    pspace=None) -> DavidsonResult:
     """Iterate to the lowest n_roots eigenpairs, within the range of the
     projector `project` (which must commute with H) when one is given.
+
+    `pspace` = (sel, w, U), with H[sel][:, sel] = U diag(w) U^T, makes the
+    correction U diag(1/(w - theta)) U^T r on the coordinates sel.
 
     matvec maps an (N, k) block to H times the block.  `start` supplies
     the initial block.  Every block added to the subspace is projected:
@@ -132,15 +143,13 @@ def davidson_lowest(matvec, diagonal: np.ndarray, n_roots: int,
             V, S = Vbuf[:, :m], Sbuf[:, :m]
             T = np.diag(theta[:m]).copy()
 
-        news = []
-        for k in range(n_roots):
-            if norms[k] <= tol:
-                continue
-            denom = diagonal - theta[k]
-            denom = np.where(np.abs(denom) < LEVEL_SHIFT,
-                             np.copysign(LEVEL_SHIFT, denom), denom)
-            news.append(R[:, k] / denom)
-        block = _orthonormalize(np.stack(news, axis=1), V, project)
+        todo = np.flatnonzero(norms > tol)
+        news = R[:, todo] / _shifted(diagonal[:, None] - theta[todo])
+        if pspace is not None:
+            sel, w, U = pspace
+            news[sel] = U @ ((U.T @ R[sel][:, todo])
+                             / _shifted(w[:, None] - theta[todo]))
+        block = _orthonormalize(news, V, project)
         if block.shape[1] == 0:
             # stagnation: inject the coordinate direction of the worst residual
             worst = int(np.argmax(np.abs(R[:, int(np.argmax(norms))])))

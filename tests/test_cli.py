@@ -425,6 +425,7 @@ def test_manifest_written_on_every_run(tmp_path):
         assert manifest is not None
         assert manifest["artifact_version"]
         assert manifest["exit_code"] is not None
+        assert manifest["peak_rss_mb"] > 0
 
 
 def test_reproducible_reports(tmp_path):
@@ -457,6 +458,13 @@ def test_casci_nonconvergence_exit_code(tmp_path, capsys, davidson_runs):
     assert "non-convergence" in capsys.readouterr().err
     assert manifest["error"]["type"] == "DavidsonNotConverged"
     assert "did not converge" in manifest["error"]["message"]
+    # the partial result of the one iteration, one residual per root
+    error = manifest["error"]
+    assert error["iterations"] == 1
+    assert error["matvecs"] > 0
+    assert len(error["energies"]) == 4
+    assert len(error["residual_norms"]) == 4
+    assert max(error["residual_norms"]) > 1e-15     # the tol it missed
 
 
 def test_casci_norb_mismatch(tmp_path, capsys):
@@ -503,6 +511,7 @@ def test_usage_error_exits_one_with_manifest(tmp_path, capsys):
     assert "--ms2" in capsys.readouterr().err
     assert manifest["error"]["type"] == "UsageError"
     assert "--ms2" in manifest["error"]["message"]
+    assert manifest["peak_rss_mb"] > 0
     # so is an option before the subcommand, whose value argparse would
     # otherwise report as an invalid subcommand
     code, _, manifest = run_cli(["--threads", "2", "count", "--nelec", "1",

@@ -98,3 +98,50 @@ def test_start_block_of_higher_spin_is_topped_up():
                           tol=1e-10, project=partial(project_spin, space))
     assert res.converged
     assert np.allclose(res.energies, ref[:3], atol=1e-10)
+
+
+def _pspace_model(seed=7, n=300, p=40):
+    """H whose lowest-diagonal p x p block is strongly coupled and whose
+    other off-diagonals are weak, with the P space (sel, w, U) of that
+    block as solve_davidson builds it."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) * 0.01
+    H = np.diag(np.linspace(0.0, 10.0, n)) + (a + a.T) / 2.0
+    sel = np.argsort(np.diag(H), kind="stable")[:p]
+    b = rng.standard_normal((p, p)) * 0.5
+    H[np.ix_(sel, sel)] += (b + b.T) / 2.0 - np.diag(np.diag(b))
+    w, U = np.linalg.eigh(H[np.ix_(sel, sel)])
+    return H, sel, w, U
+
+
+def test_pspace_preconditioner_saves_matvecs():
+    H, sel, w, U = _pspace_model()
+    k = 4
+    start = np.zeros((H.shape[0], k + 3))
+    start[sel] = U[:, :k + 3]
+    runs = [davidson_lowest(lambda b: H @ b, np.diag(H).copy(), k, start,
+                            tol=1e-9, pspace=pspace)
+            for pspace in (None, (sel, w, U))]
+    ref = np.linalg.eigvalsh(H)[:k]
+    for res in runs:
+        assert res.converged
+        assert np.allclose(res.energies, ref, atol=1e-9)
+    jacobi, pspace = runs
+    assert pspace.n_matvec < jacobi.n_matvec
+
+
+def test_pspace_eigenvalue_at_a_ritz_value_is_clamped():
+    # the first Ritz value of a unit-vector start is exactly its diagonal
+    # entry; setting that entry (outside P) to a P eigenvalue makes the
+    # P-space denominator w_j - theta exactly zero in the first correction
+    H, sel, w, U = _pspace_model()
+    i = int(np.setdiff1d(np.arange(H.shape[0]), sel)[0])
+    H[i, i] = w[5]
+    start = np.eye(H.shape[0], 1, -i)
+    with np.errstate(divide="raise", invalid="raise"):
+        res = davidson_lowest(lambda b: H @ b, np.diag(H).copy(), 1, start,
+                              tol=1e-9, pspace=(sel, w, U))
+    assert res.converged
+    assert np.all(np.isfinite(res.vectors))
+    assert res.energies[0] == pytest.approx(np.linalg.eigvalsh(H)[0],
+                                            abs=1e-9)
