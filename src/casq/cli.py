@@ -30,7 +30,6 @@ from casq.gtensor import format_gap_report
 from casq.ingest import (ParseError, parse_property_integrals,
                          parse_run_config, read_fcidump, zero_properties)
 from casq.ligandfield import build_ligand_field_model, preset_model
-from casq.soc import KramersPairingError, PhaseConsistencyError
 from casq.spectra import (SpectrumLine, broaden, energy_grid, spectrum_csv,
                           transition_table)
 from casq.units import HARTREE_TO_CM, HARTREE_TO_EV
@@ -98,7 +97,7 @@ class Manifest:
     def warn(self, message: str):
         self.data["warnings"].append(message)
 
-    def finish(self, exit_code: int, error: Exception | None = None):
+    def finish(self, exit_code: int | None, error: BaseException | None = None):
         self.data["status"] = "ok" if exit_code == EXIT_OK else "failed"
         self.data["exit_code"] = exit_code
         # Linux reports ru_maxrss in KiB
@@ -160,16 +159,18 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (cas, gt, spect):
         p.add_argument("--config", default=None, help="key=value run config")
         p.add_argument("--fcidump", default=None)
-        p.add_argument("--prop", default=None,
-                       help="property matrices (ANGMOM/SOC/DIP sections)")
-        p.add_argument("--lf", default=None, metavar="PRESET",
-                       help="built-in ligand-field preset "
-                            "(d1-tetragonal, d9-planar)")
-        p.add_argument("--zeta", type=float, default=None,
-                       help="override the --lf preset SOC constant (cm^-1)")
         p.add_argument("--roots-mult", action="append", default=[],
                        metavar="N=K", help="roots per multiplicity, repeatable")
         p.add_argument("--out", default=None, help="output directory")
+    for p in (cas, gt):
+        p.add_argument("--lf", default=None, metavar="PRESET",
+                       help="built-in ligand-field preset "
+                            "(d1-tetragonal, d9-planar)")
+    for p in (gt, spect):
+        p.add_argument("--prop", default=None,
+                       help="property matrices (ANGMOM/SOC/DIP sections)")
+    gt.add_argument("--zeta", type=float, default=None,
+                    help="override the --lf preset SOC constant (cm^-1)")
     cas.add_argument("--oracle", choices=["dense"], default=None,
                      help="check the roots against dense diagonalization")
     spect.add_argument("--lines", default=None,
@@ -196,23 +197,25 @@ def _load_problem(args, manifest: Manifest):
         raise ValueError("exactly one of "
                          + " or ".join(f"--{s}" for s in sources)
                          + " is required")
-    if args.zeta is not None and args.lf is None:
+    # flags the subcommand does not define read as absent
+    lf, zeta, prop_path = map(vars(args).get, ("lf", "zeta", "prop"))
+    if zeta is not None and lf is None:
         raise ValueError("--zeta needs --lf")
-    if args.prop is not None and args.fcidump is None:
+    if prop_path is not None and args.fcidump is None:
         raise ValueError("--prop needs --fcidump")
 
     ints = prop = None
     default_cas = default_ms2 = None
-    if args.lf is not None:
-        model = preset_model(args.lf, zeta=args.zeta)
+    if lf is not None:
+        model = preset_model(lf, zeta=zeta)
         _, ints, prop, preset = build_ligand_field_model(model)
         default_cas = preset.cas
     elif args.fcidump is not None:
         data = read_fcidump(_read_text(args.fcidump, manifest))
         ints, n_orb = data.integrals, data.orbitals.n_orb
         prop = zero_properties(n_orb)
-        if args.prop:
-            prop = parse_property_integrals(_read_text(args.prop, manifest),
+        if prop_path:
+            prop = parse_property_integrals(_read_text(prop_path, manifest),
                                             n_orb)
         if data.n_elec is not None:
             default_cas = (data.n_elec, n_orb)
@@ -233,13 +236,12 @@ def _load_problem(args, manifest: Manifest):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_count(args, manifest: Manifest) -> int:
+def cmd_count(args, manifest: Manifest) -> None:
     with manifest.stage("count"):
         n = cas_dimension(args.nelec, args.norb, args.ms2)
     print(n)
     manifest.data["config"] = {"nelec": args.nelec, "norb": args.norb,
                                "ms2": args.ms2, "count": n}
-    return EXIT_OK
 
 
 def _state_rows(multiplets):
@@ -271,7 +273,7 @@ def _format_state_table(rows) -> str:
     return "\n".join(out) + "\n"
 
 
-def cmd_casci(args, manifest: Manifest) -> int:
+def cmd_casci(args, manifest: Manifest) -> None:
     ints, _, config = _load_problem(args, manifest)
     with manifest.stage("casci"):
         multiplets = driver.solve_multiplets(ints, config)
@@ -296,7 +298,6 @@ def cmd_casci(args, manifest: Manifest) -> int:
 
     rows = _state_rows(multiplets)
     _report(manifest.out_dir, "casci_report", _format_state_table(rows), rows)
-    return EXIT_OK
 
 
 def _oracle_gap(multiplets, ints, config) -> float:
@@ -321,7 +322,7 @@ def _worst_residual(multiplets, ints) -> float:
                default=0.0)
 
 
-def cmd_gtensor(args, manifest: Manifest) -> int:
+def cmd_gtensor(args, manifest: Manifest) -> None:
     ints, prop, config = _load_problem(args, manifest)
     with manifest.stage("gtensor"):
         result = driver.run_gtensor(ints, prop, config)
@@ -351,7 +352,6 @@ def cmd_gtensor(args, manifest: Manifest) -> int:
         "gaps": [dict(r) for r in result.gaps.rows],
         "quartet_below_doublet": result.gaps.quartet_below_doublet,
     })
-    return EXIT_OK
 
 
 def _parse_lines_file(text: str):
@@ -373,7 +373,7 @@ def _parse_lines_file(text: str):
     return lines
 
 
-def cmd_spectrum(args, manifest: Manifest) -> int:
+def cmd_spectrum(args, manifest: Manifest) -> None:
     ints, prop, config = _load_problem(args, manifest)
     if ints is None:
         lines = _parse_lines_file(_read_text(args.lines, manifest))
@@ -402,7 +402,6 @@ def cmd_spectrum(args, manifest: Manifest) -> int:
                      f"  {r['f_osc']:>9.6f}  {r['band']}")
     _report(manifest.out_dir, "lines", "\n".join(table) + "\n", rows)
     (manifest.out_dir / "spectrum.csv").write_text(spectrum_csv(grid, curve))
-    return EXIT_OK
 
 
 def _out_from_argv(argv: list[str]) -> str | None:
@@ -435,12 +434,15 @@ def main(argv=None) -> int:
                 "gtensor": cmd_gtensor, "spectrum": cmd_spectrum}
     code, error = EXIT_OK, None
     try:
-        code = handlers[args.command](args, manifest)
+        handlers[args.command](args, manifest)
     except Exception as exc:
         code, error = _classify_error(exc), exc
         kind = {EXIT_INPUT: "input error", EXIT_NOCONV: "non-convergence",
                 EXIT_INVARIANT: "invariant breach"}[code]
         print(f"error ({kind}): {exc}", file=sys.stderr)
+    except BaseException as exc:    # an interrupt: recorded, then re-raised
+        code, error = None, exc
+        raise
     finally:
         manifest.finish(code, error)
     return code
@@ -449,10 +451,7 @@ def main(argv=None) -> int:
 def _classify_error(exc: Exception) -> int:
     if isinstance(exc, DavidsonNotConverged):
         return EXIT_NOCONV
-    if isinstance(exc, (KramersPairingError, PhaseConsistencyError,
-                        AssertionError)):
-        return EXIT_INVARIANT
-    if isinstance(exc, (ValueError, OSError, KeyError)):
+    if isinstance(exc, (ValueError, OSError)):
         return EXIT_INPUT
     return EXIT_INVARIANT
 

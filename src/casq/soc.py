@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _link_densities, spin_transition_densities
-from .casci import Multiplet
+from .casci import InvariantBreach, Multiplet
 from .ingest import PropertyIntegrals
 from .spin import flip_lower_links, flip_raise_links
 
@@ -32,11 +32,11 @@ KRAMERS_SPLIT_TOL = 1e-10
 KRAMERS_OVERLAP_TOL = 1e-8
 
 
-class PhaseConsistencyError(ValueError):
+class PhaseConsistencyError(InvariantBreach):
     """Multiplet component phases are inconsistent (Hermiticity breach)."""
 
 
-class KramersPairingError(ValueError):
+class KramersPairingError(InvariantBreach):
     """QDPT eigenstates of an odd-electron system failed to pair."""
 
 

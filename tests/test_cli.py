@@ -1,10 +1,14 @@
 import json
 
 import numpy as np
+import pytest
 
-from casq.cli import main
-from casq.ingest import write_fcidump
+from casq.casci import InvariantBreach
+from casq.cli import UsageError, _classify_error, main
+from casq.davidson import DavidsonNotConverged, DavidsonResult
+from casq.ingest import ParseError, write_fcidump
 from casq.ligandfield import build_ligand_field_model
+from casq.soc import KramersPairingError, PhaseConsistencyError
 from casq.spectra import SpectrumLine, broaden
 
 from conftest import kramers_split_d5_model, make_random_integrals, spin_purity_field
@@ -40,13 +44,12 @@ def test_count_parity_error(tmp_path, capsys):
 
 
 def test_casci_lf_preset_zeta_zero(tmp_path, capsys):
-    code, out, manifest = run_cli(
-        ["casci", "--lf", "d1-tetragonal", "--zeta", "0"], tmp_path)
+    code, out, manifest = run_cli(["casci", "--lf", "d1-tetragonal"], tmp_path)
     assert code == 0
     report = json.loads((out / "casci_report.json").read_text())
     assert len(report) == 5
     assert all(r["multiplicity"] == 2 for r in report)
-    # single-determinant states at zeta = 0 in the diagonal field
+    # casci is spin-free: single-determinant states in the diagonal field
     for r in report:
         assert len(r["decomposition"]) == 1
         assert r["decomposition"][0].endswith("(100%)")
@@ -230,13 +233,68 @@ def test_zeta_needs_lf(tmp_path, capsys):
     ints = make_random_integrals(3, 207)
     (tmp_path / "m.fcidump").write_text(write_fcidump(ints, 3, 1))
     code, _, manifest = run_cli(
-        ["casci", "--fcidump", str(tmp_path / "m.fcidump"), "--zeta", "100"],
+        ["gtensor", "--fcidump", str(tmp_path / "m.fcidump"), "--zeta", "100"],
         tmp_path)
     assert code == 1
     assert manifest["status"] == "failed" and manifest["exit_code"] == 1
     assert "--zeta needs --lf" in capsys.readouterr().err
     assert manifest["error"]["type"] == "ValueError"
     assert "--zeta needs --lf" in manifest["error"]["message"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["casci", "--lf", "d1", "--prop", "m.prop"], "--prop"),
+    (["casci", "--lf", "d1", "--zeta", "5"], "--zeta"),
+    (["spectrum", "--lf", "d1"], "--lf"),
+    (["spectrum", "--lines", "lines.txt", "--zeta", "5"], "--zeta"),
+], ids=["casci-prop", "casci-zeta", "spectrum-lf", "spectrum-zeta"])
+def test_flag_outside_its_subcommands_is_a_usage_error(tmp_path, capsys,
+                                                       argv, flag):
+    # each flag goes only on the subcommands that read it
+    code, _, manifest = run_cli(argv, tmp_path)
+    assert code == 1
+    assert manifest["status"] == "failed" and manifest["exit_code"] == 1
+    assert manifest["error"]["type"] == "UsageError"
+    assert flag in manifest["error"]["message"]
+    assert flag in capsys.readouterr().err
+
+
+def _not_converged():
+    return DavidsonNotConverged(DavidsonResult(
+        energies=np.zeros(1), vectors=np.zeros((2, 1)), iterations=1,
+        residual_norms=np.ones(1), converged=False))
+
+
+@pytest.mark.parametrize("exc, code", [
+    (_not_converged(), 2),
+    (InvariantBreach("x"), 3),
+    (KramersPairingError("x"), 3),
+    (PhaseConsistencyError("x"), 3),
+    (AssertionError("x"), 3),
+    (KeyError("x"), 3),
+    (ParseError("x"), 1),
+    (UsageError("x"), 1),
+    (FileNotFoundError("x"), 1),
+    (ValueError("x"), 1),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_exit_code_follows_the_exception_type(exc, code):
+    assert _classify_error(exc) == code
+
+
+def test_interrupted_run_records_failure(tmp_path, monkeypatch):
+    import casq.driver
+
+    def interrupted(ints, config):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(casq.driver, "solve_multiplets", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["casci", "--lf", "d1", "--out", str(tmp_path / "out")])
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["exit_code"] is None
+    assert manifest["error"]["type"] == "KeyboardInterrupt"
+    assert "casci" in manifest["timings_s"]
 
 
 def test_casci_fcidump_roundtrip(tmp_path):
