@@ -17,7 +17,7 @@ They are cross-checked in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from itertools import islice
 from math import isqrt
@@ -57,7 +57,8 @@ RAYLEIGH_TOL = 1e-8
 CHUNK_BYTES = 32 * 2**20
 
 # largest |<S^2> - S(S+1)| of a root solved within the range of the spin-S
-# projector: a larger one means the projection failed
+# projector, or gap of a laddered M_S < 0 component from its _spin_flip: a
+# larger one means the projection or a ladder table failed
 SPIN_TOL = 1e-8
 
 
@@ -549,6 +550,20 @@ class Multiplet:
                 f"E={self.energy:.10f})")
 
 
+def _spin_flip(state: CiState) -> np.ndarray:
+    """The M_S = -M partner of ladder-phased |S, M> as the S- chain builds
+    it: eps C^T, C the coefficients as (alpha strings x beta strings), and
+    eps = (-1)^(S - M + n_beta + n_alpha n_beta) from this block.  Rotating
+    by pi about y maps a+_pa -> a+_pb and a+_pb -> -a+_pa: (-1)^n_beta;
+    putting the alpha operators first again crosses n_alpha n_beta pairs;
+    and R|S, M> = (-1)^(S - M)|S, -M> in soc.time_reversal_matrix's phase."""
+    space = state.space
+    sign = ((state.multiplicity - 1 - space.ms2) // 2
+            + space.n_beta * (1 + space.n_alpha))
+    C = state.coeffs.reshape(len(space.alpha_strings), len(space.beta_strings))
+    return (-1.0) ** sign * C.T.ravel()
+
+
 def assemble_multiplets(states: list[CiState],
                         ints: IntegralSet) -> list[Multiplet]:
     """Generate all M_S components of top-M_S roots by repeated S-.
@@ -556,8 +571,10 @@ def assemble_multiplets(states: list[CiState],
     Every input state must satisfy 2S = M_S*2 (a top component); the
     ladder construction keeps the relative phases consistent across
     components, which the spin-orbit coupling matrix relies on.  Each
-    component energy is re-verified as a Rayleigh quotient within
-    RAYLEIGH_TOL.
+    component at 0 <= M_S < S (a quartet's M_S = 1/2) is re-verified as a
+    Rayleigh quotient within RAYLEIGH_TOL by one sigma; each at M_S < 0
+    must match the _spin_flip of its +M_S partner within SPIN_TOL, with no
+    sigma, and takes that partner's energy and <S^2>.
     """
     multiplets = []
     for state in states:
@@ -572,16 +589,24 @@ def assemble_multiplets(states: list[CiState],
         for ms2 in range(state.ms2 - 2, -state.ms2 - 1, -2):
             space, vec = apply_s_minus(space, vec)
             vec = vec / np.linalg.norm(vec)
-            e = float(vec @ sigma(space, ints, vec))
-            if abs(e - state.energy) > RAYLEIGH_TOL:
-                raise InvariantBreach(
-                    f"Rayleigh quotient at ms2={ms2} deviates by "
-                    f"{abs(e - state.energy):.3e} (> {RAYLEIGH_TOL:.0e}); "
-                    f"degenerate roots may be mixed")
-            components[ms2] = CiState(
-                energy=e, coeffs=vec, space=space,
-                s2_expect=float(s_squared(space, vec)),
-                multiplicity=state.multiplicity)
+            if ms2 < 0:
+                partner = components[-ms2]
+                gap = np.max(np.abs(vec - _spin_flip(partner)))
+                if gap > SPIN_TOL:
+                    raise InvariantBreach(
+                        f"component at ms2={ms2} is off the spin flip of "
+                        f"ms2={-ms2} by {gap:.3e} (> {SPIN_TOL:.0e})")
+                e, s2 = partner.energy, partner.s2_expect
+            else:
+                e = float(vec @ sigma(space, ints, vec))
+                if abs(e - state.energy) > RAYLEIGH_TOL:
+                    raise InvariantBreach(
+                        f"Rayleigh quotient at ms2={ms2} deviates by "
+                        f"{abs(e - state.energy):.3e} (> {RAYLEIGH_TOL:.0e}); "
+                        f"degenerate roots may be mixed")
+                s2 = float(s_squared(space, vec))
+            components[ms2] = replace(state, energy=e, coeffs=vec,
+                                      space=space, s2_expect=s2)
         multiplets.append(Multiplet(two_s=two_s, energy=state.energy,
                                     components=components))
     multiplets.sort(key=lambda m: m.energy)

@@ -123,7 +123,7 @@ class Manifest:
 def _read_text(path_str: str, manifest: Manifest) -> str:
     path = Path(path_str)
     if not path.is_file():
-        raise FileNotFoundError(f"no such file: {path}")
+        raise FileNotFoundError(f"no such file: {path_str!r}")
     manifest.add_input(path)
     return path.read_text()
 
@@ -204,8 +204,7 @@ def _load_problem(args, manifest: Manifest):
     if prop_path is not None and args.fcidump is None:
         raise ValueError("--prop needs --fcidump")
 
-    ints = prop = None
-    default_cas = default_ms2 = None
+    ints = prop = default_cas = default_ms2 = None
     if lf is not None:
         model = preset_model(lf, zeta=zeta)
         _, ints, prop, preset = build_ligand_field_model(model)
@@ -214,20 +213,21 @@ def _load_problem(args, manifest: Manifest):
         data = read_fcidump(_read_text(args.fcidump, manifest))
         ints, n_orb = data.integrals, data.orbitals.n_orb
         prop = zero_properties(n_orb)
-        if prop_path:
+        if prop_path is not None:
             prop = parse_property_integrals(_read_text(prop_path, manifest),
                                             n_orb)
         if data.n_elec is not None:
             default_cas = (data.n_elec, n_orb)
         default_ms2 = data.ms2
-    text = _read_text(args.config, manifest) if args.config else ""
+    text = _read_text(args.config, manifest) if args.config is not None else ""
     config = parse_run_config(text, default_cas=default_cas,
                               default_ms2=default_ms2,
                               needs_cas=ints is not None)
 
-    roots = _parse_roots_flags(args.roots_mult)
-    if roots:
-        config = replace(config, roots_per_multiplicity=roots)
+    roots = _parse_roots_flags(args.roots_mult) or config.roots_per_multiplicity
+    if ints is not None and not any(roots.values()):
+        raise ValueError(f"no roots to solve: every root count is 0 ({roots})")
+    config = replace(config, roots_per_multiplicity=roots)
     manifest.data["config"] = asdict(config)
     return ints, prop, config
 
@@ -382,9 +382,9 @@ def cmd_spectrum(args, manifest: Manifest) -> None:
             raise ValueError("no dipole matrices available: provide DIP "
                              "sections in --prop or use --lines")
         with manifest.stage("states"):
-            mult = min(config.roots_per_multiplicity)
-            count = config.roots_per_multiplicity[mult]
-            states = driver.solve_multiplicity(ints, config, mult, count)
+            roots = config.roots_per_multiplicity
+            mult = min(m for m in roots if roots[m])
+            states = driver.solve_multiplicity(ints, config, mult, roots[mult])
         lines = transition_table(states, prop)
 
     spec = config.spectrum

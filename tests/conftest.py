@@ -115,3 +115,23 @@ def davidson_runs(monkeypatch):
 
     monkeypatch.setattr(casq.casci, "davidson_lowest", spy)
     return runs
+
+
+@pytest.fixture
+def negated_s_minus_entry(monkeypatch):
+    """Negates the first entry of every ms2 = 1 -> -1 S- table, which no
+    solve uses: only the ladder from M_S = 1/2 down to -1/2 reads it."""
+    import casq.spin
+
+    links = casq.spin._s_minus_links
+
+    def negated(space):
+        out = links(space)
+        if space.ms2 != 1 or out is None:
+            return out
+        lower, (src, dst, sign) = out
+        sign = sign.copy()       # the cached table stays intact
+        sign[0] = -sign[0]
+        return lower, (src, dst, sign)
+
+    monkeypatch.setattr(casq.spin, "_s_minus_links", negated)

@@ -192,9 +192,21 @@ def test_phase_inconsistency_exits_three(tmp_path, monkeypatch, capsys):
     assert "error (invariant breach)" in capsys.readouterr().err
 
 
+def _ci_cas56(tmp_path) -> list[str]:
+    """The CAS(5,6) FCIDUMP of the CI's installed-script step, with 3
+    doublets and 2 quartets at the automatic guess_dim: both top blocks
+    (300 and 90 determinants) take the dense route."""
+    ints = make_random_integrals(6, 11, core=0.0)
+    (tmp_path / "cas56.fcidump").write_text(write_fcidump(ints, 5, 1))
+    (tmp_path / "cas56.cfg").write_text("roots_mult_2=3\nroots_mult_4=2\n")
+    return ["--fcidump", str(tmp_path / "cas56.fcidump"),
+            "--config", str(tmp_path / "cas56.cfg")]
+
+
 def test_rayleigh_drift_exits_three(tmp_path, monkeypatch, capsys):
-    # a sigma off by 1e-6 x moves the Rayleigh quotient of each laddered
-    # component away from its top component's energy
+    # a sigma off by 1e-6 x moves the Rayleigh quotient of each quartet's
+    # M_S = 1/2 component away from its top component's energy; the dense
+    # solves use no sigma, so the drift reaches only that check
     import casq.casci
 
     sigma = casq.casci.sigma
@@ -203,10 +215,18 @@ def test_rayleigh_drift_exits_three(tmp_path, monkeypatch, capsys):
         return sigma(space, ints, vec, **kw) + 1e-6 * vec
 
     monkeypatch.setattr(casq.casci, "sigma", shifted)
-    code, _, manifest = run_cli(["casci", "--lf", "d9-planar"], tmp_path)
+    code, _, manifest = run_cli(["casci", *_ci_cas56(tmp_path)], tmp_path)
     assert code == 3 and manifest["exit_code"] == 3
     assert manifest["error"]["type"] == "InvariantBreach"
     assert "Rayleigh quotient" in manifest["error"]["message"]
+    assert "error (invariant breach)" in capsys.readouterr().err
+
+
+def test_negated_s_minus_entry_exits_three(tmp_path, capsys,
+                                           negated_s_minus_entry):
+    code, _, manifest = run_cli(["casci", *_ci_cas56(tmp_path)], tmp_path)
+    assert code == 3 and manifest["error"]["type"] == "InvariantBreach"
+    assert "spin flip" in manifest["error"]["message"]
     assert "error (invariant breach)" in capsys.readouterr().err
 
 
@@ -471,6 +491,53 @@ def test_spectrum_with_dipoles_from_prop(tmp_path):
     lines = json.loads((out / "lines.json").read_text())
     assert len(lines) == 2
     assert all(ln["f_osc"] >= 0 for ln in lines)
+
+
+def test_spectrum_takes_the_lowest_multiplicity_with_roots(tmp_path):
+    # with no doublets asked for, the line table is that of the quartets
+    ints = make_random_integrals(4, 207)
+    (tmp_path / "m.fcidump").write_text(write_fcidump(ints, 3, 1))
+    d = np.random.default_rng(1).standard_normal((4, 4))
+    (tmp_path / "m.prop").write_text(
+        "DIP_Z\n" + "\n".join(" ".join(map(str, row)) for row in d + d.T))
+    common = ["spectrum", "--fcidump", str(tmp_path / "m.fcidump"),
+              "--prop", str(tmp_path / "m.prop")]
+    code, out, _ = run_cli(
+        common + ["--roots-mult", "2=0", "--roots-mult", "4=3"], tmp_path)
+    ref_code, ref, _ = run_cli(common + ["--roots-mult", "4=3"], tmp_path, "ref")
+    assert code == ref_code == 0
+    assert len(json.loads((out / "lines.json").read_text())) == 2
+    assert (out / "lines.txt").read_text() == (ref / "lines.txt").read_text()
+
+
+def test_all_zero_root_counts_are_an_input_error(tmp_path, monkeypatch, capsys):
+    import casq.driver
+
+    solves = []
+    monkeypatch.setattr(casq.driver, "solve_davidson",
+                        lambda *args, **kw: solves.append(args))
+    (tmp_path / "zero.cfg").write_text("roots_mult_2=0\n")
+    for args, name in [(["casci", "--lf", "d1", "--roots-mult", "2=0"], "c"),
+                       (["gtensor", "--lf", "d1", "--config",
+                         str(tmp_path / "zero.cfg")], "g")]:
+        code, _, manifest = run_cli(args, tmp_path, name)
+        assert code == 1 and manifest["error"]["type"] == "ValueError"
+        assert "root count" in manifest["error"]["message"]
+    assert solves == []
+    assert "every root count is 0" in capsys.readouterr().err
+
+
+def test_empty_input_paths_are_missing_files(tmp_path):
+    # an empty --prop or --config value names no file, as a missing path
+    # does: the run fails instead of going on without the file
+    (tmp_path / "m.fcidump").write_text(
+        write_fcidump(make_random_integrals(3, 208), 3, 1))
+    for args, name in [(["gtensor", "--fcidump", str(tmp_path / "m.fcidump"),
+                         "--prop", ""], "p"),
+                       (["casci", "--lf", "d1", "--config", ""], "c")]:
+        code, _, manifest = run_cli(args, tmp_path, name)
+        assert code == 1 and manifest["exit_code"] == 1
+        assert manifest["error"]["type"] == "FileNotFoundError"
 
 
 def test_manifest_written_on_every_run(tmp_path):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casq.casci import assemble_multiplets, dense_solve, solve_davidson
+from casq.casci import (InvariantBreach, _spin_flip, assemble_multiplets,
+                        dense_solve, solve_davidson)
 from casq.detspace import Determinant, cas_dimension, enumerate_cas
 from casq.ingest import DavidsonOptions
 from casq.spin import (
@@ -302,6 +303,35 @@ def test_assemble_multiplets_doublet_and_quartet():
             assert comp.ms2 == ms2
             s = m.S
             assert abs(comp.s2_expect - s * (s + 1)) < 1e-6
+
+
+@pytest.mark.parametrize("n_elec, roots", [(5, {2: 3, 4: 2, 6: 1}),
+                                           (4, {1: 2, 3: 2, 5: 1})])
+def test_spin_flip_matches_the_s_minus_chain(n_elec, roots):
+    # eps C^T of every M_S >= 0 component is the chain's -M_S component,
+    # and at M_S = 0 the component itself; eps comes from its formula,
+    # which takes both signs over these blocks
+    ints = make_random_integrals(6, 56)
+    states = [s for mult, count in roots.items() for s in
+              dense_solve(enumerate_cas(n_elec, 6, mult - 1), ints, count)]
+    signs = set()
+    for m in assemble_multiplets(states, ints):
+        for ms2 in range(m.two_s % 2, m.two_s + 1, 2):
+            comp = m.component(ms2)
+            flipped = _spin_flip(comp)
+            assert np.max(np.abs(flipped - m.component(-ms2).coeffs)) < 1e-12
+            C = comp.coeffs.reshape(len(comp.space.alpha_strings), -1)
+            signs.add(round(flipped @ C.T.ravel()))
+    assert signs == {-1, 1}
+
+
+def test_negated_s_minus_entry_fails_the_spin_flip_check(negated_s_minus_entry):
+    # no sigma checks a doublet's M_S = -1/2 component: the spin flip of
+    # its M_S = 1/2 partner catches one wrong sign in the ladder table
+    ints = make_random_integrals(4, 57)
+    doublets = dense_solve(enumerate_cas(3, 4, 1), ints, 2)
+    with pytest.raises(InvariantBreach, match="spin flip"):
+        assemble_multiplets(doublets, ints)
 
 
 def test_assemble_rejects_non_top_states():
