@@ -165,13 +165,15 @@ def _pair_index(n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _SigmaPlan:
-    """Link tables of the packed-pair sigma kernel.
+    """CSR operators of the packed-pair sigma kernel.
 
-    The spin with the larger link table becomes the row side: its scatter
-    and gather run as single vectorized updates over fused (pair, row)
-    indices, with destination-sorted segment sums for the gather, one
-    chunk of rows at a time.  The other spin works per orbital-pair group
-    on contiguous column blocks.
+    The spin with the larger link table gives the rows, the other spin the
+    columns, of each vector C as an (n_row, n_col) matrix.  Every string
+    scatter and gather of _sigma_chunk is one compiled CSR product: on the
+    row side those of each chunk, built from row_links once per chunk size
+    and cached in chunks; on the column side col_op and col_gather, which
+    serve every chunk.  The packed link table is symmetric in its two
+    strings, so each gather is its scatter transposed.
     """
 
     transpose: bool              # True when beta strings are the row side
@@ -179,14 +181,28 @@ class _SigmaPlan:
     n_col: int
     n_pair: int                  # n(n+1)/2
     row_links: tuple             # (pair, src, dst, sign), flat, dst-sorted
-    col_groups: tuple            # (pair, src, dst, sign) per non-empty E_pq
+    col_op: object               # CSR (n_pair * n_col, n_col) column scatter
+    col_gather: object           # CSR of col_op's transpose
     chunks: dict = field(default_factory=dict)   # rows per chunk -> tables
 
     @property
     def row_bytes(self) -> int:
-        """Bytes of D, G and the gather temporary per row and vector."""
-        links = -(-self.row_links[0].size // self.n_row)
-        return 8 * self.n_col * (2 * self.n_pair + links)
+        """Bytes of D, its column part, G and G^T per row and vector."""
+        return 4 * 8 * self.n_pair * self.n_col
+
+
+def _csr(sign, rows, cols, shape):
+    # scipy.sparse costs about 0.15-0.2 s and 16 MB to import: loaded with
+    # the first sigma plan, so runs that never call sigma do not pay it
+    from scipy.sparse import csr_matrix
+    return csr_matrix((sign, (rows, cols)), shape=shape)
+
+
+def _flat_links(groups, pair):
+    """(pair, src, dst, sign) of E_pq link groups, concatenated."""
+    return tuple(np.concatenate(x) for x in zip(*(
+        (np.full(s.size, pair[g]), s, d, w)
+        for g, (s, d, w) in enumerate(groups))))
 
 
 @lru_cache(maxsize=None)
@@ -199,18 +215,18 @@ def _sigma_plan(space: CasSpace) -> _SigmaPlan:
     transpose = count_b > count_a
     row_groups, col_groups = (b_links, a_links) if transpose else (a_links, b_links)
     pair = _pair_index(n).ravel()
-    pairs, src, dst, sign = (np.concatenate(x) for x in zip(*(
-        (np.full(s.size, pair[g]), s, d, w)
-        for g, (s, d, w) in enumerate(row_groups))))
+    n_pair = n * (n + 1) // 2
+    n_row, n_col = ((len(space.beta_strings), len(space.alpha_strings))
+                    if transpose else
+                    (len(space.alpha_strings), len(space.beta_strings)))
+    pairs, src, dst, sign = _flat_links(row_groups, pair)
     order = np.argsort(dst, kind="stable")
+    c_pair, c_src, c_dst, c_sign = _flat_links(col_groups, pair)
+    col_op = _csr(c_sign, c_pair * n_col + c_dst, c_src, (n_pair * n_col, n_col))
     return _SigmaPlan(
-        transpose=transpose,
-        n_row=len(space.beta_strings) if transpose else len(space.alpha_strings),
-        n_col=len(space.alpha_strings) if transpose else len(space.beta_strings),
-        n_pair=n * (n + 1) // 2,
+        transpose=transpose, n_row=n_row, n_col=n_col, n_pair=n_pair,
         row_links=(pairs[order], src[order], dst[order], sign[order]),
-        col_groups=tuple((int(pair[g]), s, d, w)
-                         for g, (s, d, w) in enumerate(col_groups) if s.size))
+        col_op=col_op, col_gather=col_op.T.tocsr())
 
 
 def _chunk_rows(plan: _SigmaPlan, max_memory_gb: float) -> int:
@@ -221,11 +237,12 @@ def _chunk_rows(plan: _SigmaPlan, max_memory_gb: float) -> int:
 
 
 def _chunk_tables(plan: _SigmaPlan, rows: int) -> tuple:
-    """Row-side scatter and gather indices of each chunk of `rows` rows.
+    """(r0, r1, scatter, reached, gather) of each chunk of `rows` rows.
 
-    Per chunk [r0, r1): the scatter takes the links whose dst lies in the
-    chunk, the gather those whose src does, as fused pair * m + row
-    indices into the chunk's (n_pair * m, n_col) view.  Cached on the plan.
+    Per chunk [r0, r1) of m rows: scatter, (n_pair * m, n_row), takes the
+    links whose dst lies in the chunk to the fused pair * m + row index of
+    the chunk's D; gather, (reached rows, n_pair * m), takes those whose
+    src does back to the rows they reach.  Cached on the plan.
     """
     tables = plan.chunks.get(rows)
     if tables is None:
@@ -234,14 +251,16 @@ def _chunk_tables(plan: _SigmaPlan, rows: int) -> tuple:
         for r0 in range(0, plan.n_row, rows):
             r1 = min(plan.n_row, r0 + rows)
             m = r1 - r0
-            s = (dst >= r0) & (dst < r1)
+            s = slice(*np.searchsorted(dst, [r0, r1]))
             g = (src >= r0) & (src < r1)
-            g_dst = dst[g]
-            starts = np.flatnonzero(np.r_[True, g_dst[1:] != g_dst[:-1]])
-            tables.append((r0, r1,
-                           pair[s] * m + dst[s] - r0, src[s], sign[s],
-                           pair[g] * m + src[g] - r0, sign[g], starts,
-                           g_dst[starts]))
+            reached, at = np.unique(dst[g], return_inverse=True)
+            tables.append((
+                r0, r1,
+                _csr(sign[s], pair[s] * m + dst[s] - r0, src[s],
+                     (plan.n_pair * m, plan.n_row)),
+                reached,
+                _csr(sign[g], at, pair[g] * m + src[g] - r0,
+                     (reached.size, plan.n_pair * m))))
         tables = plan.chunks[rows] = tuple(tables)
     return tables
 
@@ -249,25 +268,16 @@ def _chunk_tables(plan: _SigmaPlan, rows: int) -> tuple:
 def _sigma_chunk(plan: _SigmaPlan, h2p: np.ndarray, chunk: tuple,
                  C: np.ndarray, out: np.ndarray) -> None:
     """out += H2 action of one row chunk, with C, out in (n_row, n_col)."""
-    r0, r1, sc_rows, sc_src, sc_sign, ga_rows, ga_sign, ga_starts, ga_dst = chunk
-    m, n_pair = r1 - r0, plan.n_pair
-    D = np.zeros((n_pair, m, plan.n_col))
-    t = C[sc_src]
-    t *= sc_sign[:, None]
-    D.reshape(n_pair * m, -1)[sc_rows] = t
-    del t
-    Cm = C[r0:r1]
-    for P, src, dst, sign in plan.col_groups:
-        D[P][:, dst] += sign * Cm[:, src]
-    G = (h2p @ D.reshape(n_pair, -1)).reshape(D.shape)
+    r0, r1, scatter, reached, gather = chunk
+    m, n_pair, n_col = r1 - r0, plan.n_pair, plan.n_col
+    D = (scatter @ C).reshape(n_pair, m, n_col)
+    D += (plan.col_op @ C[r0:r1].T).reshape(n_pair, n_col, m).transpose(0, 2, 1)
+    G = h2p @ D.reshape(n_pair, -1)
     del D
-    R = G.reshape(n_pair * m, -1)[ga_rows]
-    R *= ga_sign[:, None]
-    out[ga_dst] += np.add.reduceat(R, ga_starts, axis=0)
-    del R
-    om = out[r0:r1]
-    for P, src, dst, sign in plan.col_groups:
-        om[:, dst] += sign * G[P][:, src]
+    out[reached] += gather @ G.reshape(n_pair * m, n_col)
+    Gt = G.reshape(n_pair, m, n_col).transpose(0, 2, 1).reshape(-1, m)
+    del G
+    out[r0:r1] += (plan.col_gather @ Gt).T
 
 
 @lru_cache(maxsize=64)
@@ -292,14 +302,16 @@ def sigma(space: CasSpace, ints: IntegralSet, vec: np.ndarray, *,
           max_memory_gb: float = 2.0) -> np.ndarray:
     """Matrix-free H @ vec over the determinant basis; vec is (N,) or (N, k).
 
-    For each vector the string-driven kernel builds the packed
-    intermediate D_P = (E_pq + E_qp) vec over the n(n+1)/2 pairs p >= q,
-    contracts it with the packed two-electron matrix and gathers back with
-    the E_pq link tables.  Its working set is about n(n+1)/2 * n_det *
-    16 bytes per vector (D and the contracted G) plus the gather
-    temporary; the rows of the plan are processed in chunks that keep it
-    under max_memory_gb (and under CHUNK_BYTES, so that a chunk stays in
-    cache).  The vectors of a block are applied one at a time per chunk.
+    For each vector the string-driven kernel (Olsen et al., J. Chem.
+    Phys. 89, 2185 (1988)) builds the packed intermediate
+    D_P = (E_pq + E_qp) vec over the n(n+1)/2 pairs p >= q, contracts it
+    with the packed two-electron matrix and gathers back; every string
+    scatter and gather is one CSR product of the plan (_SigmaPlan).  Its
+    working set is n(n+1)/2 * n_det * 32 bytes per vector (D, its column
+    part, the contracted G and its transpose); the rows of the plan are
+    processed in chunks that keep it under max_memory_gb (and under
+    CHUNK_BYTES, so that a chunk stays in cache).  The vectors of a block
+    are applied one at a time per chunk.
     """
     v = np.asarray(vec, dtype=float)
     if v.ndim not in (1, 2) or v.shape[0] != space.size:

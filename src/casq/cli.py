@@ -140,6 +140,14 @@ def _report(out_dir: Path, stem: str, text: str, data):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _out_dir(value: str) -> str:
+    """An empty --out names no directory: a usage error, whose manifest
+    goes to casq_out, as a run's without --out does."""
+    if not value:
+        raise argparse.ArgumentTypeError("empty: it must name a directory")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="casq",
@@ -151,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--nelec", type=int, required=True)
     count.add_argument("--norb", type=int, required=True)
     count.add_argument("--ms2", type=int, required=True)
-    count.add_argument("--out", default=None)
+    count.add_argument("--out", type=_out_dir, default=None)
 
     cas = sub.add_parser("casci", help="CASCI states and decompositions")
     gt = sub.add_parser("gtensor", help="EHA and sum-over-states g-tensors")
@@ -161,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fcidump", default=None)
         p.add_argument("--roots-mult", action="append", default=[],
                        metavar="N=K", help="roots per multiplicity, repeatable")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", type=_out_dir, default=None,
+                       help="output directory")
     for p in (cas, gt):
         p.add_argument("--lf", default=None, metavar="PRESET",
                        help="built-in ligand-field preset "

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -135,6 +139,43 @@ def test_sigma_batched_matches_unbatched():
     tiny = sigma(space, ints, v, max_memory_gb=1e-6)
     assert np.max(np.abs(full - tiny)) < 1e-12
     assert np.max(np.abs(full - dense_hamiltonian(space, ints) @ v)) < 1e-12
+
+
+def test_sigma_block_is_bit_reproducible():
+    # a transposed plan (beta strings as rows) and a 3-vector block
+    ints = make_random_integrals(6, 36)
+    space = enumerate_cas(7, 6, 1)
+    plan = _sigma_plan(space)
+    assert plan.transpose
+    block = np.random.default_rng(6).standard_normal((space.size, 3))
+    first = sigma(space, ints, block)
+    assert _chunk_rows(plan, 2.0) == plan.n_row > 1
+    assert np.array_equal(first, sigma(space, ints, block))
+    cap = 0.5 * plan.row_bytes / 2 ** 30
+    assert _chunk_rows(plan, cap) == 1
+    one_row = sigma(space, ints, block, max_memory_gb=cap)
+    assert np.max(np.abs(one_row - first)) < 1e-12
+
+
+def test_scipy_loads_with_the_first_sigma_only():
+    # scipy.sparse costs the set-up of every run that imports it, so the
+    # sigma plan imports it when it is first built, not casq at import
+    code = """
+import sys
+import casq, casq.cli, casq.driver, casq.ligandfield
+assert 'scipy' not in sys.modules, 'at import'
+import numpy as np
+from casq.casci import sigma
+from casq.detspace import enumerate_cas
+from casq.ingest import IntegralSet
+space = enumerate_cas(3, 4, 1)
+sigma(space, IntegralSet(h=np.eye(4), g2=np.zeros((4,) * 4)), np.ones(space.size))
+assert 'scipy.sparse' in sys.modules, 'after sigma'
+"""
+    path = f"import sys; sys.path.insert(0, {str(Path(casci.__file__).parents[1])!r})"
+    run = subprocess.run([sys.executable, "-c", path + code],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_sigma_core_only():

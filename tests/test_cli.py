@@ -540,6 +540,24 @@ def test_empty_input_paths_are_missing_files(tmp_path):
         assert manifest["error"]["type"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["casci", "--lf", "d1", "--out", ""],
+    ["count", "--nelec", "1", "--norb", "5", "--ms2", "1", "--out="],
+])
+def test_empty_out_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # an empty --out names no directory: the run fails before any work,
+    # and its manifest goes where a run without --out writes, ./casq_out
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert "--out" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["casq_out"]
+    assert [p.name for p in (tmp_path / "casq_out").iterdir()] == ["manifest.json"]
+    manifest = json.loads((tmp_path / "casq_out" / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["exit_code"] == 1
+    assert manifest["error"]["type"] == "UsageError"
+    assert manifest["argv"] == argv
+
+
 def test_manifest_written_on_every_run(tmp_path):
     for args, name in [
         (["count", "--nelec", "1", "--norb", "5", "--ms2", "1"], "a"),
