@@ -157,6 +157,69 @@ def test_sigma_block_is_bit_reproducible():
     assert np.max(np.abs(one_row - first)) < 1e-12
 
 
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("k", [1, 3])
+def test_csr_add_matches_the_scipy_product(index_dtype, k):
+    # _csr_add calls a private scipy routine: a scipy that moves or changes
+    # it fails here
+    from scipy.sparse import random as sparse_random
+    rng = np.random.default_rng(k)
+    A = sparse_random(7, 5, density=0.4, format="csr", random_state=k)
+    A.indices, A.indptr = A.indices.astype(index_dtype), A.indptr.astype(index_dtype)
+    assert A.indices.dtype == A.indptr.dtype == index_dtype and A.nnz > 0
+    X, Y0 = rng.standard_normal((5, k)), rng.standard_normal((7, k))
+    Y = Y0.copy()
+    casci._csr_add(A, X, Y)
+    assert np.max(np.abs(Y - (Y0 + A @ X))) < 1e-14
+    # any X or Y that ravel() would copy is refused, and Y is left as it was
+    wide = rng.standard_normal((7, 2 * k))
+    for bad_x, bad_y in ((np.asfortranarray(rng.standard_normal((5, 3))),
+                          np.zeros((7, 3))),
+                         (rng.standard_normal((10, k))[::2], Y),
+                         (X, wide[:, ::2]),
+                         (np.ones((5, 3)), np.asfortranarray(np.zeros((7, 3)))),
+                         (X.astype(np.float32), Y),
+                         (X, np.zeros((6, k)))):
+        before = bad_y.copy()
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            casci._csr_add(A, bad_x, bad_y)
+        assert np.array_equal(bad_y, before)
+
+
+@pytest.mark.parametrize("n_elec,n_orb,ms2,transpose", [
+    (7, 6, 1, True), (5, 6, 1, False)])
+def test_sigma_carries_no_state_between_calls(n_elec, n_orb, ms2, transpose,
+                                              monkeypatch):
+    # sigma runs every chunk and vector of a call in one workspace, and
+    # never through scipy's allocating sparse @ dense product
+    from scipy.sparse._compressed import _cs_matrix
+    product = ("_matmul_multivector" if hasattr(_cs_matrix, "_matmul_multivector")
+               else "_mul_multivector")
+
+    def refuse(*_):
+        raise AssertionError("sigma called scipy's allocating product")
+    monkeypatch.setattr(_cs_matrix, product, refuse)
+    ints = make_random_integrals(n_orb, 37)
+    space = enumerate_cas(n_elec, n_orb, ms2)
+    plan = _sigma_plan(space)
+    assert plan.transpose == transpose
+    rng = np.random.default_rng(37)
+    P = rng.standard_normal((space.size, 3))
+    Q = 1e3 * rng.standard_normal((space.size, 3))
+    H = dense_hamiltonian(space, ints)
+    one_row = 0.5 * plan.row_bytes / 2 ** 30
+    for cap, rows in ((one_row, 1), (2.0, plan.n_row)):
+        assert _chunk_rows(plan, cap) == rows
+        first = sigma(space, ints, P, max_memory_gb=cap)
+        assert np.max(np.abs(first - H @ P)) < 1e-12
+        assert np.max(np.abs(sigma(space, ints, Q, max_memory_gb=cap)
+                             - H @ Q)) < 1e-9
+        assert np.array_equal(sigma(space, ints, P, max_memory_gb=cap), first)
+        # a 1-vector call after a 3-vector call
+        assert np.array_equal(sigma(space, ints, P[:, 0], max_memory_gb=cap),
+                              first[:, 0])
+
+
 def test_scipy_loads_with_the_first_sigma_only():
     # scipy.sparse costs the set-up of every run that imports it, so the
     # sigma plan imports it when it is first built, not casq at import
