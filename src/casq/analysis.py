@@ -2,27 +2,67 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .casci import CiState
 from .detspace import CasSpace, excitation_links
 
 
-def _link_densities(groups, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+# bytes of bra and ket rows that one batch of link groups gathers; a group
+# larger than this runs alone.  A d-shell call is one batch per size class,
+# a CAS(9,9) call with 16 columns one group per batch; caps of 0.25-2 MiB
+# ran that call alike, 8 and 32 MiB 1.1-2x slower.
+BATCH_BYTES = 2 * 2**20
+
+
+@lru_cache(maxsize=None)
+def _excitation_classes(n_orb: int, k: int) -> tuple:
+    """excitation_links(n_orb, k) stacked by size class: one (group ids,
+    src, dst, sign) per distinct non-zero entry count E, the ids ascending
+    (n_class,) and the rest (n_class, E).  The classes are the diagonal
+    E_pp groups of C(n-1, k-1) entries and the off-diagonal ones of
+    C(n-2, k-1): one class when those are equal (k = 1), the diagonal
+    alone when k = n_orb, none when k = 0.  Empty groups are left out."""
+    groups = excitation_links(n_orb, k)
+    sizes = np.array([src.size for src, _, _ in groups], dtype=int)
+    classes = []
+    # sorted(set()), not np.unique, which loads numpy.ma (about 1 MB)
+    for e in sorted(set(sizes.tolist()) - {0}):
+        gid = np.flatnonzero(sizes == e)
+        classes.append((gid, *(np.stack(col)
+                               for col in zip(*(groups[g] for g in gid)))))
+    return tuple(classes)
+
+
+def _link_densities(classes, n_groups: int, bra: np.ndarray,
+                    ket: np.ndarray) -> np.ndarray:
     """out[g, i, j] = sum_e sign_e bra[dst_e, :, i] . ket[src_e, :, j].
 
     bra (rows, m, k_b) and ket (rows', m, k_k) are indexed along their
     first axis by a link table's dst and src; the middle axis is summed
-    over.  Each group is one gather and one GEMM over all columns, so the
-    working memory per group is E_g * m * k.
+    over.  The table is given by size class, (group ids, src, dst, sign)
+    with (n_class, E) entries, for n_groups groups in all; absent groups
+    give zeros.  Each batch of a class is one gather of bra rows, one of
+    ket rows and one stacked GEMM (b, k_b, E*m) @ (b, E*m, k_k), each
+    slice the same BLAS call as a GEMM per group, so the result does not
+    depend on the batching.  A batch gathers at most BATCH_BYTES, or one
+    group.
     """
-    kb, kk = bra.shape[-1], ket.shape[-1]
-    out = np.zeros((len(groups), kb, kk))
-    for g, (src, dst, sign) in enumerate(groups):
-        if src.size:
-            rows = bra[dst]
-            rows *= sign[:, None, None]
-            out[g] = rows.reshape(-1, kb).T @ ket[src].reshape(-1, kk)
+    m, kb, kk = bra.shape[1], bra.shape[-1], ket.shape[-1]
+    out = np.zeros((n_groups, kb, kk))
+    for gid, src, dst, sign in classes:
+        n_class, e = src.shape
+        step = max(1, BATCH_BYTES // max(1, e * m * (kb + kk) * bra.itemsize))
+        for b in range(0, n_class, step):
+            batch = slice(b, b + step)
+            rows = bra[dst[batch]]
+            rows *= sign[batch, :, None, None]
+            n_b = len(rows)
+            out[gid[batch]] = np.matmul(
+                rows.reshape(n_b, e * m, kb).transpose(0, 2, 1),
+                ket[src[batch]].reshape(n_b, e * m, kk))
     return out
 
 
@@ -32,14 +72,15 @@ def _spin_densities(space: CasSpace, bra: np.ndarray,
 
     bra (n_alpha, n_beta, s, k_b) and ket (n_alpha, n_beta, s, k_k) are
     summed over their determinant axes and their third axis s: alpha
-    works on the (n_alpha, n_beta * s) view, beta on a transposed copy.
+    works on the (n_alpha, n_beta * s) view, beta on a transposed copy,
+    each over the size classes of its string count's excitation table.
     """
     n = space.n_orb
     na, nb = bra.shape[:2]
     kb, kk = bra.shape[-1], ket.shape[-1]
-    ga = _link_densities(excitation_links(n, space.n_alpha),
+    ga = _link_densities(_excitation_classes(n, space.n_alpha), n * n,
                          bra.reshape(na, -1, kb), ket.reshape(na, -1, kk))
-    gb = _link_densities(excitation_links(n, space.n_beta),
+    gb = _link_densities(_excitation_classes(n, space.n_beta), n * n,
                          bra.transpose(1, 0, 2, 3).reshape(nb, -1, kb),
                          ket.transpose(1, 0, 2, 3).reshape(nb, -1, kk))
     return ga, gb

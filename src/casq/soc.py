@@ -83,10 +83,12 @@ def component_blocks(basis: SocStateBasis, multiplets: list[Multiplet]):
 
 def _flip_tdm(links, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
     """gamma[p,q,i,j] = <bra_i|a+_p a_q|ket_j> over a spin-flip table
-    (ket columns in its source space, bra columns in its target space)."""
-    space, groups = links
+    (ket columns in its source space, bra columns in its target space).
+    The table's n_orb**2 groups are one size class, so the group-batched
+    kernel runs them in batches of BATCH_BYTES of gathered determinants."""
+    space, classes = links
     n = space.n_orb
-    out = _link_densities(groups, bra[:, None, :], ket[:, None, :])
+    out = _link_densities(classes, n * n, bra[:, None, :], ket[:, None, :])
     return out.reshape(n, n, bra.shape[1], ket.shape[1])
 
 

@@ -39,21 +39,29 @@ def _creators(n_orb: int, k: int):
 
 
 def _flip_groups(space: CasSpace, target: CasSpace, alpha, beta, crossing, pairs):
-    """(src, dst, sign) of the product of the string maps alpha[i] and
-    beta[j], from space into target, for each (i, j) of pairs.  The alpha
-    string is the slow index, so src ascends.  The tables stay cached for
-    the run, so they are stored as int32 indices and int8 signs: both are
-    exact, and a product with a float vector is the float64 one."""
+    """Spin-flip table from space into target as its one size class,
+    ((group ids, src, dst, sign),), each (n_pairs, E): row g is the product
+    of the string maps alpha[i] and beta[j] for the g-th (i, j) of pairs.
+    All maps of one side have the same length, so every row has the same
+    E entries (C(n-1, n_alpha-1) * C(n-1, n_beta) for the lowering table),
+    and the analysis kernel runs the table as stacked batches.  The alpha
+    string is the slow index, so src ascends along a row.  The tables stay
+    cached for the run, so they are stored as int32 indices and int8
+    signs: both are exact, and a product with a float vector is the
+    float64 one."""
     if max(space.size, target.size) > np.iinfo(np.int32).max:
         raise ValueError(f"{space} or {target}: too large for int32 tables")
     nb, tb = len(space.beta_strings), len(target.beta_strings)
-    groups = []
-    for i, j in pairs:
+    pairs = list(pairs)
+    shape = (len(pairs), alpha[0][0].size * beta[0][0].size)
+    src, dst = np.empty(shape, dtype=np.int32), np.empty(shape, dtype=np.int32)
+    sign = np.empty(shape, dtype=np.int8)
+    for g, (i, j) in enumerate(pairs):
         (a_src, a_dst, a_sign), (b_src, b_dst, b_sign) = alpha[i], beta[j]
-        groups.append(((a_src[:, None] * nb + b_src).ravel().astype(np.int32),
-                       (a_dst[:, None] * tb + b_dst).ravel().astype(np.int32),
-                       (crossing * a_sign[:, None] * b_sign).ravel().astype(np.int8)))
-    return tuple(groups)
+        src[g] = (a_src[:, None] * nb + b_src).ravel()
+        dst[g] = (a_dst[:, None] * tb + b_dst).ravel()
+        sign[g] = (crossing * a_sign[:, None] * b_sign).ravel()
+    return ((np.arange(len(pairs)), src, dst, sign),)
 
 
 def _lowering(space: CasSpace, lower: CasSpace, pairs):
@@ -85,8 +93,8 @@ def _s_minus_links(space: CasSpace):
     lower = _lower_space(space)
     if lower is None:
         return None
-    parts = _lowering(space, lower, [(p, p) for p in range(space.n_orb)])
-    src, dst, sign = (np.concatenate(col) for col in zip(*parts))
+    (_, *rows), = _lowering(space, lower, [(p, p) for p in range(space.n_orb)])
+    src, dst, sign = (x.ravel() for x in rows)
     order = np.lexsort((dst, src))
     return lower, (src[order].astype(np.intp), dst[order].astype(np.intp),
                    sign[order].astype(float))
@@ -171,9 +179,10 @@ def project_spin(space: CasSpace, vecs: np.ndarray) -> np.ndarray:
 def flip_lower_links(space: CasSpace):
     """Orbital-resolved spin-flip table a+_pb a_qa: ms2 -> ms2-2.
 
-    Returns (lower_space, groups) with groups[p * n_orb + q] =
-    (src, dst, sign) arrays.  Used for the Delta M_S = -1 blocks of the
-    spin-orbit matrix.
+    Returns (lower_space, classes), classes the one size class
+    ((group ids, src, dst, sign),) of _flip_groups, whose row g = p * n_orb
+    + q holds the (p, q) entries.  Used for the Delta M_S = -1 blocks of
+    the spin-orbit matrix.
     """
     lower = _lower_space(space)
     if lower is None:
@@ -185,7 +194,7 @@ def flip_lower_links(space: CasSpace):
 def flip_raise_links(space: CasSpace):
     """Orbital-resolved spin-flip table a+_pa a_qb: ms2 -> ms2+2.
 
-    Returns (upper_space, groups) laid out as in flip_lower_links.  It is
+    Returns (upper_space, classes) laid out as in flip_lower_links.  It is
     built from the annihilation maps directly, through
 
         a+_pa a_qb = (alpha a+_p) o (beta a_q) . (-1)^n_alpha,

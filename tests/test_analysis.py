@@ -1,9 +1,14 @@
+from math import comb
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from casq import analysis
 from casq.analysis import (
+    _excitation_classes,
     decompose,
     format_decomposition,
     natural_occupations,
@@ -12,7 +17,7 @@ from casq.analysis import (
     transition_density,
 )
 from casq.casci import CiState, dense_solve
-from casq.detspace import Determinant, enumerate_cas
+from casq.detspace import Determinant, enumerate_cas, excitation_links
 from casq.soc import _flip_tdm
 from casq.spin import flip_lower_links, flip_raise_links, s_squared
 
@@ -101,6 +106,89 @@ def test_block_densities_match_fock_oracle(case):
         bra, ket = _columns(rng, other, kb), _columns(rng, space, kk)
         ref = _fock_pair_densities(n_orb, other, space, bra, ket, spins)
         assert np.allclose(_flip_tdm(links, bra, ket), ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_orb", [1, 2, 3, 5])
+def test_excitation_classes_stack_the_links_by_size(n_orb):
+    # diagonal groups of C(n-1, k-1) entries, off-diagonal ones of
+    # C(n-2, k-1); none at k = 0, only the diagonal at k = n_orb
+    for k in range(n_orb + 1):
+        links = excitation_links(n_orb, k)
+        classes = _excitation_classes(n_orb, k)
+        sizes = {src.shape[1] for _, src, _, _ in classes}
+        expect = {comb(n_orb - 1, k - 1)} if k else set()
+        if 0 < k < n_orb:
+            expect.add(comb(n_orb - 2, k - 1))
+        assert sizes == expect
+        seen = []
+        for gid, src, dst, sign in classes:
+            assert np.all(np.diff(gid) > 0)
+            for g, row in zip(gid, zip(src, dst, sign)):
+                seen.append(g)
+                for got, want in zip(row, links[g]):
+                    assert np.array_equal(got, want)
+        assert sorted(seen) == [g for g, (src, _, _) in enumerate(links)
+                                if src.size]
+
+
+def _loop_densities(classes, n_groups, bra, ket):
+    """The kernel as a loop over groups: one gather and one GEMM each."""
+    kb, kk = bra.shape[-1], ket.shape[-1]
+    out = np.zeros((n_groups, kb, kk))
+    for gid, src, dst, sign in classes:
+        for g, s, d, w in zip(gid, src, dst, sign):
+            rows = bra[d] * w[:, None, None]
+            out[g] = rows.reshape(-1, kb).T @ ket[s].reshape(-1, kk)
+    return out
+
+
+@given(stacked_block())
+@example((0, 1, 0, 2, 1, 3))      # n_orb = 1, k = 0: no class at all
+@example((2, 1, 0, 0, 3, 4))      # n_orb = 1, k = n_orb: one group
+@example((1, 1, 1, 1, 0, 5))      # n_orb = 1, alpha k = 1, beta k = 0
+@example((2, 3, 2, 3, 2, 6))      # beta k = 0; a flip up only from below
+@example((5, 3, 1, 2, 3, 7))      # alpha k = n_orb: no off-diagonal class
+@example((4, 2, 0, 3, 3, 8))      # k = n_orb on both spins
+def test_batch_cap_does_not_change_densities(case):
+    # same-spin and both spin-flip tables of a block, at one batch per
+    # class, at a cap below one group (a batch per group) and at caps of
+    # 2, 3 and 5 groups of each class (ragged batches): bit-identical to
+    # a loop over groups, and to the Fock oracle within 1e-12
+    n_elec, n_orb, ms2, kb, kk, seed = case
+    rng = np.random.default_rng(seed)
+    space = enumerate_cas(n_elec, n_orb, ms2)
+    kb, kk = max(kb, 1), max(kk, 1)
+    bra, ket = _columns(rng, space, kb), _columns(rng, space, kk)
+    na, nb = len(space.alpha_strings), len(space.beta_strings)
+    # (size classes, bra and ket as the kernel takes them, oracle)
+    b3, k3 = bra.reshape(na, nb, kb), ket.reshape(na, nb, kk)
+    tables = [(_excitation_classes(n_orb, space.n_alpha), b3, k3,
+               _fock_pair_densities(n_orb, space, space, bra, ket,
+                                    ("alpha", "alpha"))),
+              (_excitation_classes(n_orb, space.n_beta),
+               b3.transpose(1, 0, 2), k3.transpose(1, 0, 2),
+               _fock_pair_densities(n_orb, space, space, bra, ket,
+                                    ("beta", "beta")))]
+    for table, spins in ((flip_lower_links, ("beta", "alpha")),
+                         (flip_raise_links, ("alpha", "beta"))):
+        links = table(space)
+        if links is not None:
+            f_bra = _columns(rng, links[0], kb)
+            tables.append((links[1], f_bra[:, None], ket[:, None],
+                           _fock_pair_densities(n_orb, links[0], space,
+                                                f_bra, ket, spins)))
+    caps = {2 ** 62, 1}
+    for classes, b3, k3, _ in tables:
+        for _, src, _, _ in classes:
+            caps.update(step * src.shape[1] * b3.shape[1] * (kb + kk) * 8
+                        for step in (2, 3, 5))
+    for classes, b3, k3, ref in tables:
+        want = _loop_densities(classes, n_orb ** 2, b3, k3)
+        assert np.allclose(want.reshape(ref.shape), ref, rtol=0, atol=1e-12)
+        for cap in sorted(caps):
+            with mock.patch.object(analysis, "BATCH_BYTES", cap):
+                got = analysis._link_densities(classes, n_orb ** 2, b3, k3)
+            assert np.array_equal(got, want)
 
 
 def test_one_rdm_single_determinant():

@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import casq.cli
 from casq.casci import InvariantBreach
 from casq.cli import UsageError, _classify_error, main
 from casq.davidson import DavidsonNotConverged, DavidsonResult
@@ -180,8 +184,9 @@ def test_phase_inconsistency_exits_three(tmp_path, monkeypatch, capsys):
     links = casq.soc.flip_raise_links
 
     def flipped(space):
-        upper, groups = links(space)
-        return upper, tuple((src, dst, -sign) for src, dst, sign in groups)
+        upper, classes = links(space)
+        return upper, tuple((gid, src, dst, -sign)
+                            for gid, src, dst, sign in classes)
 
     monkeypatch.setattr(casq.soc, "flip_raise_links", flipped)
     code, _, manifest = run_cli(["gtensor", "--lf", "d9-planar"], tmp_path)
@@ -491,6 +496,37 @@ def test_spectrum_with_dipoles_from_prop(tmp_path):
     lines = json.loads((out / "lines.json").read_text())
     assert len(lines) == 2
     assert all(ln["f_osc"] >= 0 for ln in lines)
+
+
+def test_dense_route_runs_do_not_import_scipy(tmp_path):
+    # README: runs without a sigma do not pay the scipy import.  Here
+    # SOC, Zeeman, SOS and the line table all run the density kernel:
+    # gtensor on d9-planar (doublets only, no Rayleigh sigma), and a
+    # spectrum on the 300-determinant doublet block of a CAS(5,6) FCIDUMP,
+    # which takes the dense route
+    ints = make_random_integrals(6, 11, core=0.0)
+    (tmp_path / "m.fcidump").write_text(write_fcidump(ints, 5, 1))
+    d = np.random.default_rng(12).standard_normal((6, 6))
+    (tmp_path / "m.prop").write_text("DIP_X\n" + "\n".join(
+        " ".join(repr(float(x)) for x in row) for row in d + d.T))
+    runs = [["gtensor", "--lf", "d9-planar", "--out", str(tmp_path / "gt")],
+            ["spectrum", "--fcidump", str(tmp_path / "m.fcidump"),
+             "--prop", str(tmp_path / "m.prop"), "--roots-mult", "2=3",
+             "--out", str(tmp_path / "sp")]]
+    code = f"""
+import sys
+sys.path.insert(0, {str(Path(casq.cli.__file__).parents[1])!r})
+from casq.cli import main
+for argv in {runs!r}:
+    assert main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+assert not loaded, loaded
+"""
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
+    lines = json.loads((tmp_path / "sp" / "lines.json").read_text())
+    assert len(lines) == 2 and any(ln["f_osc"] > 0 for ln in lines)
 
 
 def test_spectrum_takes_the_lowest_multiplicity_with_roots(tmp_path):

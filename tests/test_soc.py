@@ -122,9 +122,11 @@ def test_hermiticity_check_catches_a_corrupted_flip_table(monkeypatch):
     lower_links = soc.flip_lower_links
 
     def corrupted(space):
-        lower, groups = lower_links(space)
-        src, dst, sign = groups[0 * 3 + 1]
-        return lower, groups[:1] + ((src, dst, -sign),) + groups[2:]
+        lower, classes = lower_links(space)
+        (gid, src, dst, sign), = classes
+        sign = sign.copy()       # the cached table stays intact
+        sign[gid == 0 * 3 + 1] *= -1
+        return lower, ((gid, src, dst, sign),)
 
     monkeypatch.setattr(soc, "flip_lower_links", corrupted)
     with pytest.raises(PhaseConsistencyError):

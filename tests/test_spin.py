@@ -146,11 +146,19 @@ def test_ms_independence_of_doublet_spectrum():
             solve(down, ints, 6)
 
 
+def _group(classes, g):
+    """(src, dst, sign) of group g of a spin-flip table, whose one size
+    class holds every group, in order."""
+    (gid, src, dst, sign), = classes
+    assert np.array_equal(gid, np.arange(len(gid)))
+    return src[g], dst[g], sign[g]
+
+
 def test_flip_lower_links_match_fock_oracle():
     rng = np.random.default_rng(6)
     for n_elec, n_orb, ms2 in [(3, 3, 1)] + LOWERABLE_BLOCKS:
         space = enumerate_cas(n_elec, n_orb, ms2)
-        lower, groups = flip_lower_links(space)
+        lower, classes = flip_lower_links(space)
         n_orb = space.n_orb
         Pv = space_projector(space)
         Pw = space_projector(lower)
@@ -161,7 +169,7 @@ def test_flip_lower_links_match_fock_oracle():
                 coeff = np.zeros((2 * n_orb, 2 * n_orb))
                 coeff[n_orb + p, q] = 1.0  # a+_pb a_qa
                 ref = w @ (Pw @ fock_one_electron(coeff, n_orb).real @ Pv.T) @ v
-                src, dst, sign = groups[p * n_orb + q]
+                src, dst, sign = _group(classes, p * n_orb + q)
                 got = float(np.sum(sign * w[dst] * v[src])) if src.size else 0.0
                 assert got == pytest.approx(ref, abs=1e-12)
 
@@ -171,7 +179,7 @@ def test_flip_raise_links_match_fock_oracle():
     for n_elec, n_orb, ms2 in [(3, 3, 3)] + LOWERABLE_BLOCKS:
         upper = enumerate_cas(n_elec, n_orb, ms2)
         space = enumerate_cas(n_elec, n_orb, ms2 - 2)
-        got_upper, groups = flip_raise_links(space)
+        got_upper, classes = flip_raise_links(space)
         assert got_upper is upper
         Pv = space_projector(space)
         Pw = space_projector(upper)
@@ -182,7 +190,7 @@ def test_flip_raise_links_match_fock_oracle():
                 coeff = np.zeros((2 * n_orb, 2 * n_orb))
                 coeff[p, n_orb + q] = 1.0  # a+_pa a_qb
                 ref = w @ (Pw @ fock_one_electron(coeff, n_orb).real @ Pv.T) @ v
-                src, dst, sign = groups[p * n_orb + q]
+                src, dst, sign = _group(classes, p * n_orb + q)
                 got = float(np.sum(sign * w[dst] * v[src])) if src.size else 0.0
                 assert got == pytest.approx(ref, abs=1e-12)
 
