@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .casci import CiState
-from .detspace import CasSpace, excitation_links
+from .detspace import CasSpace, annihilators, excitation_links
+
+if TYPE_CHECKING:       # casci imports spin, which imports this module
+    from .casci import CiState
 
 
 # bytes of bra and ket rows that one batch of link groups gathers; a group
 # larger than this runs alone.  A d-shell call is one batch per size class,
-# a CAS(9,9) call with 16 columns one group per batch; caps of 0.25-2 MiB
-# ran that call alike, 8 and 32 MiB 1.1-2x slower.
+# a CAS(9,9) call with 16 columns one group per batch, same-spin or an alpha
+# group of a spin flip over one beta map; caps of 0.25-2 MiB ran the
+# same-spin call alike, 8 and 32 MiB 1.1-2x slower.
 BATCH_BYTES = 2 * 2**20
 
 
@@ -34,6 +38,17 @@ def _excitation_classes(n_orb: int, k: int) -> tuple:
         classes.append((gid, *(np.stack(col)
                                for col in zip(*(groups[g] for g in gid)))))
     return tuple(classes)
+
+
+@lru_cache(maxsize=None)
+def _creator_classes(n_orb: int, k: int) -> tuple:
+    """a+_p on the k-electron strings as size classes, as above: every p
+    has C(n-1, k) entries (a_p of the (k+1)-strings read dst -> src), so
+    there is one class of n_orb groups, and none when k = n_orb."""
+    if k == n_orb:
+        return ()
+    src, dst, sign = map(np.stack, zip(*annihilators(n_orb, k + 1)))
+    return ((np.arange(n_orb), dst, src, sign),)
 
 
 def _link_densities(classes, n_groups: int, bra: np.ndarray,
@@ -119,8 +134,8 @@ def one_rdm(space: CasSpace, states: list[CiState] | list[np.ndarray],
     if len(states) != weights.size:
         raise ValueError("one weight per state required")
     keep = weights > 0
-    vecs = np.column_stack([st.coeffs if isinstance(st, CiState)
-                            else np.asarray(st) for st in states])[:, keep]
+    vecs = np.column_stack([getattr(st, "coeffs", st)
+                            for st in states])[:, keep]
     # the state axis joins the summed axis: sum_i w_i <v_i|E_pq|v_i>
     ket = vecs.reshape(len(space.alpha_strings), -1, vecs.shape[1], 1)
     ga, gb = _spin_densities(space, ket * weights[keep][:, None], ket)

@@ -7,9 +7,10 @@ The one-electron spin-orbit operator couples to Pauli matrices,
 so a ligand-field Z = (zeta/2) L realizes zeta l.s exactly.  Matrix
 elements over multiplet components reduce to spin-conserving and
 spin-flip one-particle transition densities, evaluated for all
-components of one pair of M_S blocks at once.  The Delta M_S = -1 and +1
-blocks come from independent lowering and raising tables, so the
-Hermiticity check compares two separate evaluations of every element.
+components of one pair of M_S blocks at once, spin flips straight from
+their alpha and beta string maps.  The Delta M_S = -1 and +1 blocks come
+from independent lowering and raising operands, so the Hermiticity check
+compares two separate evaluations of every element.
 """
 
 from __future__ import annotations
@@ -82,14 +83,22 @@ def component_blocks(basis: SocStateBasis, multiplets: list[Multiplet]):
 
 
 def _flip_tdm(links, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """gamma[p,q,i,j] = <bra_i|a+_p a_q|ket_j> over a spin-flip table
-    (ket columns in its source space, bra columns in its target space).
-    The table's n_orb**2 groups are one size class, so the group-batched
-    kernel runs them in batches of BATCH_BYTES of gathered determinants."""
-    space, classes = links
+    """gamma[p,q,i,j] = <bra_i|a+_p a_q|ket_j> over a spin flip's string
+    operands (ket columns in its source space, bra columns in its target).
+    Per beta map, the ket columns it reaches, signed, and the bra columns
+    they land on go through the group-batched kernel over the alpha class;
+    entries sum alpha-major, as a (p, q) table over determinants would."""
+    target, space, creates, alpha, beta, crossing = links
     n = space.n_orb
-    out = _link_densities(classes, n * n, bra[:, None, :], ket[:, None, :])
-    return out.reshape(n, n, bra.shape[1], ket.shape[1])
+    bra = bra.reshape(len(target.alpha_strings), len(target.beta_strings), -1)
+    ket = ket.reshape(len(space.alpha_strings), len(space.beta_strings), -1)
+    out = np.empty((n, n, bra.shape[2], ket.shape[2]))
+    # the beta operator's orbital is p when beta creates, q otherwise
+    at = out if creates == "beta" else out.transpose(1, 0, 2, 3)
+    for g, (src, dst, sign) in enumerate(beta):
+        cols = ket[:, src] * (crossing * sign)[:, None]
+        at[g] = _link_densities(alpha, n, bra[:, dst], cols)
+    return out
 
 
 def soc_matrix(basis: SocStateBasis, multiplets: list[Multiplet],
@@ -111,7 +120,7 @@ def soc_matrix(basis: SocStateBasis, multiplets: list[Multiplet],
         if ms2 - 2 not in blocks:
             continue
         low, low_space, D = blocks[ms2 - 2]
-        # <low|a+_pb a_qa|C> and <C|a+_pa a_qb|low>, from separate tables
+        # <low|a+_pb a_qa|C> and <C|a+_pa a_qb|low>, from separate operands
         down = _flip_tdm(flip_lower_links(space), D, C)
         H[np.ix_(low, idx)] = np.einsum("pq,pqij->ij", 1j * zx - zy, down)
         up = _flip_tdm(flip_raise_links(low_space), C, D)

@@ -5,6 +5,7 @@ lines and timing/throughput reports.
 """
 
 import os
+import resource
 import time
 
 import numpy as np
@@ -17,6 +18,8 @@ from casq.gtensor import format_gap_report, gap_report
 from casq.ingest import (DavidsonOptions, IntegralSet, RunConfig,
                          read_fcidump, set_chem, write_fcidump)
 from casq.ligandfield import LigandFieldModel, build_ligand_field_model, preset_model
+from casq.soc import _flip_tdm
+from casq.spin import flip_lower_links, flip_raise_links
 from casq.units import EV_TO_HARTREE, G_E, HARTREE_TO_CM
 
 from conftest import make_model_integrals, make_random_integrals
@@ -299,6 +302,23 @@ def test_criterion_09_performance_17_12():
            f"sigma throughput {rate:.2e} determinants/s")
     if os.environ.get("CASQ_BENCH_1314"):
         big = enumerate_cas(13, 14, 1)
+        # one spin-flip pair 1/2 <-> -1/2 of 4 seeded columns, each way
+        # from its own string operands: down equals up transposed.  Run
+        # before the sigma, so that the peak RSS read after it is not the
+        # sigma's
+        low = enumerate_cas(13, 14, -1)
+        rng = np.random.default_rng(44)
+        C = rng.standard_normal((big.size, 4))
+        D = rng.standard_normal((low.size, 4))
+        t0 = time.perf_counter()
+        down = _flip_tdm(flip_lower_links(big), D, C)
+        up = _flip_tdm(flip_raise_links(low), C, D)
+        dt = time.perf_counter() - t0
+        diff = np.max(np.abs(down - up.transpose(1, 0, 3, 2)))
+        assert diff <= 1e-12 * np.max(np.abs(down))
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        msg += f"; (13,14) flip pair {dt:.0f} s, peak RSS {rss:.0f} MB"
+        del C, D
         vb = np.zeros(big.size)
         vb[0] = 1.0
         t0 = time.perf_counter()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from casq import analysis
+from casq import analysis, soc
 from casq.analysis import (
     _excitation_classes,
     decompose,
@@ -150,10 +150,11 @@ def _loop_densities(classes, n_groups, bra, ket):
 @example((5, 3, 1, 2, 3, 7))      # alpha k = n_orb: no off-diagonal class
 @example((4, 2, 0, 3, 3, 8))      # k = n_orb on both spins
 def test_batch_cap_does_not_change_densities(case):
-    # same-spin and both spin-flip tables of a block, at one batch per
-    # class, at a cap below one group (a batch per group) and at caps of
-    # 2, 3 and 5 groups of each class (ragged batches): bit-identical to
-    # a loop over groups, and to the Fock oracle within 1e-12
+    # same-spin tables and both spin flips' creator classes of a block, at
+    # one batch per class, at a cap below one group (a batch per group)
+    # and at caps of 2, 3 and 5 groups of each class (ragged batches):
+    # bit-identical to a loop over groups, and to the Fock oracle within
+    # 1e-12
     n_elec, n_orb, ms2, kb, kk, seed = case
     rng = np.random.default_rng(seed)
     space = enumerate_cas(n_elec, n_orb, ms2)
@@ -169,25 +170,38 @@ def test_batch_cap_does_not_change_densities(case):
                b3.transpose(1, 0, 2), k3.transpose(1, 0, 2),
                _fock_pair_densities(n_orb, space, space, bra, ket,
                                     ("beta", "beta")))]
-    for table, spins in ((flip_lower_links, ("beta", "alpha")),
-                         (flip_raise_links, ("alpha", "beta"))):
-        links = table(space)
-        if links is not None:
-            f_bra = _columns(rng, links[0], kb)
-            tables.append((links[1], f_bra[:, None], ket[:, None],
-                           _fock_pair_densities(n_orb, links[0], space,
-                                                f_bra, ket, spins)))
     caps = {2 ** 62, 1}
     for classes, b3, k3, _ in tables:
         for _, src, _, _ in classes:
             caps.update(step * src.shape[1] * b3.shape[1] * (kb + kk) * 8
                         for step in (2, 3, 5))
+    # (operands, bra columns, oracle); each a_q reaches m rows
+    flips = []
+    for table, spins in ((flip_lower_links, ("beta", "alpha")),
+                         (flip_raise_links, ("alpha", "beta"))):
+        links = table(space)
+        if links is not None:
+            f_bra = _columns(rng, links[0], kb)
+            flips.append((links, f_bra, _fock_pair_densities(
+                n_orb, links[0], space, f_bra, ket, spins)))
+            m = links[4][0][0].size
+            for _, src, _, _ in links[3]:
+                caps.update(step * src.shape[1] * m * (kb + kk) * 8
+                            for step in (2, 3, 5))
     for classes, b3, k3, ref in tables:
         want = _loop_densities(classes, n_orb ** 2, b3, k3)
         assert np.allclose(want.reshape(ref.shape), ref, rtol=0, atol=1e-12)
         for cap in sorted(caps):
             with mock.patch.object(analysis, "BATCH_BYTES", cap):
                 got = analysis._link_densities(classes, n_orb ** 2, b3, k3)
+            assert np.array_equal(got, want)
+    for links, f_bra, ref in flips:
+        with mock.patch.object(soc, "_link_densities", _loop_densities):
+            want = _flip_tdm(links, f_bra, ket)
+        assert np.allclose(want, ref, rtol=0, atol=1e-12)
+        for cap in sorted(caps):
+            with mock.patch.object(analysis, "BATCH_BYTES", cap):
+                got = _flip_tdm(links, f_bra, ket)
             assert np.array_equal(got, want)
 
 

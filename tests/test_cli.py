@@ -177,16 +177,15 @@ def test_spin_impure_roots_exit_three(tmp_path, monkeypatch, capsys):
 
 
 def test_phase_inconsistency_exits_three(tmp_path, monkeypatch, capsys):
-    # a sign error in the raising spin-flip table breaks the Hermiticity
+    # a wrong crossing sign in the raising spin flip breaks the Hermiticity
     # of the SOC matrix built from the projected roots' ladder phases
     import casq.soc
 
     links = casq.soc.flip_raise_links
 
     def flipped(space):
-        upper, classes = links(space)
-        return upper, tuple((gid, src, dst, -sign)
-                            for gid, src, dst, sign in classes)
+        *operands, crossing = links(space)
+        return (*operands, -crossing)
 
     monkeypatch.setattr(casq.soc, "flip_raise_links", flipped)
     code, _, manifest = run_cli(["gtensor", "--lf", "d9-planar"], tmp_path)

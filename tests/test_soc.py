@@ -108,8 +108,8 @@ def test_soc_selection_rules():
 
 
 def test_hermiticity_check_catches_a_corrupted_flip_table(monkeypatch):
-    # the Delta M_S = +1 blocks come from their own raising table, so a
-    # sign error in the lowering table alone must break Hermiticity
+    # the Delta M_S = +1 blocks come from their own raising operands, so a
+    # sign error in the lowering operands alone must break Hermiticity
     ints = make_random_integrals(3, 71)
     doublets = dense_solve(enumerate_cas(3, 3, 1), ints, 2)
     quartets = dense_solve(enumerate_cas(3, 3, 3), ints, 1)
@@ -122,11 +122,12 @@ def test_hermiticity_check_catches_a_corrupted_flip_table(monkeypatch):
     lower_links = soc.flip_lower_links
 
     def corrupted(space):
-        lower, classes = lower_links(space)
-        (gid, src, dst, sign), = classes
-        sign = sign.copy()       # the cached table stays intact
-        sign[gid == 0 * 3 + 1] *= -1
-        return lower, ((gid, src, dst, sign),)
+        # negate the signs of the beta creator a+_p for p = 1 (in a new
+        # tuple: the cached operands stay intact)
+        *head, beta, crossing = lower_links(space)
+        src, dst, sign = beta[1]
+        beta = beta[:1] + ((src, dst, -sign),) + beta[2:]
+        return (*head, beta, crossing)
 
     monkeypatch.setattr(soc, "flip_lower_links", corrupted)
     with pytest.raises(PhaseConsistencyError):

@@ -7,6 +7,7 @@ from casq.casci import (InvariantBreach, _spin_flip, assemble_multiplets,
                         dense_solve, solve_davidson)
 from casq.detspace import Determinant, cas_dimension, enumerate_cas
 from casq.ingest import DavidsonOptions
+from casq.soc import _flip_tdm
 from casq.spin import (
     LadderAnnihilation,
     _ladder,
@@ -146,32 +147,32 @@ def test_ms_independence_of_doublet_spectrum():
             solve(down, ints, 6)
 
 
-def _group(classes, g):
-    """(src, dst, sign) of group g of a spin-flip table, whose one size
-    class holds every group, in order."""
-    (gid, src, dst, sign), = classes
-    assert np.array_equal(gid, np.arange(len(gid)))
-    return src[g], dst[g], sign[g]
+def _flip_oracle_check(links, space, target, spins, rng):
+    """_flip_tdm of one column each way against the Fock oracle's
+    <w|a+_p a_q|v> for every (p, q), spins (creator, annihilator)."""
+    n_orb = space.n_orb
+    Pv = space_projector(space)
+    Pw = space_projector(target)
+    v = rng.standard_normal(space.size)
+    w = rng.standard_normal(target.size)
+    got = _flip_tdm(links, w[:, None], v[:, None])[:, :, 0, 0]
+    offset = {"alpha": 0, "beta": n_orb}
+    for p in range(n_orb):
+        for q in range(n_orb):
+            coeff = np.zeros((2 * n_orb, 2 * n_orb))
+            coeff[offset[spins[0]] + p, offset[spins[1]] + q] = 1.0
+            ref = w @ (Pw @ fock_one_electron(coeff, n_orb).real @ Pv.T) @ v
+            assert got[p, q] == pytest.approx(ref, abs=1e-12)
 
 
 def test_flip_lower_links_match_fock_oracle():
     rng = np.random.default_rng(6)
     for n_elec, n_orb, ms2 in [(3, 3, 1)] + LOWERABLE_BLOCKS:
         space = enumerate_cas(n_elec, n_orb, ms2)
-        lower, classes = flip_lower_links(space)
-        n_orb = space.n_orb
-        Pv = space_projector(space)
-        Pw = space_projector(lower)
-        v = rng.standard_normal(space.size)
-        w = rng.standard_normal(lower.size)
-        for p in range(n_orb):
-            for q in range(n_orb):
-                coeff = np.zeros((2 * n_orb, 2 * n_orb))
-                coeff[n_orb + p, q] = 1.0  # a+_pb a_qa
-                ref = w @ (Pw @ fock_one_electron(coeff, n_orb).real @ Pv.T) @ v
-                src, dst, sign = _group(classes, p * n_orb + q)
-                got = float(np.sum(sign * w[dst] * v[src])) if src.size else 0.0
-                assert got == pytest.approx(ref, abs=1e-12)
+        links = flip_lower_links(space)
+        lower = enumerate_cas(n_elec, n_orb, ms2 - 2)
+        assert links[0] is lower
+        _flip_oracle_check(links, space, lower, ("beta", "alpha"), rng)
 
 
 def test_flip_raise_links_match_fock_oracle():
@@ -179,20 +180,30 @@ def test_flip_raise_links_match_fock_oracle():
     for n_elec, n_orb, ms2 in [(3, 3, 3)] + LOWERABLE_BLOCKS:
         upper = enumerate_cas(n_elec, n_orb, ms2)
         space = enumerate_cas(n_elec, n_orb, ms2 - 2)
-        got_upper, classes = flip_raise_links(space)
-        assert got_upper is upper
-        Pv = space_projector(space)
-        Pw = space_projector(upper)
-        v = rng.standard_normal(space.size)
-        w = rng.standard_normal(upper.size)
-        for p in range(n_orb):
-            for q in range(n_orb):
-                coeff = np.zeros((2 * n_orb, 2 * n_orb))
-                coeff[p, n_orb + q] = 1.0  # a+_pa a_qb
-                ref = w @ (Pw @ fock_one_electron(coeff, n_orb).real @ Pv.T) @ v
-                src, dst, sign = _group(classes, p * n_orb + q)
-                got = float(np.sum(sign * w[dst] * v[src])) if src.size else 0.0
-                assert got == pytest.approx(ref, abs=1e-12)
+        links = flip_raise_links(space)
+        assert links[0] is upper
+        _flip_oracle_check(links, space, upper, ("alpha", "beta"), rng)
+
+
+def test_flip_operands_stay_string_sized():
+    # every array the flip operands of a CAS(9,9) block hold is a string
+    # map: no longer than n_orb times the block's largest string count
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, tuple):
+            for item in obj:
+                yield from arrays(item)
+
+    for ms2 in range(-9, 10, 2):
+        space = enumerate_cas(9, 9, ms2)
+        bound = 9 * max(len(space.alpha_strings), len(space.beta_strings))
+        for table in (flip_lower_links, flip_raise_links):
+            links = table(space)
+            if links is None:
+                continue
+            sizes = [a.size for a in arrays(links)]
+            assert sizes and max(sizes) <= bound
 
 
 @pytest.mark.parametrize("n_elec", [3, 4, 5])
@@ -296,6 +307,17 @@ def test_spin_projector_is_the_spin_s_projector(block, seed):
     # the roots of spin S number dim(M_S = S) - dim(M_S = S + 1)
     assert np.linalg.matrix_rank(full, tol=1e-8) == \
         space.size - cas_dimension(n_elec, n_orb, ms2 + 2)
+
+
+@pytest.mark.parametrize("n_elec, n_orb", [(2, 2), (3, 3), (4, 4)])
+def test_spin_projector_rejects_blocks_below_zero(n_elec, n_orb):
+    # a block with M_S < 0 holds no spin S = M_S, and the projector's
+    # factor for S' = -M_S - 1 has a zero gap
+    top = min(n_elec, 2 * n_orb - n_elec)
+    for ms2 in range(-top, 0, 2):
+        space = enumerate_cas(n_elec, n_orb, ms2)
+        with pytest.raises(ValueError, match=f"ms2={ms2}"):
+            project_spin(space, np.ones(space.size))
 
 
 def test_assemble_multiplets_doublet_and_quartet():
