@@ -19,4 +19,4 @@ from .ligandfield import (LigandFieldModel, build_ligand_field_model,  # noqa: F
 from .soc import SocStateBasis, SoEigenstates, qdpt, soc_basis, soc_matrix  # noqa: F401
 from .spectra import (SpectrumLine, broaden, oscillator_strength,  # noqa: F401
                       transition_table)
-from .spin import apply_s_minus, apply_s_plus, s_squared  # noqa: F401
+from .spin import apply_s_minus, s_squared  # noqa: F401

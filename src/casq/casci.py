@@ -24,6 +24,7 @@ from math import isqrt
 
 import numpy as np
 
+from .csr import SMALL_SPACE, Csr, csr_add, csr_from_coo
 from .davidson import DavidsonNotConverged, davidson_lowest  # noqa: F401 (re-export)
 from .detspace import (CasSpace, Determinant, cas_dimension,  # noqa: F401
                        enumerate_cas, excitation_links, occupation_matrix,
@@ -32,13 +33,6 @@ from .ingest import DavidsonOptions, IntegralSet
 from .spin import apply_s_minus, project_spin, s_squared, s_squared_matrix
 
 DENSE_CAP = 20_000
-
-# With an automatic guess_dim, solve_davidson hands blocks of at most this
-# many determinants to dense_solve.  On one BLAS thread, 6 roots of model
-# integrals: dense build + eigh 22 / 35 / 107 ms at 300 / 400 / 735
-# determinants, Davidson 43 / 41 / 74 ms.  PySCF's direct_spin1 also
-# diagonalizes its P-space directly up to 400.
-SMALL_SPACE = 400
 
 # dense_hamiltonian classes the determinant pairs this many at a time; a
 # chunk's GEMMs and masks take a few MiB.  On a 2-core host with one BLAS
@@ -170,7 +164,7 @@ class _SigmaPlan:
     The spin with the larger link table gives the rows, the other spin the
     columns, of each vector C as an (n_row, n_col) matrix.  Every string
     scatter and gather of _sigma_chunk is one compiled CSR product,
-    accumulated in place into the call's workspace or output (_csr_add):
+    accumulated in place into the call's workspace or output (csr_add):
     on the row side those of each chunk, built from row_links once per
     chunk size and cached in chunks; on the column side col_op and
     col_gather, which serve every chunk.  The packed link table is
@@ -182,8 +176,8 @@ class _SigmaPlan:
     n_col: int
     n_pair: int                  # n(n+1)/2
     row_links: tuple             # (pair, src, dst, sign), flat, dst-sorted
-    col_op: object               # CSR (n_pair * n_col, n_col) column scatter
-    col_gather: object           # CSR of col_op's transpose
+    col_op: Csr                  # (n_pair * n_col, n_col) column scatter
+    col_gather: Csr              # col_op's transpose
     chunks: dict = field(default_factory=dict)   # rows per chunk -> tables
 
     @property
@@ -193,33 +187,6 @@ class _SigmaPlan:
         Chunks of twice the rows ran CAS(13,13) about 5 % faster at 6 %
         more peak RSS."""
         return 4 * 8 * self.n_pair * self.n_col
-
-
-def _csr(sign, rows, cols, shape):
-    # scipy.sparse costs about 0.15-0.2 s and 16 MB to import: loaded with
-    # the first sigma plan, so runs that never call sigma do not pay it
-    from scipy.sparse import csr_matrix
-    return csr_matrix((sign, (rows, cols)), shape=shape)
-
-
-def _csr_add(A, X: np.ndarray, Y: np.ndarray) -> None:
-    """Y += A @ X in place, for a CSR A and 2-D X, Y.
-
-    This is the compiled routine behind scipy's own `A @ X`, which writes
-    into a fresh zero-filled array on every call.  It reads and writes X
-    and Y through ravel(), which would copy a non-contiguous array and
-    drop the result, so X and Y must be C-contiguous float64.
-    """
-    from scipy.sparse._sparsetools import csr_matvecs
-    n_row, n_col = A.shape
-    for a, rows in ((X, n_col), (Y, n_row)):
-        if (a.dtype != np.float64 or not a.flags.c_contiguous or a.ndim != 2
-                or a.shape != (rows, X.shape[-1])):
-            raise ValueError(f"{a.dtype} array of shape {a.shape} for a CSR "
-                             f"product {A.shape} @ ({n_col}, k): need "
-                             "C-contiguous float64")
-    csr_matvecs(n_row, n_col, X.shape[1], A.indptr, A.indices, A.data,
-                X.ravel(), Y.ravel())
 
 
 def _flat_links(groups, pair):
@@ -246,11 +213,12 @@ def _sigma_plan(space: CasSpace) -> _SigmaPlan:
     pairs, src, dst, sign = _flat_links(row_groups, pair)
     order = np.argsort(dst, kind="stable")
     c_pair, c_src, c_dst, c_sign = _flat_links(col_groups, pair)
-    col_op = _csr(c_sign, c_pair * n_col + c_dst, c_src, (n_pair * n_col, n_col))
+    c_row = c_pair * n_col + c_dst
     return _SigmaPlan(
         transpose=transpose, n_row=n_row, n_col=n_col, n_pair=n_pair,
         row_links=(pairs[order], src[order], dst[order], sign[order]),
-        col_op=col_op, col_gather=col_op.T.tocsr())
+        col_op=csr_from_coo(c_sign, c_row, c_src, (n_pair * n_col, n_col)),
+        col_gather=csr_from_coo(c_sign, c_src, c_row, (n_col, n_pair * n_col)))
 
 
 def _chunk_rows(plan: _SigmaPlan, max_memory_gb: float) -> int:
@@ -281,10 +249,10 @@ def _chunk_tables(plan: _SigmaPlan, rows: int) -> tuple:
             g = (src >= r0) & (src < r1)
             tables.append((
                 r0, r1,
-                _csr(sign[s], pair[s] * m + dst[s] - r0, src[s],
-                     (plan.n_pair * m, plan.n_row)),
-                _csr(sign[g], dst[g], pair[g] * m + src[g] - r0,
-                     (plan.n_row, plan.n_pair * m))))
+                csr_from_coo(sign[s], pair[s] * m + dst[s] - r0, src[s],
+                             (plan.n_pair * m, plan.n_row)),
+                csr_from_coo(sign[g], dst[g], pair[g] * m + src[g] - r0,
+                             (plan.n_row, plan.n_pair * m))))
         tables = plan.chunks[rows] = tuple(tables)
     return tables
 
@@ -303,16 +271,16 @@ def _sigma_chunk(plan: _SigmaPlan, h2p: np.ndarray, chunk: tuple,
     Ct, Y = (w[:n_col * m].reshape(n_col, m) for w in work[2:])
     np.copyto(Ct, C[r0:r1].T)
     B.fill(0.0)
-    _csr_add(plan.col_op, Ct, B.reshape(-1, m))
+    csr_add(plan.col_op, Ct, B.reshape(-1, m))
     np.copyto(A.reshape(n_pair, m, n_col),
               B.reshape(n_pair, n_col, m).transpose(0, 2, 1))
-    _csr_add(scatter, C, A.reshape(-1, n_col))
+    csr_add(scatter, C, A.reshape(-1, n_col))
     np.matmul(h2p, A.reshape(n_pair, -1), out=B.reshape(n_pair, -1))
-    _csr_add(gather, B.reshape(-1, n_col), out)
+    csr_add(gather, B.reshape(-1, n_col), out)
     np.copyto(A.reshape(n_pair, n_col, m),
               B.reshape(n_pair, m, n_col).transpose(0, 2, 1))
     Y.fill(0.0)
-    _csr_add(plan.col_gather, A.reshape(-1, m), Y)
+    csr_add(plan.col_gather, A.reshape(-1, m), Y)
     out[r0:r1] += Y.T
 
 

@@ -331,6 +331,16 @@ def _worst_residual(multiplets, ints) -> float:
                default=0.0)
 
 
+def _g_row(g, roots_desc: str) -> dict:
+    """One g row of gtensor_report.json.  It holds G = g g^T, not g: g
+    depends on the basis eigh picks within the degenerate ground Kramers
+    pair (g -> g R for a rotation R), G and the principal values do not."""
+    gx, gy, gz = g.principal
+    return {"method": g.method, "roots": roots_desc,
+            "g_x": round(gx, 3), "g_y": round(gy, 3), "g_z": round(gz, 3),
+            "G": [list(map(float, r)) for r in g.matrix @ g.matrix.T]}
+
+
 def cmd_gtensor(args, manifest: Manifest) -> None:
     ints, prop, config = _load_problem(args, manifest)
     with manifest.stage("gtensor"):
@@ -341,15 +351,8 @@ def cmd_gtensor(args, manifest: Manifest) -> None:
     roots_desc = ", ".join(
         f"{c} x (2S+1={m})" for m, c in
         sorted(config.roots_per_multiplicity.items()))
-    rows = []
-    for g in (result.g_eha, result.g_sos):
-        if g is None:
-            continue
-        gx, gy, gz = g.principal
-        rows.append({"method": g.method, "roots": roots_desc,
-                     "g_x": round(gx, 3), "g_y": round(gy, 3),
-                     "g_z": round(gz, 3),
-                     "matrix": [list(map(float, r)) for r in g.matrix]})
+    rows = [_g_row(g, roots_desc) for g in (result.g_eha, result.g_sos)
+            if g is not None]
     table = ["method    roots                          g_x      g_y      g_z"]
     for r in rows:
         table.append(f"{r['method']:<8s}  {r['roots']:<28s}  "

@@ -10,9 +10,9 @@ strings) through the factorization
     a+_pb a_qa = (beta a+_p) o (alpha a_q) . (-1)^(n_alpha - 1),
 
 where the crossing sign counts the alphas left after a_qa.  A spin flip
-is kept as its string factors; S- is their p = q trace, one table over
-determinants, and S+ of a block is the S- table of the block above read
-with src and dst swapped.
+is kept as its string factors; S- is their p = q trace, one CSR table
+over determinants, and S+ of a block is the S- table of the block above
+read transposed.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .analysis import _creator_classes
+from .csr import SMALL_SPACE, Csr, csr_add
 from .detspace import CasSpace, annihilators, enumerate_cas
 
 
@@ -41,12 +42,14 @@ def _lower_space(space: CasSpace) -> CasSpace | None:
 
 @lru_cache(maxsize=None)
 def _s_minus_links(space: CasSpace):
-    """Entries (src, dst, sign) of S- = sum_p a+_pb a_pa into ms2-2: for
-    each p the outer product of the alpha a_p and beta a+_p string maps
-    (the creator classes of n_alpha - 1 read dst -> src, and of n_beta).
-
-    Sorted by src, then dst, so that _ladder accumulates every output
-    element in ascending input order whichever direction the table is read.
+    """(lower space, table, False): S- = sum_p a+_pb a_pa into ms2-2 as one
+    CSR table, rows the lower block's determinants and columns this
+    block's.  Its entries are, for each p, the outer product of the alpha
+    a_p and beta a+_p string maps (the creator classes of n_alpha - 1 read
+    dst -> src, and of n_beta).  Column indices ascend within each row, so
+    that _ladder sums every image element in ascending source order
+    whichever direction the table is read.  Built with numpy alone; int32
+    indices and float64 signs take 12 bytes per entry.
     """
     lower = _lower_space(space)
     if lower is None:
@@ -58,36 +61,48 @@ def _s_minus_links(space: CasSpace):
     dst = (a_dst[:, :, None] * tb + b_dst[:, None]).ravel()
     sign = ((-1.0) ** (space.n_alpha - 1) * a_sign[:, :, None]
             * b_sign[:, None]).ravel()
-    order = np.lexsort((dst, src))
-    return lower, (src[order], dst[order], sign[order])
+    order = np.lexsort((src, dst))
+    index = np.int32 if max(src.size, space.size) < 2**31 else np.int64
+    indptr = np.zeros(lower.size + 1, dtype=index)
+    np.cumsum(np.bincount(dst, minlength=lower.size), out=indptr[1:])
+    return lower, Csr(indptr, src[order].astype(index), sign[order],
+                      space.size), False
 
 
 def _s_plus_links(space: CasSpace):
-    """Entries (src, dst, sign) of S+ into ms2+2: the S- table of ms2+2."""
+    """(upper space, table, True): S+ into ms2+2, the S- table of ms2+2
+    read transposed (the same object)."""
     if space.n_alpha == space.n_orb or space.n_beta == 0:
         return None
     upper = enumerate_cas(space.n_elec, space.n_orb, space.ms2 + 2)
-    _, (src, dst, sign) = _s_minus_links(upper)
-    return upper, (dst, src, sign)
+    return upper, _s_minus_links(upper)[1], True
 
 
-def _ladder(links, vecs: np.ndarray):
-    """(target space, image) of (N,) or (N, k) vecs under a ladder table:
-    one bincount per column, which sums in table order as np.add.at does."""
-    target, (src, dst, sign) = links
-    vecs = np.asarray(vecs)
-    out = np.empty((vecs.size // vecs.shape[0], target.size))
-    for row, col in zip(out, vecs.reshape(vecs.shape[0], -1).T):
-        row[:] = np.bincount(dst, weights=sign * col[src], minlength=target.size)
-    return target, out.T.reshape((target.size,) + vecs.shape[1:])
+def _ladder(links, vecs: np.ndarray, out: np.ndarray | None = None):
+    """(target space, image) of (N,) or (N, k) vecs under a ladder table,
+    written into out, a C-contiguous (target size, k) buffer, if given.
 
-
-def apply_s_plus(space: CasSpace, vec: np.ndarray):
-    """Unnormalized S+ image; returns (upper space, vector)."""
-    links = _s_plus_links(space)
-    if links is None:
-        raise LadderAnnihilation("S+ annihilates every state of this block")
-    return _ladder(links, vec)
+    A table whose larger block has more than SMALL_SPACE determinants runs
+    as one compiled sparse product (csr_add; S+ as the transpose), a
+    smaller one as one bincount per column.  Both sum every image element
+    over its sources in ascending order, so their images are bit for bit
+    the same.
+    """
+    target, table, raising = links
+    vecs = np.asarray(vecs, dtype=float)
+    X = vecs.reshape(vecs.shape[0], -1)
+    if out is None:
+        out = np.empty((target.size, X.shape[1]))
+    if max(X.shape[0], target.size) > SMALL_SPACE:
+        out.fill(0.0)
+        csr_add(table, np.ascontiguousarray(X), out, transpose=raising)
+    else:
+        rows = np.repeat(np.arange(table.indptr.size - 1), np.diff(table.indptr))
+        src, dst = (rows, table.indices) if raising else (table.indices, rows)
+        for j, col in enumerate(X.T):
+            out[:, j] = np.bincount(dst, weights=table.data * col[src],
+                                    minlength=target.size)
+    return target, out.reshape((target.size,) + vecs.shape[1:])
 
 
 def apply_s_minus(space: CasSpace, vec: np.ndarray):
@@ -126,17 +141,30 @@ def project_spin(space: CasSpace, vecs: np.ndarray) -> np.ndarray:
     """Löwdin's projector onto spin S = M_S of a top block, applied to (N,)
     or (N, k) vecs (P.-O. Löwdin, Phys. Rev. 97, 1509 (1955)):
     P_S = prod_{S' > S} (1 - S-S+ / (S'(S'+1) - S(S+1))).  Each factor is
-    one S+ and one S- scatter by _ladder, since apply_s_minus refuses the
-    zero S+ image of a pure spin-S vector."""
+    one S+ and one S- scatter by _ladder through the one table between
+    this block and the block above, since apply_s_minus refuses the zero
+    S+ image of a pure spin-S vector.  The images of every factor reuse
+    one buffer per block."""
     if space.ms2 < 0:
         raise ValueError(f"spin projection needs a top block ms2 >= 0, "
                          f"got ms2={space.ms2}")
-    out = np.array(vecs, dtype=float)
+    out = np.array(vecs, dtype=float)            # in the layout of vecs
     ms2, top = space.ms2, min(space.n_elec, 2 * space.n_orb - space.n_elec)
+    if ms2 == top:
+        return out
+    upper, table, _ = raising = _s_plus_links(space)
+    lowering = space, table, False
+    columns = out.reshape(space.size, -1)
+    X = np.ascontiguousarray(columns)            # the rows csr_add reads
+    raised = np.empty((upper.size, X.shape[1]))
+    lowered = np.empty_like(X)
     for two_s in range(ms2 + 2, top + 1, 2):     # 2S' of each higher spin
-        upper, raised = _ladder(_s_plus_links(space), out)
-        gap = (two_s * (two_s + 2) - ms2 * (ms2 + 2)) / 4.0
-        out -= _ladder(_s_minus_links(upper), raised)[1] / gap
+        _ladder(raising, X, raised)
+        _ladder(lowering, raised, lowered)
+        lowered /= (two_s * (two_s + 2) - ms2 * (ms2 + 2)) / 4.0
+        X -= lowered
+    if X is not columns:
+        columns[...] = X
     return out
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from casq.ingest import IntegralSet
 
@@ -9,6 +10,18 @@ from casq.ingest import IntegralSet
 settings.register_profile("casq", derandomize=True, deadline=None,
                           max_examples=25)
 settings.load_profile("casq")
+
+
+@st.composite
+def stacked_block(draw):
+    """A CAS(n_e <= 5, n_o <= 4) M_S block, column counts for the bra and
+    ket stacks (0 = one 1-D vector) and a seed for their entries."""
+    n_orb = draw(st.integers(1, 4))
+    n_elec = draw(st.integers(0, min(5, 2 * n_orb)))
+    top = min(n_elec, 2 * n_orb - n_elec)
+    ms2 = draw(st.sampled_from(range(-top, top + 1, 2)))
+    return (n_elec, n_orb, ms2, draw(st.integers(0, 3)),
+            draw(st.integers(0, 3)), draw(st.integers(0, 2 ** 16)))
 
 
 def make_random_integrals(n_orb: int, seed: int, scale_g: float = 0.5,
@@ -129,9 +142,9 @@ def negated_s_minus_entry(monkeypatch):
         out = links(space)
         if space.ms2 != 1 or out is None:
             return out
-        lower, (src, dst, sign) = out
-        sign = sign.copy()       # the cached table stays intact
-        sign[0] = -sign[0]
-        return lower, (src, dst, sign)
+        lower, table, raising = out
+        data = table.data.copy()     # the cached table stays intact
+        data[0] = -data[0]
+        return lower, table._replace(data=data), raising
 
     monkeypatch.setattr(casq.spin, "_s_minus_links", negated)

@@ -4,7 +4,6 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given
-from hypothesis import strategies as st
 
 from casq import analysis, soc
 from casq.analysis import (
@@ -22,7 +21,7 @@ from casq.soc import _flip_tdm
 from casq.spin import flip_lower_links, flip_raise_links, s_squared
 
 from _oracles import creation_matrix, fock_one_electron, space_projector
-from conftest import make_random_integrals
+from conftest import make_random_integrals, stacked_block
 
 
 def _state(space, vec):
@@ -50,18 +49,6 @@ def test_transition_density_matches_fock_oracle():
             ref_b = bra @ P @ fock_one_electron(cb, n).real @ P.T @ ket
             assert ga[p, q] == pytest.approx(ref_a, abs=1e-12)
             assert gb[p, q] == pytest.approx(ref_b, abs=1e-12)
-
-
-@st.composite
-def stacked_block(draw):
-    """A CAS(n_e <= 5, n_o <= 4) M_S block, column counts for the bra and
-    ket stacks (0 = one 1-D vector) and a seed for their entries."""
-    n_orb = draw(st.integers(1, 4))
-    n_elec = draw(st.integers(0, min(5, 2 * n_orb)))
-    top = min(n_elec, 2 * n_orb - n_elec)
-    ms2 = draw(st.sampled_from(range(-top, top + 1, 2)))
-    return (n_elec, n_orb, ms2, draw(st.integers(0, 3)),
-            draw(st.integers(0, 3)), draw(st.integers(0, 2 ** 16)))
 
 
 def _columns(rng, space, k):

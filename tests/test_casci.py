@@ -21,6 +21,7 @@ from casq.casci import (
     sigma,
     solve_davidson,
 )
+from casq.csr import Csr, csr_add
 from casq.detspace import Determinant, cas_dimension, enumerate_cas, occupied_orbitals
 from casq.ingest import DavidsonOptions, IntegralSet
 
@@ -160,30 +161,33 @@ def test_sigma_block_is_bit_reproducible():
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
 @pytest.mark.parametrize("k", [1, 3])
 def test_csr_add_matches_the_scipy_product(index_dtype, k):
-    # _csr_add calls a private scipy routine: a scipy that moves or changes
-    # it fails here
+    # csr_add calls private scipy routines, csr_matvecs and (transposed)
+    # csc_matvecs: a scipy that moves or changes them fails here
     from scipy.sparse import random as sparse_random
     rng = np.random.default_rng(k)
     A = sparse_random(7, 5, density=0.4, format="csr", random_state=k)
     A.indices, A.indptr = A.indices.astype(index_dtype), A.indptr.astype(index_dtype)
     assert A.indices.dtype == A.indptr.dtype == index_dtype and A.nnz > 0
-    X, Y0 = rng.standard_normal((5, k)), rng.standard_normal((7, k))
-    Y = Y0.copy()
-    casci._csr_add(A, X, Y)
-    assert np.max(np.abs(Y - (Y0 + A @ X))) < 1e-14
-    # any X or Y that ravel() would copy is refused, and Y is left as it was
-    wide = rng.standard_normal((7, 2 * k))
-    for bad_x, bad_y in ((np.asfortranarray(rng.standard_normal((5, 3))),
-                          np.zeros((7, 3))),
-                         (rng.standard_normal((10, k))[::2], Y),
-                         (X, wide[:, ::2]),
-                         (np.ones((5, 3)), np.asfortranarray(np.zeros((7, 3)))),
-                         (X.astype(np.float32), Y),
-                         (X, np.zeros((6, k)))):
-        before = bad_y.copy()
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            casci._csr_add(A, bad_x, bad_y)
-        assert np.array_equal(bad_y, before)
+    table = Csr(A.indptr, A.indices, A.data, A.shape[1])
+    for transpose, ref, (m, n) in ((False, A, A.shape), (True, A.T, A.shape[::-1])):
+        X, Y0 = rng.standard_normal((n, k)), rng.standard_normal((m, k))
+        Y = Y0.copy()
+        csr_add(table, X, Y, transpose=transpose)
+        assert np.max(np.abs(Y - (Y0 + ref @ X))) < 1e-14
+        # any X or Y that ravel() would copy is refused, and Y is left as it was
+        wide = rng.standard_normal((m, 2 * k))
+        for bad_x, bad_y in ((np.asfortranarray(rng.standard_normal((n, 3))),
+                              np.zeros((m, 3))),
+                             (rng.standard_normal((2 * n, k))[::2], Y),
+                             (X, wide[:, ::2]),
+                             (np.ones((n, 3)), np.asfortranarray(np.zeros((m, 3)))),
+                             (X.astype(np.float32), Y),
+                             (X, np.zeros((m - 1, k))),
+                             (Y0, X)):
+            before = bad_y.copy()
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                csr_add(table, bad_x, bad_y, transpose=transpose)
+            assert np.array_equal(bad_y, before)
 
 
 @pytest.mark.parametrize("n_elec,n_orb,ms2,transpose", [

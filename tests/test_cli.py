@@ -8,9 +8,10 @@ import pytest
 
 import casq.cli
 from casq.casci import InvariantBreach
-from casq.cli import UsageError, _classify_error, main
+from casq.cli import UsageError, _classify_error, _g_row, main
 from casq.davidson import DavidsonNotConverged, DavidsonResult
 from casq.ingest import ParseError, write_fcidump
+from casq.gtensor import _principal_from_g
 from casq.ligandfield import build_ligand_field_model
 from casq.soc import KramersPairingError, PhaseConsistencyError
 from casq.spectra import SpectrumLine, broaden
@@ -373,6 +374,29 @@ def test_gtensor_d9_ordering(tmp_path):
     data = json.loads((out / "gtensor_report.json").read_text())
     for row in data["g"]:
         assert row["g_z"] > row["g_x"] >= 2.003
+        # the report holds G = g g^T, whose eigenvalues are the squared
+        # principal values, and not the basis-dependent g
+        assert "matrix" not in row
+        principal = np.sqrt(np.linalg.eigvalsh(row["G"]))
+        assert np.allclose(principal, sorted((row["g_x"], row["g_y"], row["g_z"])),
+                           atol=1e-3)
+
+
+def test_g_report_row_is_invariant_under_the_kramers_basis():
+    # eigh may return any basis of the degenerate ground Kramers pair,
+    # which turns g into g R for a rotation R: the report row must not move
+    rng = np.random.default_rng(31)
+    g = 2.0 * np.eye(3) + 0.1 * rng.standard_normal((3, 3))
+    R, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    R *= np.sign(np.linalg.det(R))
+    rows = [json.loads(json.dumps(_g_row(_principal_from_g(m, "EHA"), "r")))
+            for m in (g, g @ R)]
+    assert not np.allclose(g, g @ R, atol=1e-3)
+    assert np.max(np.abs(np.subtract(rows[0]["G"], rows[1]["G"]))) < 1e-12
+    for axis in ("g_x", "g_y", "g_z"):
+        assert rows[0][axis] == rows[1][axis]
+    assert np.max(np.abs(np.subtract(_principal_from_g(g, "EHA").principal,
+                                     _principal_from_g(g @ R, "EHA").principal))) < 1e-12
 
 
 def test_gtensor_even_electron_refused(tmp_path, capsys):

@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from casq import spin
 from casq.casci import (InvariantBreach, _spin_flip, assemble_multiplets,
                         dense_solve, solve_davidson)
+from casq.csr import SMALL_SPACE
 from casq.detspace import Determinant, cas_dimension, enumerate_cas
 from casq.ingest import DavidsonOptions
 from casq.soc import _flip_tdm
@@ -14,7 +18,6 @@ from casq.spin import (
     _s_minus_links,
     _s_plus_links,
     apply_s_minus,
-    apply_s_plus,
     flip_lower_links,
     flip_raise_links,
     project_spin,
@@ -28,7 +31,7 @@ from _oracles import (
     fock_spin_ops,
     space_projector,
 )
-from conftest import make_random_integrals, spin_filtered_energies
+from conftest import make_random_integrals, spin_filtered_energies, stacked_block
 
 # Every M_S block of CAS(3,4), CAS(4,4) and CAS(5,4) that has a block
 # below it; the blocks at the two ends are in test_ladders_at_edge_blocks.
@@ -86,7 +89,7 @@ def test_apply_s_minus_matches_fock_oracle():
         lower, w = apply_s_minus(space, v)
         ref = space_projector(lower) @ sm @ space_projector(space).T @ v
         assert np.allclose(w, ref, atol=1e-12)
-        up, wu = apply_s_plus(lower, w)
+        up, wu = _ladder(_s_plus_links(lower), w)
         assert up is space
         ref_up = space_projector(space) @ sp @ space_projector(lower).T @ w
         assert np.allclose(wu, ref_up, atol=1e-12)
@@ -215,8 +218,7 @@ def test_ladders_at_edge_blocks(n_elec):
         apply_s_minus(bottom, np.ones(bottom.size))
     upper = enumerate_cas(n_elec, 4, top)
     assert flip_raise_links(upper) is None
-    with pytest.raises(LadderAnnihilation):
-        apply_s_plus(upper, np.ones(upper.size))
+    assert _s_plus_links(upper) is None
 
 
 @st.composite
@@ -236,11 +238,10 @@ def test_s_plus_is_s_minus_of_block_above_transposed(block):
     assert np.allclose(s_squared_matrix(space, V),
                        V.T @ P @ fock_s_squared(n_orb) @ P.T @ V, atol=1e-12)
     if ms2 == min(n_elec, 2 * n_orb - n_elec):
-        with pytest.raises(LadderAnnihilation):
-            apply_s_plus(space, V[:, 0])
+        assert _s_plus_links(space) is None
         return
     upper = enumerate_cas(n_elec, n_orb, ms2 + 2)
-    plus = np.column_stack([apply_s_plus(space, e)[1]
+    plus = np.column_stack([_ladder(_s_plus_links(space), e)[1]
                             for e in np.eye(space.size)])
     minus = np.column_stack([_ladder(_s_minus_links(upper), e)[1]
                              for e in np.eye(upper.size)])
@@ -250,18 +251,25 @@ def test_s_plus_is_s_minus_of_block_above_transposed(block):
 
 
 def _add_at_ladder(links, vecs):
-    """Reference ladder scatter by np.add.at, which sums in input order."""
-    target, (src, dst, sign) = links
+    """Reference ladder scatter by np.add.at, which sums in input order:
+    the S- table's entries row by row, for S+ with rows and columns
+    swapped."""
+    target, table, raising = links
+    rows = np.repeat(np.arange(table.indptr.size - 1), np.diff(table.indptr))
+    src, dst = (rows, table.indices) if raising else (table.indices, rows)
+    sign = table.data.reshape((-1,) + (1,) * (vecs.ndim - 1))
     out = np.zeros((target.size,) + vecs.shape[1:])
-    np.add.at(out, dst, sign.reshape((-1,) + (1,) * (vecs.ndim - 1)) * vecs[src])
+    np.add.at(out, dst, sign * vecs[src])
     return out
 
 
-def test_ladder_scatter_is_bit_identical_to_add_at():
+def test_ladder_scatter_is_bit_identical_to_add_at(monkeypatch):
     # bit-reproducible runs need every ladder image summed in one fixed
-    # order, the table's: the bincount scatter must match np.add.at exactly
+    # order, ascending source: both executors must match np.add.at exactly
     rng = np.random.default_rng(11)
-    for n_elec, n_orb in [(3, 4), (5, 6), (7, 8)]:
+    for (n_elec, n_orb), gate in itertools.product([(3, 4), (5, 6), (7, 8)],
+                                                   (10**9, 0)):
+        monkeypatch.setattr(spin, "SMALL_SPACE", gate)
         top = min(n_elec, 2 * n_orb - n_elec)
         for ms2 in range(-top, top + 1, 2):
             space = enumerate_cas(n_elec, n_orb, ms2)
@@ -273,6 +281,71 @@ def test_ladder_scatter_is_bit_identical_to_add_at():
                     target, out = _ladder(links, vecs)
                     assert out.shape == (target.size,) + shape[1:]
                     assert np.array_equal(out, _add_at_ladder(links, vecs))
+
+
+def _spin_images(space, vecs):
+    """S+ and S- images, <S^2> matrix and (on a top block) Löwdin
+    projection of vecs, None where the block has no such image."""
+    plus, minus = _s_plus_links(space), _s_minus_links(space)
+    return (None if plus is None else _ladder(plus, vecs)[1],
+            None if minus is None else _ladder(minus, vecs)[1],
+            s_squared_matrix(space, vecs.reshape(space.size, -1)),
+            project_spin(space, vecs) if space.ms2 >= 0 else None)
+
+
+def _assert_executors_agree(space, vecs):
+    """The bincount and compiled CSR executors give bit-identical images."""
+    images = []
+    for gate in (10**9, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spin, "SMALL_SPACE", gate)
+            images.append(_spin_images(space, vecs))
+    for small, large in zip(*images):
+        assert (small is None) == (large is None)
+        assert small is None or np.array_equal(small, large)
+
+
+@given(stacked_block())
+def test_ladder_executors_agree_on_stacked_blocks(case):
+    n_elec, n_orb, ms2, k, _, seed = case
+    space = enumerate_cas(n_elec, n_orb, ms2)
+    rng = np.random.default_rng(seed)
+    _assert_executors_agree(space, rng.standard_normal(
+        (space.size, k) if k else space.size))
+
+
+@pytest.mark.parametrize("n_elec, n_orb", [(3, 4), (4, 4), (5, 4), (5, 6)])
+def test_ladder_executors_agree_in_every_block(n_elec, n_orb):
+    # every M_S, the edge blocks of test_ladders_at_edge_blocks included,
+    # and a column-major block as Davidson passes to project_spin
+    top = min(n_elec, 2 * n_orb - n_elec)
+    rng = np.random.default_rng(12)
+    for ms2 in range(-top, top + 1, 2):
+        space = enumerate_cas(n_elec, n_orb, ms2)
+        for shape in ((space.size,), (space.size, 1), (space.size, 4)):
+            _assert_executors_agree(space, rng.standard_normal(shape))
+        _assert_executors_agree(space, np.asfortranarray(
+            rng.standard_normal((space.size, 3))))
+
+
+def test_ladder_table_is_one_int32_csr_for_both_directions():
+    # the CAS(7,8) M_S = 1/2 <-> 3/2 table, above the gate: only CSR arrays,
+    # 12 bytes per entry, shared by S+ of the lower and S- of the upper block
+    space = enumerate_cas(7, 8, 1)
+    upper, table, raising = _s_plus_links(space)
+    assert raising and max(space.size, upper.size) > SMALL_SPACE
+    lower, down, lowering = _s_minus_links(upper)
+    assert lower is space and down is table and not lowering
+    assert table.indptr.dtype == table.indices.dtype == np.int32
+    assert table.data.dtype == np.float64
+    assert table.indptr.size == space.size + 1 and table.n_col == upper.size
+    assert table.indices.size == table.data.size == table.indptr[-1]
+    arrays = [a for a in table if isinstance(a, np.ndarray)]
+    assert len(arrays) == 3 and not any(a.dtype == np.intp for a in arrays)
+    # columns ascend within each row: S- sums every image element in
+    # ascending source order, as S+ (the rows) does
+    rows = np.repeat(np.arange(space.size), np.diff(table.indptr))
+    assert np.all((np.diff(rows) > 0) | (np.diff(table.indices) > 0))
 
 
 @st.composite
@@ -300,7 +373,7 @@ def test_spin_projector_is_the_spin_s_projector(block, seed):
         assert np.array_equal(full, np.eye(space.size))
         return
     # S+ P = 0, and P S- = 0 on the block above: P keeps spin S only
-    assert np.max(np.abs(apply_s_plus(space, px)[1])) < 1e-12
+    assert np.max(np.abs(_ladder(_s_plus_links(space), px)[1])) < 1e-12
     upper = enumerate_cas(n_elec, n_orb, ms2 + 2)
     _, lowered = apply_s_minus(upper, rng.standard_normal((upper.size, 3)))
     assert np.max(np.abs(project_spin(space, lowered))) < 1e-12
