@@ -16,7 +16,8 @@ from .ingest import (IntegralSet, OrbitalSpace, PropertyIntegrals,  # noqa: F401
                      parse_run_config, read_fcidump, write_fcidump)
 from .ligandfield import (LigandFieldModel, build_ligand_field_model,  # noqa: F401
                           preset_model)
-from .soc import SocStateBasis, SoEigenstates, qdpt, soc_basis, soc_matrix  # noqa: F401
+from .soc import (SocStateBasis, SoEigenstates, component_blocks,  # noqa: F401
+                  qdpt, soc_basis, soc_matrix)
 from .spectra import (SpectrumLine, broaden, oscillator_strength,  # noqa: F401
                       transition_table)
 from .spin import apply_s_minus, s_squared  # noqa: F401

@@ -27,7 +27,7 @@ from casq.analysis import decompose, format_decomposition
 from casq.davidson import DavidsonNotConverged
 from casq.detspace import cas_dimension
 from casq.gtensor import format_gap_report
-from casq.ingest import (ParseError, parse_property_integrals,
+from casq.ingest import (ParseError, finite_float, parse_property_integrals,
                          parse_run_config, read_fcidump, zero_properties)
 from casq.ligandfield import build_ligand_field_model, preset_model
 from casq.spectra import (SpectrumLine, broaden, energy_grid, spectrum_csv,
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (gt, spect):
         p.add_argument("--prop", default=None,
                        help="property matrices (ANGMOM/SOC/DIP sections)")
-    gt.add_argument("--zeta", type=float, default=None,
+    gt.add_argument("--zeta", type=finite_float, default=None,
                     help="override the --lf preset SOC constant (cm^-1)")
     cas.add_argument("--oracle", choices=["dense"], default=None,
                      help="check the roots against dense diagonalization")
@@ -377,7 +377,7 @@ def _parse_lines_file(text: str):
             if len(parts) < 2:
                 raise ValueError("expected 'delta_e_ev f_osc [label]'")
             lines.append(SpectrumLine(
-                delta_e_ev=float(parts[0]), f_osc=float(parts[1]),
+                delta_e_ev=finite_float(parts[0]), f_osc=finite_float(parts[1]),
                 from_state=0, to_state=lineno,
                 label=parts[2] if len(parts) > 2 else ""))
         except ValueError as exc:

@@ -15,7 +15,8 @@ from .casci import (CiState, Multiplet, assemble_multiplets, enumerate_cas,
                     solve_davidson)
 from .gtensor import GapReport, GTensor, g_tensor_eha, g_tensor_sos, gap_report
 from .ingest import IntegralSet, PropertyIntegrals, RunConfig
-from .soc import SocStateBasis, SoEigenstates, diagonal_energies, qdpt, soc_basis, soc_matrix
+from .soc import (SocStateBasis, SoEigenstates, component_blocks,
+                  diagonal_energies, qdpt, soc_basis, soc_matrix)
 
 
 def solve_multiplicity(ints: IntegralSet, config: RunConfig, mult: int,
@@ -66,9 +67,11 @@ def run_gtensor(ints: IntegralSet, prop: PropertyIntegrals,
     if multiplets is None:
         multiplets = solve_multiplets(ints, config)
     basis = soc_basis(multiplets)
-    soc = soc_matrix(basis, multiplets, prop)
+    blocks = component_blocks(basis, multiplets)
+    soc = soc_matrix(basis, blocks, prop)
     so_states = qdpt(basis, diagonal_energies(basis, multiplets), soc)
-    g_eha = g_tensor_eha(so_states, multiplets, prop)
+    g_eha = g_tensor_eha(so_states, blocks, prop)
+    del blocks              # stacked CI columns, not needed by SOS
     warnings: list[str] = []
     ground = multiplets[0]
     try:

@@ -26,8 +26,7 @@ import numpy as np
 from .analysis import spin_transition_densities
 from .casci import Multiplet
 from .ingest import PropertyIntegrals
-from .soc import (SocStateBasis, SoEigenstates, component_blocks,
-                  time_reversal_matrix)
+from .soc import SocStateBasis, SoEigenstates, time_reversal_matrix
 from .units import G_E, HARTREE_TO_CM
 
 # largest deviation of |<j|T|i>| from 1 accepted for the ground Kramers pair
@@ -74,9 +73,9 @@ def _principal_from_g(g: np.ndarray, method: str) -> GTensor:
     return GTensor(matrix=g, principal=principal, method=method)
 
 
-def zeeman_basis_matrices(basis: SocStateBasis, multiplets: list[Multiplet],
+def zeeman_basis_matrices(basis: SocStateBasis, blocks: dict,
                           prop: PropertyIntegrals) -> np.ndarray:
-    """mu_K = L_K + g_e S_K over the basis entries, K in (x, y, z)."""
+    """mu_K = L_K + g_e S_K, K in (x, y, z), over the basis of `blocks`."""
     n = basis.size
     mu = np.zeros((3, n, n), dtype=complex)
     # spin part: analytic within each multiplet (ladder-phased components),
@@ -94,17 +93,16 @@ def zeeman_basis_matrices(basis: SocStateBasis, multiplets: list[Multiplet],
     mu[1] += 1.0j * (G_E * (c_down - c_up))
     mu[2] += np.where(same & (step == 0), G_E * mj, 0.0)
     # orbital part: spin-free, couples equal M_S (and equal S in practice)
-    for idx, space, C in component_blocks(basis, multiplets).values():
-        ga, gb = spin_transition_densities(space, C, C)
+    for idx, _, _, (ga, gb) in blocks.values():
         mu[:, idx[:, None], idx] += 1.0j * np.einsum("kpq,pqij->kij",
                                                      prop.L, ga + gb)
     return mu
 
 
-def g_tensor_eha(so: SoEigenstates, multiplets: list[Multiplet],
+def g_tensor_eha(so: SoEigenstates, blocks: dict,
                  prop: PropertyIntegrals) -> GTensor:
     """Effective-Hamiltonian g from the ground Kramers pair of QDPT
-    eigenstates."""
+    eigenstates, with the `soc.component_blocks` of their basis."""
     if not so.kramers_pairs:
         raise ValueError("no Kramers pairs available (even-electron system?)")
     i, j = so.kramers_pairs[0]
@@ -115,7 +113,7 @@ def g_tensor_eha(so: SoEigenstates, multiplets: list[Multiplet],
             f"states {i},{j} are not time-reversal conjugate "
             f"(|<j|T|i>| = {overlap:.6f})")
     V = so.vectors[:, [i, j]]
-    mu = zeeman_basis_matrices(so.basis, multiplets, prop)
+    mu = zeeman_basis_matrices(so.basis, blocks, prop)
     g = np.zeros((3, 3))
     for K in range(3):
         lam = V.conj().T @ mu[K] @ V

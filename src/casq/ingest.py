@@ -17,6 +17,7 @@ Run configuration: flat ``key=value`` lines, ``#`` comments.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields
 from typing import Mapping
@@ -26,6 +27,15 @@ import numpy as np
 
 class ParseError(ValueError):
     """Malformed input file; message carries a line number where known."""
+
+
+def finite_float(token: str) -> float:
+    """A number token of an input file, U+2212 read as '-'; NaN and
+    infinities are refused."""
+    value = float(token.replace("−", "-"))
+    if not math.isfinite(value):
+        raise ValueError(f"{token!r} is not a finite number")
+    return value
 
 
 @dataclass(frozen=True)
@@ -142,7 +152,7 @@ class DavidsonOptions:
     guess_dim: int = 0             # 0 = auto
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("davidson tol must be > 0")
         if self.max_iter < 1:
             raise ValueError("davidson max_iter must be >= 1")
@@ -204,11 +214,7 @@ class FcidumpData:
     ms2: int | None
 
 
-_HEADER_INT = {
-    "NORB": re.compile(r"NORB\s*=\s*(-?\d+)", re.IGNORECASE),
-    "NELEC": re.compile(r"NELEC\s*=\s*(-?\d+)", re.IGNORECASE),
-    "MS2": re.compile(r"MS2\s*=\s*(-?\d+)", re.IGNORECASE),
-}
+_HEADER_INT = re.compile(r"(NORB|NELEC|MS2)\s*=\s*(-?\d+)", re.IGNORECASE)
 
 
 def read_fcidump(text: str) -> FcidumpData:
@@ -224,16 +230,14 @@ def read_fcidump(text: str) -> FcidumpData:
     header_text = " ".join(header)
     if header_end is None or "&FCI" not in header_text.upper():
         raise ParseError("missing FCIDUMP header (&FCI ... /)")
-    m = _HEADER_INT["NORB"].search(header_text)
-    if m is None:
+    header_ints: dict[str, int] = {}
+    for key, value in _HEADER_INT.findall(header_text):   # first one counts
+        header_ints.setdefault(key.upper(), int(value))
+    if "NORB" not in header_ints:
         raise ParseError("FCIDUMP header does not define NORB")
-    n_orb = int(m.group(1))
+    n_orb = header_ints["NORB"]
     if n_orb < 1:
         raise ParseError(f"NORB={n_orb} invalid")
-    m = _HEADER_INT["NELEC"].search(header_text)
-    n_elec = int(m.group(1)) if m else None
-    m = _HEADER_INT["MS2"].search(header_text)
-    ms2 = int(m.group(1)) if m else None
 
     h = np.zeros((n_orb, n_orb))
     g2 = np.zeros((n_orb, n_orb, n_orb, n_orb))
@@ -248,7 +252,7 @@ def read_fcidump(text: str) -> FcidumpData:
             raise ParseError(
                 f"line {lineno + 1}: expected 'value i j k l', got {raw!r}")
         try:
-            value = float(tokens[0])
+            value = finite_float(tokens[0])
             i, j, k, l = (int(t) for t in tokens[1:])
         except ValueError:
             raise ParseError(
@@ -267,7 +271,8 @@ def read_fcidump(text: str) -> FcidumpData:
         else:
             raise ParseError(
                 f"line {lineno + 1}: unsupported index pattern {i} {j} {k} {l}")
-    return FcidumpData(OrbitalSpace(n_orb), IntegralSet(h, g2, core), n_elec, ms2)
+    return FcidumpData(OrbitalSpace(n_orb), IntegralSet(h, g2, core),
+                       header_ints.get("NELEC"), header_ints.get("MS2"))
 
 
 def write_fcidump(integrals: IntegralSet, n_elec: int = 0, ms2: int = 0) -> str:
@@ -309,7 +314,8 @@ def parse_property_integrals(text: str, n_orb: int) -> PropertyIntegrals:
         body = line.split("#", 1)[0]
         tokens.extend((tok, lineno) for tok in body.split())
 
-    sections: dict[str, np.ndarray] = {}
+    mats = np.zeros((len(_SECTIONS), n_orb, n_orb))
+    given: set[str] = set()
     pos = 0
     n2 = n_orb * n_orb
     while pos < len(tokens):
@@ -317,45 +323,33 @@ def parse_property_integrals(text: str, n_orb: int) -> PropertyIntegrals:
         key = name.upper()
         if key not in _SECTIONS:
             raise ParseError(f"line {lineno}: unknown section {name!r}")
+        if key in given:
+            raise ParseError(f"line {lineno}: section {key} given twice")
+        given.add(key)
         vals = []
         pos += 1
         while pos < len(tokens) and len(vals) < n2:
             tok, tok_line = tokens[pos]
             try:
-                vals.append(float(tok.replace("−", "-")))
+                vals.append(finite_float(tok))
             except ValueError:
                 raise ParseError(
-                    f"line {tok_line}: expected a number in section {name}, "
-                    f"got {tok!r}") from None
+                    f"line {tok_line}: expected a finite number in section "
+                    f"{name}, got {tok!r}") from None
             pos += 1
         if len(vals) != n2:
             raise ParseError(
                 f"section {name}: expected {n2} elements, got {len(vals)}")
-        sections[key] = np.array(vals).reshape(n_orb, n_orb)
-
-    L = np.zeros((3, n_orb, n_orb))
-    Z = np.zeros((3, n_orb, n_orb))
-    D = np.zeros((3, n_orb, n_orb))
-    for axis, ax_name in enumerate("XYZ"):
-        for prefix, target, antisym in (("ANGMOM", L, True), ("SOC", Z, True),
-                                        ("DIP", D, False)):
-            key = f"{prefix}_{ax_name}"
-            if key not in sections:
-                continue
-            mat = sections[key]
-            if antisym:
-                resid = np.max(np.abs(mat + mat.T)) / 2.0
-                fixed = (mat - mat.T) / 2.0
-            else:
-                resid = np.max(np.abs(mat - mat.T)) / 2.0
-                fixed = (mat + mat.T) / 2.0
-            if resid > SYMMETRY_TOL:
-                kind = "antisymmetry" if antisym else "symmetry"
-                raise ParseError(
-                    f"section {key}: {kind} violation {resid:.3e} exceeds "
-                    f"{SYMMETRY_TOL:.0e}")
-            target[axis] = fixed
-    return PropertyIntegrals(L=L, Z=Z, D=D)
+        mat = np.array(vals).reshape(n_orb, n_orb)
+        sign = 1.0 if key.startswith("DIP") else -1.0    # L and Z antisymmetric
+        resid = np.max(np.abs(mat - sign * mat.T)) / 2.0
+        if resid > SYMMETRY_TOL:
+            kind = "symmetry" if sign > 0 else "antisymmetry"
+            raise ParseError(
+                f"section {key}: {kind} violation {resid:.3e} exceeds "
+                f"{SYMMETRY_TOL:.0e}")
+        mats[_SECTIONS.index(key)] = (mat + sign * mat.T) / 2.0
+    return PropertyIntegrals(L=mats[:3], Z=mats[3:6], D=mats[6:])
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +374,7 @@ def parse_run_config(text: str, *, default_cas: tuple[int, int] | None = None,
     cas_keys: dict[str, int] = {}
     roots: dict[int, int] = {}
     options: dict[str, dict] = {"davidson": {}, "spectrum": {}}
+    given: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -389,6 +384,9 @@ def parse_run_config(text: str, *, default_cas: tuple[int, int] | None = None,
         key, _, value = body.partition("=")
         key = key.strip().lower()
         value = value.strip()
+        if key in given:
+            raise ParseError(f"line {lineno}: {key} given twice")
+        given.add(key)
         m = re.fullmatch(r"roots_mult_(\d+)", key)
         if m:
             roots[int(m.group(1))] = _parse_value(int, value, key, lineno)
@@ -424,7 +422,10 @@ def parse_run_config(text: str, *, default_cas: tuple[int, int] | None = None,
 
 def _parse_value(kind: type, value: str, key: str, lineno: int):
     try:
-        return kind(value)
+        parsed = kind(value)
     except ValueError:
         raise ParseError(f"line {lineno}: {key} must be {kind.__name__}, "
                          f"got {value!r}") from None
+    if kind is float and not math.isfinite(parsed):
+        raise ParseError(f"line {lineno}: {key} must be finite, got {value!r}")
+    return parsed

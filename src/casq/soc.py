@@ -68,17 +68,16 @@ def diagonal_energies(basis: SocStateBasis,
 
 
 def component_blocks(basis: SocStateBasis, multiplets: list[Multiplet]):
-    """Basis entries grouped by M_S: {ms2: (indices, space, columns)}.
-
-    The columns stack the CI vectors of the block's components in basis
-    order; every component of one M_S lives in the same CAS space.
-    """
+    """Basis entries grouped by M_S, {ms2: (indices, space, columns,
+    (gamma_alpha, gamma_beta))}: the components' CI vectors stacked in basis
+    order (one CAS space per M_S) and their same-spin densities, the one
+    density pass that H_SO and the Zeeman operator share."""
     blocks = {}
     for ms2 in dict.fromkeys(basis.ms2.tolist()):     # first-seen order
         idx = np.flatnonzero(basis.ms2 == ms2)
         comps = [multiplets[k].component(ms2) for k in basis.multiplet[idx]]
-        blocks[ms2] = (idx, comps[0].space,
-                       np.column_stack([c.coeffs for c in comps]))
+        space, C = comps[0].space, np.column_stack([c.coeffs for c in comps])
+        blocks[ms2] = (idx, space, C, spin_transition_densities(space, C, C))
     return blocks
 
 
@@ -101,9 +100,9 @@ def _flip_tdm(links, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
     return out
 
 
-def soc_matrix(basis: SocStateBasis, multiplets: list[Multiplet],
+def soc_matrix(basis: SocStateBasis, blocks: dict,
                prop: PropertyIntegrals) -> np.ndarray:
-    """Complex Hermitian H_SO over the basis entries (Hartree).
+    """Complex Hermitian H_SO (Hartree) over the `component_blocks` of basis.
 
     Couples blocks with |Delta S| <= 1 and |Delta M_S| <= 1; the
     Delta M_S = -1 and +1 elements are evaluated independently and the
@@ -113,13 +112,11 @@ def soc_matrix(basis: SocStateBasis, multiplets: list[Multiplet],
     n = basis.size
     zx, zy, zz = prop.Z
     H = np.zeros((n, n), dtype=complex)
-    blocks = component_blocks(basis, multiplets)
-    for ms2, (idx, space, C) in blocks.items():
-        ga, gb = spin_transition_densities(space, C, C)
+    for ms2, (idx, space, C, (ga, gb)) in blocks.items():
         H[np.ix_(idx, idx)] = 1j * np.einsum("pq,pqij->ij", zz, ga - gb)
         if ms2 - 2 not in blocks:
             continue
-        low, low_space, D = blocks[ms2 - 2]
+        low, low_space, D, _ = blocks[ms2 - 2]
         # <low|a+_pb a_qa|C> and <C|a+_pa a_qb|low>, from separate operands
         down = _flip_tdm(flip_lower_links(space), D, C)
         H[np.ix_(low, idx)] = np.einsum("pq,pqij->ij", 1j * zx - zy, down)

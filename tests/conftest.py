@@ -56,6 +56,23 @@ def make_model_integrals(n_orb: int, seed: int = 0) -> IntegralSet:
     return IntegralSet(h=h, g2=g, core_energy=-1.5)
 
 
+def cas56_magnetic_problem(seed: int = 11):
+    """(integrals, properties, config) of a seeded CAS(5,6): 3 doublets
+    (the ground among them) and 2 quartets, so that the SOC basis has the
+    M_S blocks +-1/2 and +-3/2, guess_dim 32 below both block sizes (300
+    and 90 determinants), and random non-zero L, Z and D."""
+    from casq.ingest import DavidsonOptions, PropertyIntegrals, RunConfig
+
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((3, 3, 6, 6))
+    anti = (m - m.transpose(0, 1, 3, 2)) / 2.0
+    prop = PropertyIntegrals(L=anti[0], Z=0.01 * anti[1],
+                             D=(m[2] + m[2].transpose(0, 2, 1)) / 2.0)
+    config = RunConfig(cas=(5, 6), roots_per_multiplicity={2: 3, 4: 2},
+                       davidson=DavidsonOptions(guess_dim=32))
+    return make_random_integrals(6, seed), prop, config
+
+
 def kramers_split_d5_model():
     """d5 with zeta ~ 700 cm^-1 (model 28 of np.random.default_rng((5, 0))
     under the benchmark's lf-scan recipe): at Davidson tol 1e-8 a Kramers

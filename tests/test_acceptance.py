@@ -127,7 +127,8 @@ def test_criterion_03_counts():
 def test_criterion_04_kramers_100_trials():
     from casq.casci import assemble_multiplets
     from casq.ingest import PropertyIntegrals
-    from casq.soc import diagonal_energies, qdpt, soc_basis, soc_matrix
+    from casq.soc import (component_blocks, diagonal_energies, qdpt,
+                          soc_basis, soc_matrix)
 
     rng = np.random.default_rng(11)
     trials = 0
@@ -139,12 +140,13 @@ def test_criterion_04_kramers_100_trials():
         mults = assemble_multiplets(doublets + quartets, ints)
         basis = soc_basis(mults)
         diag = diagonal_energies(basis, mults)
+        blocks = component_blocks(basis, mults)
         for _ in range(10):
             Z = rng.standard_normal((3, 3, 3)) * 10 ** rng.uniform(-4, -1)
             Z = (Z - Z.transpose(0, 2, 1)) / 2.0
             prop = PropertyIntegrals(L=np.zeros((3, 3, 3)), Z=Z,
                                      D=np.zeros((3, 3, 3)))
-            so = qdpt(basis, diag, soc_matrix(basis, mults, prop))
+            so = qdpt(basis, diag, soc_matrix(basis, blocks, prop))
             assert len(so.kramers_pairs) * 2 == basis.size
             for i, j in so.kramers_pairs:
                 split = abs(so.energies[i] - so.energies[j])

@@ -439,6 +439,41 @@ def test_spectrum_lines_errors_name_their_line(tmp_path, capsys):
         assert "line 2" in manifest["error"]["message"]
 
 
+_FCIDUMP = write_fcidump(make_random_integrals(3, 209), 3, 1)
+_DIP = "DIP_X\n0 1 0\n1 0 0\n0 0 0\n"
+
+
+@pytest.mark.parametrize("files, argv, where", [
+    ({"m.fcidump": _FCIDUMP + "nan 1 1 0 0\n"},
+     ["casci", "--fcidump", "m.fcidump"],
+     f"line {len(_FCIDUMP.splitlines()) + 1}"),
+    ({"m.fcidump": _FCIDUMP, "m.prop": _DIP.replace("1 0 0", "inf 0 0")},
+     ["spectrum", "--fcidump", "m.fcidump", "--prop", "m.prop"], "line 3"),
+    ({"l.txt": "2.0 1.0\n1.0 nan\n"}, ["spectrum", "--lines", "l.txt"],
+     "line 2"),
+    ({"l.txt": "2.0 1.0\n", "c.cfg": "spectrum_max_ev=inf\n"},
+     ["spectrum", "--lines", "l.txt", "--config", "c.cfg"], "spectrum_max_ev"),
+    ({"l.txt": "2.0 1.0\n", "c.cfg": "spectrum_fwhm_ev=nan\n"},
+     ["spectrum", "--lines", "l.txt", "--config", "c.cfg"], "spectrum_fwhm_ev"),
+    ({"c.cfg": "davidson_tol=NaN\n"},
+     ["casci", "--lf", "d1", "--config", "c.cfg"], "davidson_tol"),
+    ({}, ["gtensor", "--lf", "d1", "--zeta", "inf"], "--zeta"),
+], ids=["fcidump", "property", "lines", "max_ev", "fwhm_ev", "davidson_tol",
+        "zeta"])
+def test_non_finite_inputs_are_input_errors(files, argv, where, tmp_path):
+    # NaN and infinities are refused where they are read, naming their line,
+    # key or flag, not carried into a NaN spectrum or a failed solve
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, _, manifest = run_cli(argv, tmp_path)
+    assert code == 1
+    assert manifest["status"] == "failed" and manifest["exit_code"] == 1
+    kind = "UsageError" if where.startswith("--") else "ParseError"
+    assert manifest["error"]["type"] == kind
+    assert where in manifest["error"]["message"]
+
+
 def test_spectrum_from_lines_ignores_root_keys(tmp_path):
     # root counts belong to a CASCI run; a line list has no CAS to check
     # them against

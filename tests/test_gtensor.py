@@ -14,7 +14,7 @@ from casq.ligandfield import (
 )
 from casq.units import EV_TO_HARTREE, G_E, HARTREE_TO_CM
 
-from conftest import make_random_integrals
+from conftest import cas56_magnetic_problem, make_random_integrals
 
 
 def d1_model(zeta_cm, e_xz=1.9, e_x2y2=2.6, e_z2=4.5):
@@ -200,3 +200,25 @@ def test_hund_exchange_model_quartet_below_doublet():
     gap_cm = (doublet - lowest.energy) * HARTREE_TO_CM
     assert gap_cm > 0.0
     assert "flag: quartet below doublet" in format_gap_report(rep)
+
+
+def test_one_density_pass_per_ms_block(monkeypatch):
+    # H_SO and the Zeeman operator share each M_S block's same-spin
+    # densities; SOS takes one (ground, excited) pass of its own
+    from casq import analysis, gtensor, soc
+
+    kernel = analysis.spin_transition_densities
+    calls = []
+
+    def counted(space, bra, ket):
+        calls.append(space.ms2)
+        return kernel(space, bra, ket)
+
+    for module in (analysis, soc, gtensor):
+        monkeypatch.setattr(module, "spin_transition_densities", counted)
+    res = run_gtensor(*cas56_magnetic_problem())
+    assert res.g_sos is not None
+    blocks = sorted(set(res.basis.ms2.tolist()))
+    assert blocks == [-3, -1, 1, 3]
+    assert len(calls) == len(blocks) + 1
+    assert sorted(calls) == sorted(blocks + [1])

@@ -145,6 +145,19 @@ def test_property_parse_count_error():
         parse_property_integrals("DIPOLE_X\n1 0 0 1\n", 2)
 
 
+def test_repeated_sections_and_keys_name_the_repeat():
+    # the last of two values would otherwise win silently
+    with pytest.raises(ParseError, match="line 3: section DIP_X given twice"):
+        parse_property_integrals("DIP_X\n1 0 0 1\ndip_x\n2 0 0 2\n", 2)
+    for text, line, key in (
+            ("davidson_tol=1e-9\ncas_nelec=2\ndavidson_tol=1e-8\n", 3,
+             "davidson_tol"),
+            ("cas_nelec=3\nroots_mult_2=1\ncas_norb=3\nRoots_Mult_2 = 2\n", 4,
+             "roots_mult_2")):
+        with pytest.raises(ParseError, match=f"line {line}: {key} given twice"):
+            parse_run_config(text)
+
+
 def test_antisymmetrization_enforced():
     with pytest.raises(ValueError, match="antisymmetric"):
         PropertyIntegrals(L=np.full((3, 2, 2), 0.1),

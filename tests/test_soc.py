@@ -11,6 +11,7 @@ from casq import soc
 from casq.soc import (
     KramersPairingError,
     PhaseConsistencyError,
+    component_blocks,
     diagonal_energies,
     qdpt,
     soc_basis,
@@ -49,7 +50,7 @@ def soc_oracle_d1(zeta_hartree, orbital_indices=None):
 def test_soc_zero_for_zero_z():
     mults, prop, _ = doublet_multiplets_d1([0.0, 1.0, 1.0, 2.0, 3.0], 0.0)
     basis = soc_basis(mults)
-    H = soc_matrix(basis, mults, prop)
+    H = soc_matrix(basis, component_blocks(basis, mults), prop)
     assert np.max(np.abs(H)) == 0.0
 
 
@@ -58,7 +59,7 @@ def test_soc_full_d1_matches_brute_force():
     zeta_cm = 305.0
     mults, prop, _ = doublet_multiplets_d1([0.0] * 5, zeta_cm)
     basis = soc_basis(mults)
-    H = soc_matrix(basis, mults, prop)
+    H = soc_matrix(basis, component_blocks(basis, mults), prop)
     assert np.max(np.abs(H - H.conj().T)) < 1e-12
     got = np.linalg.eigvalsh(H)
     zeta = zeta_cm * CM_TO_HARTREE
@@ -78,7 +79,7 @@ def test_soc_t2g_block_pattern():
     t2g = [m for m in mults if m.energy < 1.0 * CM_TO_HARTREE * 1e4][:3]
     assert len(t2g) == 3
     basis = soc_basis(t2g)
-    H = soc_matrix(basis, t2g, prop)
+    H = soc_matrix(basis, component_blocks(basis, t2g), prop)
     got = np.linalg.eigvalsh(H)
     zeta = zeta_cm * CM_TO_HARTREE
     ref = soc_oracle_d1(zeta, orbital_indices=[1, 2, 4])
@@ -98,7 +99,7 @@ def test_soc_selection_rules():
     Z = (Z - Z.transpose(0, 2, 1)) / 2.0
     prop = PropertyIntegrals(L=np.zeros((3, 3, 3)), Z=Z, D=np.zeros((3, 3, 3)))
     basis = soc_basis(mults)
-    H = soc_matrix(basis, mults, prop)
+    H = soc_matrix(basis, component_blocks(basis, mults), prop)
     assert np.max(np.abs(H - H.conj().T)) < 1e-12
     ms2, two_s = basis.ms2, basis.two_s
     # |Delta M_S| = 2 forbidden
@@ -118,7 +119,8 @@ def test_hermiticity_check_catches_a_corrupted_flip_table(monkeypatch):
     Z[0, 0, 1], Z[0, 1, 0] = 0.3, -0.3          # only (p, q) = (0, 1), (1, 0)
     prop = PropertyIntegrals(L=np.zeros((3, 3, 3)), Z=Z, D=np.zeros((3, 3, 3)))
     basis = soc_basis(mults)
-    assert np.max(np.abs(soc_matrix(basis, mults, prop))) > 1e-3
+    blocks = component_blocks(basis, mults)
+    assert np.max(np.abs(soc_matrix(basis, blocks, prop))) > 1e-3
     lower_links = soc.flip_lower_links
 
     def corrupted(space):
@@ -131,7 +133,7 @@ def test_hermiticity_check_catches_a_corrupted_flip_table(monkeypatch):
 
     monkeypatch.setattr(soc, "flip_lower_links", corrupted)
     with pytest.raises(PhaseConsistencyError):
-        soc_matrix(basis, mults, prop)
+        soc_matrix(basis, blocks, prop)
 
 
 def test_davidson_tol_within_kramers_split_tol():
@@ -143,7 +145,7 @@ def test_davidson_tol_within_kramers_split_tol():
 def test_qdpt_zero_soc_identity():
     mults, prop, _ = doublet_multiplets_d1([0.0, 1.0, 1.5, 2.0, 3.0], 0.0)
     basis = soc_basis(mults)
-    H = soc_matrix(basis, mults, prop)
+    H = soc_matrix(basis, component_blocks(basis, mults), prop)
     energies = diagonal_energies(basis, mults)
     so = qdpt(basis, energies, H)
     assert np.allclose(so.energies, np.sort(energies), atol=1e-15)
@@ -153,7 +155,7 @@ def test_qdpt_zero_soc_identity():
 def test_qdpt_kramers_degeneracy_d1():
     mults, prop, _ = doublet_multiplets_d1([0.0, 1.9, 1.9, 2.6, 4.5], 305.0)
     basis = soc_basis(mults)
-    H = soc_matrix(basis, mults, prop)
+    H = soc_matrix(basis, component_blocks(basis, mults), prop)
     so = qdpt(basis, diagonal_energies(basis, mults), H)
     assert len(so.kramers_pairs) == 5
     for i, j in so.kramers_pairs:
@@ -167,13 +169,14 @@ def test_qdpt_kramers_random_z():
     quartets = dense_solve(enumerate_cas(3, 3, 3), ints, 1)
     mults = assemble_multiplets(doublets + quartets, ints)
     basis = soc_basis(mults)
+    blocks = component_blocks(basis, mults)
     rng = np.random.default_rng(73)
     for _ in range(5):
         Z = rng.standard_normal((3, 3, 3)) * 0.01
         Z = (Z - Z.transpose(0, 2, 1)) / 2.0
         prop = PropertyIntegrals(L=np.zeros((3, 3, 3)), Z=Z,
                                  D=np.zeros((3, 3, 3)))
-        H = soc_matrix(basis, mults, prop)
+        H = soc_matrix(basis, blocks, prop)
         so = qdpt(basis, diagonal_energies(basis, mults), H)
         for i, j in so.kramers_pairs:
             assert abs(so.energies[i] - so.energies[j]) <= 1e-10
@@ -182,15 +185,17 @@ def test_qdpt_kramers_random_z():
 def test_qdpt_gauge_invariance_under_multiplet_sign():
     mults, prop, ints = doublet_multiplets_d1([0.0, 1.9, 1.9, 2.6, 4.5], 305.0)
     basis = soc_basis(mults)
+    blocks = component_blocks(basis, mults)
     e_ref = qdpt(basis, diagonal_energies(basis, mults),
-                 soc_matrix(basis, mults, prop)).energies
+                 soc_matrix(basis, blocks, prop)).energies
     # flip the global sign of one whole multiplet
     flipped = [m for m in mults]
     victim = flipped[2]
     for comp in victim.components.values():
         comp.coeffs = -comp.coeffs
+    blocks = component_blocks(basis, flipped)
     e_new = qdpt(basis, diagonal_energies(basis, flipped),
-                 soc_matrix(basis, flipped, prop)).energies
+                 soc_matrix(basis, blocks, prop)).energies
     assert np.allclose(e_ref, e_new, atol=1e-12)
 
 
@@ -204,7 +209,7 @@ def test_component_swap_detected_by_kramers_pairing():
     a, b = mults[1], mults[2]  # degenerate xz/yz pair
     assert abs(a.energy - b.energy) < 1e-12
     a.components[-1], b.components[-1] = b.components[-1], a.components[-1]
-    H = soc_matrix(basis, mults, prop)
+    H = soc_matrix(basis, component_blocks(basis, mults), prop)
     assert np.max(np.abs(H - H.conj().T)) < 1e-12  # structurally Hermitian
     with pytest.raises(KramersPairingError):
         qdpt(basis, diagonal_energies(basis, mults), H)
@@ -234,7 +239,8 @@ def test_zeeman_spin_matrices_match_fock_oracle():
             states = dense_solve(enumerate_cas(3, n_orb, mult - 1), ints, count)
             mults += assemble_multiplets(states, ints)
         basis = soc_basis(mults)
-        mu = zeeman_basis_matrices(basis, mults, zero_properties(n_orb))
+        mu = zeeman_basis_matrices(basis, component_blocks(basis, mults),
+                                   zero_properties(n_orb))
         sp, sm, sz = fock_spin_ops(n_orb)
         sx = (sp + sm) / 2.0
         sy = (sp - sm) / 2.0j
