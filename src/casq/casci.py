@@ -24,7 +24,7 @@ from math import isqrt
 
 import numpy as np
 
-from .csr import SMALL_SPACE, Csr, csr_add, csr_from_coo
+from .csr import Csr, csr_add, csr_from_coo
 from .davidson import DavidsonNotConverged, davidson_lowest  # noqa: F401 (re-export)
 from .detspace import (CasSpace, Determinant, cas_dimension,  # noqa: F401
                        enumerate_cas, excitation_links, occupation_matrix,
@@ -33,6 +33,13 @@ from .ingest import DavidsonOptions, IntegralSet
 from .spin import apply_s_minus, project_spin, s_squared, s_squared_matrix
 
 DENSE_CAP = 20_000
+
+# With an automatic guess_dim, solve_davidson hands blocks of at most this
+# many determinants to dense_solve.  On one BLAS thread, 6 roots of model
+# integrals: dense build + eigh 22 / 35 / 107 ms at 300 / 400 / 735
+# determinants, Davidson 43 / 41 / 74 ms.  PySCF's direct_spin1 also
+# diagonalizes its P-space directly up to 400.
+SMALL_SPACE = 400
 
 # dense_hamiltonian classes the determinant pairs this many at a time; a
 # chunk's GEMMs and masks take a few MiB.  On a 2-core host with one BLAS
@@ -507,7 +514,7 @@ def dense_solve(space: CasSpace, ints: IntegralSet,
     project = _spin_projector(space, n_roots)
     w, U = np.linalg.eigh(dense_hamiltonian(space, ints))
     keep = list(islice((k for k, u in enumerate(U.T)     # lowest first
-                        if u @ project(u) > 0.5), n_roots))
+                        if u @ project(u.copy()) > 0.5), n_roots))
     if len(keep) < n_roots:
         raise InvariantBreach(f"only {len(keep)} of the {n_roots} roots of "
                               f"spin S = M_S lie in the projected range")

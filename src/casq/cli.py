@@ -191,10 +191,14 @@ def _parse_roots_flags(flags: list[str]) -> dict[int, int]:
     roots = {}
     for item in flags:
         try:
-            mult, count = item.split("=")
-            roots[int(mult)] = int(count)
+            mult, count = map(int, item.split("="))
         except ValueError:
             raise ValueError(f"--roots-mult expects N=K, got {item!r}") from None
+        if mult in roots:
+            # the last of two counts would otherwise win silently
+            raise UsageError(f"--roots-mult {mult} given twice "
+                             f"({mult}={roots[mult]} and {item})")
+        roots[mult] = count
     return roots
 
 

@@ -1,28 +1,24 @@
 """Raw CSR tables and the compiled in-place product that runs them.
 
-Sigma's string scatters and gathers and the spin ladders of blocks above
-SMALL_SPACE determinants are sparse products Y += A @ X (or A^T @ X) on
-(N, k) blocks of vectors.  A table is kept as its raw CSR arrays and run
-through scipy's compiled sparsetools routines, so no product allocates.
-scipy.sparse costs about 0.15-0.2 s and 16 MB to import: it is loaded by
-the first product or scipy-built table, so runs that make neither do not
-pay it.
+Sigma's string scatters and gathers and the spin ladders are sparse
+products Y += A @ X (or A^T @ X) on (N, k) blocks of vectors.  A table is
+kept as its raw CSR arrays, built here with numpy, and run through the
+compiled routines of scipy's `_sparsetools` extension, so no product
+allocates.  The extension is loaded from its file at the first product,
+without importing the scipy.sparse package: that import costs about
+0.2 s and 16 MB (scipy 1.17's array-API layer loads numpy.f2py,
+numpy.testing and numpy.ma), the file load under a millisecond.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-
-# With an automatic guess_dim, casci.solve_davidson hands blocks of at most
-# this many determinants to dense_solve.  On one BLAS thread, 6 roots of
-# model integrals: dense build + eigh 22 / 35 / 107 ms at 300 / 400 / 735
-# determinants, Davidson 43 / 41 / 74 ms.  PySCF's direct_spin1 also
-# diagonalizes its P-space directly up to 400.  The spin ladders of a table
-# whose blocks have at most this many determinants run numpy's bincount,
-# so that the dense route never loads scipy; larger ones run csr_add.
-SMALL_SPACE = 400
 
 
 class Csr(NamedTuple):
@@ -35,11 +31,43 @@ class Csr(NamedTuple):
 
 
 def csr_from_coo(data, rows, cols, shape) -> Csr:
-    """The CSR table of shape `shape` with entries data at (rows, cols),
-    built by scipy (column indices sorted within each row)."""
-    from scipy.sparse import csr_matrix
-    A = csr_matrix((data, (rows, cols)), shape=shape)
-    return Csr(A.indptr, A.indices, A.data, shape[1])
+    """The CSR table of shape `shape` with entries data at (rows, cols).
+
+    The arrays are those of scipy's csr_matrix: column indices ascend
+    within each row, and indptr and indices are int32 when the entry
+    count and both dimensions fit, int64 otherwise.  A (row, col) given
+    twice raises ValueError instead of being summed.
+    """
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    twice = np.flatnonzero((np.diff(rows) == 0) & (np.diff(cols) == 0))
+    if twice.size:
+        raise ValueError(f"CSR table {shape}: entry ({rows[twice[0]]}, "
+                         f"{cols[twice[0]]}) given twice")
+    index = np.int32 if max(rows.size, *shape) < 2**31 else np.int64
+    indptr = np.zeros(shape[0] + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return Csr(indptr, cols.astype(index),
+               np.asarray(data, dtype=float)[order], shape[1])
+
+
+@lru_cache(maxsize=None)
+def _sparsetools():
+    """scipy's compiled scipy.sparse._sparsetools extension, loaded from
+    its file in scipy's install directory, which is found without
+    importing scipy: neither scipy nor scipy.sparse is imported."""
+    scipy = importlib.util.find_spec("scipy")
+    where = [os.path.join(d, "sparse")
+             for d in (scipy.submodule_search_locations if scipy else [])]
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.sparse._sparsetools", where)
+    if spec is None:
+        raise ImportError(f"scipy's compiled _sparsetools extension is not "
+                          f"in {where or 'any directory: no scipy installed'}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def csr_add(A: Csr, X: np.ndarray, Y: np.ndarray,
@@ -55,7 +83,6 @@ def csr_add(A: Csr, X: np.ndarray, Y: np.ndarray,
     non-contiguous array and drop the result, so they must be C-contiguous
     float64.
     """
-    from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
     n_row, n_col = A.indptr.size - 1, A.n_col
     rows_in, rows_out = (n_row, n_col) if transpose else (n_col, n_row)
     for a, rows in ((X, rows_in), (Y, rows_out)):
@@ -64,6 +91,7 @@ def csr_add(A: Csr, X: np.ndarray, Y: np.ndarray,
             raise ValueError(f"{a.dtype} array of shape {a.shape} for a CSR "
                              f"product ({n_row}, {n_col}){'^T' * transpose}"
                              f" @ ({rows_in}, k): need C-contiguous float64")
-    product = csc_matvecs if transpose else csr_matvecs
+    tools = _sparsetools()
+    product = tools.csc_matvecs if transpose else tools.csr_matvecs
     product(*((n_col, n_row) if transpose else (n_row, n_col)), X.shape[1],
             A.indptr, A.indices, A.data, X.ravel(), Y.ravel())

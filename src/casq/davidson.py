@@ -46,7 +46,9 @@ def _orthonormalize(block: np.ndarray, against: np.ndarray,
     """Block Gram-Schmidt with reorthogonalization, within the range of the
     projector `project` if given; drops dependent columns.
 
-    Each of two rounds applies `project`, projects the block against the
+    Each of two rounds applies `project` to a C-contiguous (N, k) copy of
+    the block, which it may overwrite and which it returns projected (the
+    spin projector does so in place), projects the block against the
     orthonormal basis `against` (two GEMMs), then runs modified
     Gram-Schmidt within it.  Projecting in both rounds matters: a column
     that keeps only a small share of its norm is rescaled by the first
@@ -60,9 +62,11 @@ def _orthonormalize(block: np.ndarray, against: np.ndarray,
     """
     B = np.array(block.T, dtype=float, order="C")    # one row per column
     cut = DROP_TOL * np.linalg.norm(B, axis=1)
+    X = np.empty(B.shape[::-1])           # the block as `project` takes it
     for _ in range(2):
         if project is not None:
-            B = np.ascontiguousarray(project(B.T).T)
+            np.copyto(X, B.T)
+            np.copyto(B, project(X).T)
         B -= (B @ against) @ against.T
         for j, v in enumerate(B):
             for u in B[:j]:

@@ -242,6 +242,7 @@ def read_fcidump(text: str) -> FcidumpData:
     h = np.zeros((n_orb, n_orb))
     g2 = np.zeros((n_orb, n_orb, n_orb, n_orb))
     core = 0.0
+    seen = {}          # integral, up to its index symmetries -> first line
     for lineno in range(header_end + 1, len(lines)):
         raw = lines[lineno]
         stripped = raw.strip()
@@ -271,6 +272,15 @@ def read_fcidump(text: str) -> FcidumpData:
         else:
             raise ParseError(
                 f"line {lineno + 1}: unsupported index pattern {i} {j} {k} {l}")
+        # an integral set twice, or through one of its images, must agree;
+        # otherwise the later line would win silently
+        pq, rs = (max(i, j), min(i, j)), (max(k, l), min(k, l))
+        first, first_value, text = seen.setdefault(
+            (max(pq, rs), min(pq, rs)), (lineno, value, stripped))
+        if first_value != value:
+            raise ParseError(f"line {lineno + 1}: {stripped!r} sets the "
+                             f"integral of line {first + 1}, {text!r}, to "
+                             f"another value")
     return FcidumpData(OrbitalSpace(n_orb), IntegralSet(h, g2, core),
                        header_ints.get("NELEC"), header_ints.get("MS2"))
 

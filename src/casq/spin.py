@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .analysis import _creator_classes
-from .csr import SMALL_SPACE, Csr, csr_add
+from .csr import csr_add, csr_from_coo
 from .detspace import CasSpace, annihilators, enumerate_cas
 
 
@@ -48,8 +48,7 @@ def _s_minus_links(space: CasSpace):
     a_p and beta a+_p string maps (the creator classes of n_alpha - 1 read
     dst -> src, and of n_beta).  Column indices ascend within each row, so
     that _ladder sums every image element in ascending source order
-    whichever direction the table is read.  Built with numpy alone; int32
-    indices and float64 signs take 12 bytes per entry.
+    whichever direction the table is read.
     """
     lower = _lower_space(space)
     if lower is None:
@@ -61,12 +60,7 @@ def _s_minus_links(space: CasSpace):
     dst = (a_dst[:, :, None] * tb + b_dst[:, None]).ravel()
     sign = ((-1.0) ** (space.n_alpha - 1) * a_sign[:, :, None]
             * b_sign[:, None]).ravel()
-    order = np.lexsort((src, dst))
-    index = np.int32 if max(src.size, space.size) < 2**31 else np.int64
-    indptr = np.zeros(lower.size + 1, dtype=index)
-    np.cumsum(np.bincount(dst, minlength=lower.size), out=indptr[1:])
-    return lower, Csr(indptr, src[order].astype(index), sign[order],
-                      space.size), False
+    return lower, csr_from_coo(sign, dst, src, (lower.size, space.size)), False
 
 
 def _s_plus_links(space: CasSpace):
@@ -82,26 +76,17 @@ def _ladder(links, vecs: np.ndarray, out: np.ndarray | None = None):
     """(target space, image) of (N,) or (N, k) vecs under a ladder table,
     written into out, a C-contiguous (target size, k) buffer, if given.
 
-    A table whose larger block has more than SMALL_SPACE determinants runs
-    as one compiled sparse product (csr_add; S+ as the transpose), a
-    smaller one as one bincount per column.  Both sum every image element
-    over its sources in ascending order, so their images are bit for bit
-    the same.
+    One compiled sparse product (csr_add; S+ as the transpose), which sums
+    every image element over its sources in ascending order.
     """
     target, table, raising = links
     vecs = np.asarray(vecs, dtype=float)
-    X = vecs.reshape(vecs.shape[0], -1)
+    X = np.ascontiguousarray(vecs.reshape(vecs.shape[0], -1))
     if out is None:
-        out = np.empty((target.size, X.shape[1]))
-    if max(X.shape[0], target.size) > SMALL_SPACE:
-        out.fill(0.0)
-        csr_add(table, np.ascontiguousarray(X), out, transpose=raising)
+        out = np.zeros((target.size, X.shape[1]))
     else:
-        rows = np.repeat(np.arange(table.indptr.size - 1), np.diff(table.indptr))
-        src, dst = (rows, table.indices) if raising else (table.indices, rows)
-        for j, col in enumerate(X.T):
-            out[:, j] = np.bincount(dst, weights=table.data * col[src],
-                                    minlength=target.size)
+        out.fill(0.0)
+    csr_add(table, X, out, transpose=raising)
     return target, out.reshape((target.size,) + vecs.shape[1:])
 
 
@@ -138,8 +123,9 @@ def s_squared_matrix(space: CasSpace, vecs: np.ndarray) -> np.ndarray:
 
 
 def project_spin(space: CasSpace, vecs: np.ndarray) -> np.ndarray:
-    """Löwdin's projector onto spin S = M_S of a top block, applied to (N,)
-    or (N, k) vecs (P.-O. Löwdin, Phys. Rev. 97, 1509 (1955)):
+    """Löwdin's projector onto spin S = M_S of a top block, applied in
+    place to vecs, a C-contiguous float64 (N,) or (N, k) block, which is
+    returned (P.-O. Löwdin, Phys. Rev. 97, 1509 (1955)):
     P_S = prod_{S' > S} (1 - S-S+ / (S'(S'+1) - S(S+1))).  Each factor is
     one S+ and one S- scatter by _ladder through the one table between
     this block and the block above, since apply_s_minus refuses the zero
@@ -148,14 +134,15 @@ def project_spin(space: CasSpace, vecs: np.ndarray) -> np.ndarray:
     if space.ms2 < 0:
         raise ValueError(f"spin projection needs a top block ms2 >= 0, "
                          f"got ms2={space.ms2}")
-    out = np.array(vecs, dtype=float)            # in the layout of vecs
+    if vecs.dtype != np.float64 or not vecs.flags.c_contiguous:
+        raise ValueError(f"{vecs.dtype} array of shape {vecs.shape} to "
+                         f"project in place: need C-contiguous float64")
     ms2, top = space.ms2, min(space.n_elec, 2 * space.n_orb - space.n_elec)
     if ms2 == top:
-        return out
+        return vecs
     upper, table, _ = raising = _s_plus_links(space)
     lowering = space, table, False
-    columns = out.reshape(space.size, -1)
-    X = np.ascontiguousarray(columns)            # the rows csr_add reads
+    X = vecs.reshape(space.size, -1)             # a view of vecs
     raised = np.empty((upper.size, X.shape[1]))
     lowered = np.empty_like(X)
     for two_s in range(ms2 + 2, top + 1, 2):     # 2S' of each higher spin
@@ -163,9 +150,7 @@ def project_spin(space: CasSpace, vecs: np.ndarray) -> np.ndarray:
         _ladder(lowering, raised, lowered)
         lowered /= (two_s * (two_s + 2) - ms2 * (ms2 + 2)) / 4.0
         X -= lowered
-    if X is not columns:
-        columns[...] = X
-    return out
+    return vecs
 
 
 @lru_cache(maxsize=None)

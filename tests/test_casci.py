@@ -1,3 +1,7 @@
+import importlib.machinery
+import importlib.util
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from casq import casci
+from casq import casci, csr
 from casq.casci import (
     DENSE_CAP,
     SMALL_SPACE,
@@ -21,7 +25,7 @@ from casq.casci import (
     sigma,
     solve_davidson,
 )
-from casq.csr import Csr, csr_add
+from casq.csr import Csr, csr_add, csr_from_coo
 from casq.detspace import Determinant, cas_dimension, enumerate_cas, occupied_orbitals
 from casq.ingest import DavidsonOptions, IntegralSet
 
@@ -190,6 +194,43 @@ def test_csr_add_matches_the_scipy_product(index_dtype, k):
             assert np.array_equal(bad_y, before)
 
 
+def test_missing_sparsetools_extension_names_the_directory(monkeypatch):
+    # no fallback import path: the error names where the file was sought
+    sparse = os.path.join(
+        importlib.util.find_spec("scipy").submodule_search_locations[0],
+        "sparse")
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        lambda name, path: None)
+    with pytest.raises(ImportError, match=re.escape(repr([sparse]))):
+        csr._sparsetools.__wrapped__()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_csr_from_coo_matches_scipy_csr_matrix(seed):
+    # the tables are built with numpy, as scipy's csr_matrix would build
+    # them: the same indptr, sorted indices of the same dtype and data
+    from scipy.sparse import csr_matrix
+    rng = np.random.default_rng(seed)
+    n_row, n_col = rng.integers(1, 40, size=2)
+    nnz = rng.integers(0, n_row * n_col // 2 + 1)
+    flat = rng.permutation(n_row * n_col)[:nnz]
+    rows, cols = flat // n_col, flat % n_col
+    data = rng.standard_normal(nnz)
+    # 3 empty rows at the end; then 2**31 + 5 columns, for int64 indices
+    for shape, index in (((n_row + 3, n_col), np.int32),
+                         ((n_row, 2**31 + 5), np.int64)):
+        ref = csr_matrix((data, (rows, cols)), shape=shape)
+        table = csr_from_coo(data, rows, cols, shape)
+        assert table.n_col == shape[1] and table.indices.dtype == index
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(table, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+    if nnz:
+        with pytest.raises(ValueError, match="given twice"):
+            csr_from_coo(np.append(data, 1.0), np.append(rows, rows[0]),
+                         np.append(cols, cols[0]), (n_row, n_col))
+
+
 @pytest.mark.parametrize("n_elec,n_orb,ms2,transpose", [
     (7, 6, 1, True), (5, 6, 1, False)])
 def test_sigma_carries_no_state_between_calls(n_elec, n_orb, ms2, transpose,
@@ -225,19 +266,30 @@ def test_sigma_carries_no_state_between_calls(n_elec, n_orb, ms2, transpose,
 
 
 def test_scipy_loads_with_the_first_sigma_only():
-    # scipy.sparse costs the set-up of every run that imports it, so the
-    # sigma plan imports it when it is first built, not casq at import
+    # the scipy.sparse package costs about 0.2 s and 16 MB to import, so
+    # casq loads only scipy's compiled sparsetools extension, from its
+    # file, at the first sigma, and not at import; a sigma and the spin
+    # ladders of a 3,920-determinant block leave scipy.sparse unimported
     code = """
 import sys
 import casq, casq.cli, casq.driver, casq.ligandfield
-assert 'scipy' not in sys.modules, 'at import'
+from casq.csr import _sparsetools
+loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+assert not loaded and _sparsetools.cache_info().currsize == 0, ('at import', loaded)
 import numpy as np
 from casq.casci import sigma
 from casq.detspace import enumerate_cas
 from casq.ingest import IntegralSet
+from casq.spin import project_spin, s_squared_matrix
 space = enumerate_cas(3, 4, 1)
 sigma(space, IntegralSet(h=np.eye(4), g2=np.zeros((4,) * 4)), np.ones(space.size))
-assert 'scipy.sparse' in sys.modules, 'after sigma'
+assert _sparsetools.cache_info().currsize == 1, 'after sigma'
+big = enumerate_cas(7, 8, 1)
+vecs = np.random.default_rng(0).standard_normal((big.size, 2))
+s_squared_matrix(big, project_spin(big, vecs))
+assert big.size > 400 and _sparsetools.cache_info().misses == 1
+for name in ('scipy', 'scipy.sparse'):
+    assert name not in sys.modules, name
 """
     path = f"import sys; sys.path.insert(0, {str(Path(casci.__file__).parents[1])!r})"
     run = subprocess.run([sys.executable, "-c", path + code],

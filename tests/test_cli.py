@@ -557,7 +557,8 @@ def test_spectrum_with_dipoles_from_prop(tmp_path):
 
 
 def test_dense_route_runs_do_not_import_scipy(tmp_path):
-    # README: runs without a sigma do not pay the scipy import.  Here
+    # README: no run pays the scipy.sparse import; the spin ladders of the
+    # dense route load only scipy's compiled sparsetools extension.  Here
     # SOC, Zeeman, SOS and the line table all run the density kernel:
     # gtensor on d9-planar (doublets only, no Rayleigh sigma), and a
     # spectrum on the 300-determinant doublet block of a CAS(5,6) FCIDUMP,
@@ -578,7 +579,7 @@ from casq.cli import main
 for argv in {runs!r}:
     assert main(argv) == 0, argv
 loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
-assert not loaded, loaded
+assert loaded == ['scipy.sparse._sparsetools'], loaded
 """
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True)
@@ -677,6 +678,17 @@ def test_roots_mult_flag_parsing(tmp_path, capsys):
         ["casci", "--lf", "d1", "--roots-mult", "banana"], tmp_path)
     assert code == 1
     assert "N=K" in capsys.readouterr().err
+
+
+def test_repeated_roots_mult_is_a_usage_error(tmp_path, capsys):
+    code, _, manifest = run_cli(
+        ["casci", "--lf", "d1", "--roots-mult", "2=1", "--roots-mult", "2=3"],
+        tmp_path)
+    assert code == 1 and manifest["exit_code"] == 1
+    assert manifest["error"]["type"] == "UsageError"
+    message = "--roots-mult 2 given twice (2=1 and 2=3)"
+    assert message in manifest["error"]["message"]
+    assert message in capsys.readouterr().err
 
 
 def test_casci_nonconvergence_exit_code(tmp_path, capsys, davidson_runs):

@@ -45,6 +45,28 @@ def test_parse_fcidump_symmetry_images():
         assert ints.g2[idx] == val
 
 
+def test_fcidump_equal_repeats_of_an_integral_are_accepted():
+    # writers that emit both (ij) and (ji), or several images of (ij|kl)
+    text = ("&FCI NORB=3/\n0.7 2 1 3 1\n0.7 1 2 1 3\n0.7 3 1 2 1\n"
+            "-0.5 1 2 0 0\n−0.5 2 1 0 0\n0.25 0 0 0 0\n0.25 0 0 0 0\n")
+    ints = read_fcidump(text).integrals
+    assert ints.g2[1, 0, 2, 0] == 0.7 and ints.h[0, 1] == ints.h[1, 0] == -0.5
+    assert ints.core_energy == 0.25
+
+
+@pytest.mark.parametrize("first, second", [
+    ("0.5 1 1 0 0", "0.7 1 1 0 0"),
+    ("0.5 1 2 0 0", "0.7 2 1 0 0"),
+    ("0.5 2 1 3 1", "0.7 1 3 2 1"),
+    ("0.5 0 0 0 0", "0.7 0 0 0 0")])
+def test_fcidump_conflicting_lines_name_both(first, second):
+    # the last of two values would otherwise win silently
+    text = f"&FCI NORB=3/\n{first}\n0.1 2 2 0 0\n{second}\n"
+    with pytest.raises(ParseError, match=f"line 4: '{second}' sets the "
+                                         f"integral of line 2, '{first}'"):
+        read_fcidump(text)
+
+
 def test_parse_fcidump_unicode_minus():
     text = "&FCI NORB=1,NELEC=1,MS2=1/\n−1.25 1 1 0 0\n0.0 0 0 0 0\n"
     ints = read_fcidump(text).integrals

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,7 +6,6 @@ from hypothesis import strategies as st
 from casq import spin
 from casq.casci import (InvariantBreach, _spin_flip, assemble_multiplets,
                         dense_solve, solve_davidson)
-from casq.csr import SMALL_SPACE
 from casq.detspace import Determinant, cas_dimension, enumerate_cas
 from casq.ingest import DavidsonOptions
 from casq.soc import _flip_tdm
@@ -250,26 +247,29 @@ def test_s_plus_is_s_minus_of_block_above_transposed(block):
     assert np.array_equal(plus, space_projector(upper) @ sp @ P.T)
 
 
+def _add_at_product(A, X, Y, transpose=False):
+    """csr_add by np.add.at, which sums in input order: the table's
+    entries row by row, for A^T with rows and columns swapped."""
+    rows = np.repeat(np.arange(A.indptr.size - 1), np.diff(A.indptr))
+    src, dst = (rows, A.indices) if transpose else (A.indices, rows)
+    np.add.at(Y, dst, A.data[:, None] * X[src])
+
+
 def _add_at_ladder(links, vecs):
-    """Reference ladder scatter by np.add.at, which sums in input order:
-    the S- table's entries row by row, for S+ with rows and columns
-    swapped."""
+    """Reference ladder scatter by np.add.at (_add_at_product)."""
     target, table, raising = links
-    rows = np.repeat(np.arange(table.indptr.size - 1), np.diff(table.indptr))
-    src, dst = (rows, table.indices) if raising else (table.indices, rows)
-    sign = table.data.reshape((-1,) + (1,) * (vecs.ndim - 1))
-    out = np.zeros((target.size,) + vecs.shape[1:])
-    np.add.at(out, dst, sign * vecs[src])
-    return out
+    X = vecs.reshape(len(vecs), -1)
+    out = np.zeros((target.size, X.shape[1]))
+    _add_at_product(table, X, out, raising)
+    return out.reshape((target.size,) + vecs.shape[1:])
 
 
-def test_ladder_scatter_is_bit_identical_to_add_at(monkeypatch):
+def test_ladder_scatter_is_bit_identical_to_add_at():
     # bit-reproducible runs need every ladder image summed in one fixed
-    # order, ascending source: both executors must match np.add.at exactly
+    # order, ascending source: the compiled product must match np.add.at
+    # exactly, in blocks of 4 to 3,920 determinants
     rng = np.random.default_rng(11)
-    for (n_elec, n_orb), gate in itertools.product([(3, 4), (5, 6), (7, 8)],
-                                                   (10**9, 0)):
-        monkeypatch.setattr(spin, "SMALL_SPACE", gate)
+    for n_elec, n_orb in [(3, 4), (5, 6), (7, 8)]:
         top = min(n_elec, 2 * n_orb - n_elec)
         for ms2 in range(-top, top + 1, 2):
             space = enumerate_cas(n_elec, n_orb, ms2)
@@ -290,19 +290,20 @@ def _spin_images(space, vecs):
     return (None if plus is None else _ladder(plus, vecs)[1],
             None if minus is None else _ladder(minus, vecs)[1],
             s_squared_matrix(space, vecs.reshape(space.size, -1)),
-            project_spin(space, vecs) if space.ms2 >= 0 else None)
+            project_spin(space, np.array(vecs, order="C"))
+            if space.ms2 >= 0 else None)
 
 
 def _assert_executors_agree(space, vecs):
-    """The bincount and compiled CSR executors give bit-identical images."""
-    images = []
-    for gate in (10**9, 0):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spin, "SMALL_SPACE", gate)
-            images.append(_spin_images(space, vecs))
-    for small, large in zip(*images):
-        assert (small is None) == (large is None)
-        assert small is None or np.array_equal(small, large)
+    """Every spin image by the compiled CSR products is bit-identical to
+    the one by np.add.at."""
+    images = [_spin_images(space, vecs)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spin, "csr_add", _add_at_product)
+        images.append(_spin_images(space, vecs))
+    for csr, add_at in zip(*images):
+        assert (csr is None) == (add_at is None)
+        assert csr is None or np.array_equal(csr, add_at)
 
 
 @given(stacked_block())
@@ -317,7 +318,7 @@ def test_ladder_executors_agree_on_stacked_blocks(case):
 @pytest.mark.parametrize("n_elec, n_orb", [(3, 4), (4, 4), (5, 4), (5, 6)])
 def test_ladder_executors_agree_in_every_block(n_elec, n_orb):
     # every M_S, the edge blocks of test_ladders_at_edge_blocks included,
-    # and a column-major block as Davidson passes to project_spin
+    # and a column-major block, which the ladders read through a copy
     top = min(n_elec, 2 * n_orb - n_elec)
     rng = np.random.default_rng(12)
     for ms2 in range(-top, top + 1, 2):
@@ -329,11 +330,11 @@ def test_ladder_executors_agree_in_every_block(n_elec, n_orb):
 
 
 def test_ladder_table_is_one_int32_csr_for_both_directions():
-    # the CAS(7,8) M_S = 1/2 <-> 3/2 table, above the gate: only CSR arrays,
-    # 12 bytes per entry, shared by S+ of the lower and S- of the upper block
+    # the CAS(7,8) M_S = 1/2 <-> 3/2 table: only CSR arrays, 12 bytes per
+    # entry, shared by S+ of the lower and S- of the upper block
     space = enumerate_cas(7, 8, 1)
     upper, table, raising = _s_plus_links(space)
-    assert raising and max(space.size, upper.size) > SMALL_SPACE
+    assert raising
     lower, down, lowering = _s_minus_links(upper)
     assert lower is space and down is table and not lowering
     assert table.indptr.dtype == table.indices.dtype == np.int32
@@ -363,9 +364,11 @@ def test_spin_projector_is_the_spin_s_projector(block, seed):
     space = enumerate_cas(n_elec, n_orb, ms2)
     rng = np.random.default_rng(seed)
     x, y = rng.standard_normal((2, space.size, 3))
-    px = project_spin(space, x)
-    assert np.max(np.abs(project_spin(space, px) - px)) < 1e-12     # P^2 = P
-    assert np.allclose(y.T @ px, project_spin(space, y).T @ x,
+    px = x.copy()
+    assert project_spin(space, px) is px                            # in place
+    pp = project_spin(space, px.copy())
+    assert np.max(np.abs(pp - px)) < 1e-12                           # P^2 = P
+    assert np.allclose(y.T @ px, project_spin(space, y.copy()).T @ x,
                        rtol=0.0, atol=1e-12)                         # P = P^T
     full = project_spin(space, np.eye(space.size))
     top = min(n_elec, 2 * n_orb - n_elec)
@@ -380,6 +383,17 @@ def test_spin_projector_is_the_spin_s_projector(block, seed):
     # the roots of spin S number dim(M_S = S) - dim(M_S = S + 1)
     assert np.linalg.matrix_rank(full, tol=1e-8) == \
         space.size - cas_dimension(n_elec, n_orb, ms2 + 2)
+
+
+def test_spin_projector_refuses_blocks_it_cannot_project_in_place():
+    # a block that reshape() would copy would lose its projection
+    space = enumerate_cas(5, 6, 1)
+    x = np.random.default_rng(3).standard_normal((space.size, 4))
+    for bad in (np.asfortranarray(x), x[:, ::2], x.astype(np.float32)):
+        before = bad.copy()
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            project_spin(space, bad)
+        assert np.array_equal(bad, before)
 
 
 @pytest.mark.parametrize("n_elec, n_orb", [(2, 2), (3, 3), (4, 4)])
