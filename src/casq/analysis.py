@@ -1,54 +1,24 @@
-"""One-particle densities, natural occupations and wave-function analysis."""
+"""One-particle densities, natural occupations and wave-function analysis.
+
+Every density runs one kernel, _link_densities, over link tables in the
+size-class form that detspace stores: the E_pq classes of
+excitation_links, or a spin flip's alpha map as one class of n groups.
+"""
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-from .detspace import CasSpace, annihilators, excitation_links
-
-if TYPE_CHECKING:       # casci imports spin, which imports this module
-    from .casci import CiState
+from .casci import CiState
+from .detspace import CasSpace, excitation_links
 
 
 # bytes of bra and ket rows that one batch of link groups gathers; a group
 # larger than this runs alone.  A d-shell call is one batch per size class,
 # a CAS(9,9) call with 16 columns one group per batch, same-spin or an alpha
-# group of a spin flip over one beta map; caps of 0.25-2 MiB ran the
+# group of a spin flip over one beta map row; caps of 0.25-2 MiB ran the
 # same-spin call alike, 8 and 32 MiB 1.1-2x slower.
 BATCH_BYTES = 2 * 2**20
-
-
-@lru_cache(maxsize=None)
-def _excitation_classes(n_orb: int, k: int) -> tuple:
-    """excitation_links(n_orb, k) stacked by size class: one (group ids,
-    src, dst, sign) per distinct non-zero entry count E, the ids ascending
-    (n_class,) and the rest (n_class, E).  The classes are the diagonal
-    E_pp groups of C(n-1, k-1) entries and the off-diagonal ones of
-    C(n-2, k-1): one class when those are equal (k = 1), the diagonal
-    alone when k = n_orb, none when k = 0.  Empty groups are left out."""
-    groups = excitation_links(n_orb, k)
-    sizes = np.array([src.size for src, _, _ in groups], dtype=int)
-    classes = []
-    # sorted(set()), not np.unique, which loads numpy.ma (about 1 MB)
-    for e in sorted(set(sizes.tolist()) - {0}):
-        gid = np.flatnonzero(sizes == e)
-        classes.append((gid, *(np.stack(col)
-                               for col in zip(*(groups[g] for g in gid)))))
-    return tuple(classes)
-
-
-@lru_cache(maxsize=None)
-def _creator_classes(n_orb: int, k: int) -> tuple:
-    """a+_p on the k-electron strings as size classes, as above: every p
-    has C(n-1, k) entries (a_p of the (k+1)-strings read dst -> src), so
-    there is one class of n_orb groups, and none when k = n_orb."""
-    if k == n_orb:
-        return ()
-    src, dst, sign = map(np.stack, zip(*annihilators(n_orb, k + 1)))
-    return ((np.arange(n_orb), dst, src, sign),)
 
 
 def _link_densities(classes, n_groups: int, bra: np.ndarray,
@@ -57,9 +27,9 @@ def _link_densities(classes, n_groups: int, bra: np.ndarray,
 
     bra (rows, m, k_b) and ket (rows', m, k_k) are indexed along their
     first axis by a link table's dst and src; the middle axis is summed
-    over.  The table is given by size class, (group ids, src, dst, sign)
-    with (n_class, E) entries, for n_groups groups in all; absent groups
-    give zeros.  Each batch of a class is one gather of bra rows, one of
+    over.  The table is given by size class as detspace stores it,
+    (group ids, src, dst, sign) with (n_class, E) entries, for n_groups
+    groups in all; absent groups give zeros.  Each batch of a class is one gather of bra rows, one of
     ket rows and one stacked GEMM (b, k_b, E*m) @ (b, E*m, k_k), each
     slice the same BLAS call as a GEMM per group, so the result does not
     depend on the batching.  A batch gathers at most BATCH_BYTES, or one
@@ -93,9 +63,9 @@ def _spin_densities(space: CasSpace, bra: np.ndarray,
     n = space.n_orb
     na, nb = bra.shape[:2]
     kb, kk = bra.shape[-1], ket.shape[-1]
-    ga = _link_densities(_excitation_classes(n, space.n_alpha), n * n,
+    ga = _link_densities(excitation_links(n, space.n_alpha), n * n,
                          bra.reshape(na, -1, kb), ket.reshape(na, -1, kk))
-    gb = _link_densities(_excitation_classes(n, space.n_beta), n * n,
+    gb = _link_densities(excitation_links(n, space.n_beta), n * n,
                          bra.transpose(1, 0, 2, 3).reshape(nb, -1, kb),
                          ket.transpose(1, 0, 2, 3).reshape(nb, -1, kk))
     return ga, gb

@@ -170,21 +170,20 @@ class _SigmaPlan:
 
     The spin with the larger link table gives the rows, the other spin the
     columns, of each vector C as an (n_row, n_col) matrix.  Every string
-    scatter and gather of _sigma_chunk is one compiled CSR product,
-    accumulated in place into the call's workspace or output (csr_add):
-    on the row side those of each chunk, built from row_links once per
-    chunk size and cached in chunks; on the column side col_op and
-    col_gather, which serve every chunk.  The packed link table is
-    symmetric in its two strings, so each gather is its scatter transposed.
+    scatter of _sigma_chunk is one compiled CSR product, accumulated in
+    place into the call's workspace or output (csr_add): on the row side
+    those of each chunk, built from row_links once per chunk size and
+    cached in chunks; on the column side col_op, which serves every chunk.
+    The packed link table is symmetric in its two strings, so each gather
+    is its scatter read transposed: no gather table is stored.
     """
 
     transpose: bool              # True when beta strings are the row side
     n_row: int
     n_col: int
     n_pair: int                  # n(n+1)/2
-    row_links: tuple             # (pair, src, dst, sign), flat, dst-sorted
+    row_links: tuple             # (pair, src, dst, sign), flat
     col_op: Csr                  # (n_pair * n_col, n_col) column scatter
-    col_gather: Csr              # col_op's transpose
     chunks: dict = field(default_factory=dict)   # rows per chunk -> tables
 
     @property
@@ -196,11 +195,13 @@ class _SigmaPlan:
         return 4 * 8 * self.n_pair * self.n_col
 
 
-def _flat_links(groups, pair):
-    """(pair, src, dst, sign) of E_pq link groups, concatenated."""
-    return tuple(np.concatenate(x) for x in zip(*(
-        (np.full(s.size, pair[g]), s, d, w)
-        for g, (s, d, w) in enumerate(groups))))
+def _flat_links(classes, pair):
+    """(pair, src, dst, sign) of the detspace.excitation_links size
+    classes, flattened (empty when the spin has no electron)."""
+    none = (np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)
+    return tuple(np.concatenate([a.ravel() for a in x]) for x in zip(none, *(
+        (np.repeat(pair[gid], src.shape[1]), src, dst, sign)
+        for gid, src, dst, sign in classes)))
 
 
 @lru_cache(maxsize=None)
@@ -208,24 +209,21 @@ def _sigma_plan(space: CasSpace) -> _SigmaPlan:
     n = space.n_orb
     a_links = excitation_links(n, space.n_alpha)
     b_links = excitation_links(n, space.n_beta)
-    count_a = sum(s.size for s, _, _ in a_links)
-    count_b = sum(s.size for s, _, _ in b_links)
+    count_a = sum(src.size for _, src, _, _ in a_links)
+    count_b = sum(src.size for _, src, _, _ in b_links)
     transpose = count_b > count_a
-    row_groups, col_groups = (b_links, a_links) if transpose else (a_links, b_links)
+    row_classes, col_classes = (b_links, a_links) if transpose else (a_links, b_links)
     pair = _pair_index(n).ravel()
     n_pair = n * (n + 1) // 2
     n_row, n_col = ((len(space.beta_strings), len(space.alpha_strings))
                     if transpose else
                     (len(space.alpha_strings), len(space.beta_strings)))
-    pairs, src, dst, sign = _flat_links(row_groups, pair)
-    order = np.argsort(dst, kind="stable")
-    c_pair, c_src, c_dst, c_sign = _flat_links(col_groups, pair)
-    c_row = c_pair * n_col + c_dst
+    c_pair, c_src, c_dst, c_sign = _flat_links(col_classes, pair)
     return _SigmaPlan(
         transpose=transpose, n_row=n_row, n_col=n_col, n_pair=n_pair,
-        row_links=(pairs[order], src[order], dst[order], sign[order]),
-        col_op=csr_from_coo(c_sign, c_row, c_src, (n_pair * n_col, n_col)),
-        col_gather=csr_from_coo(c_sign, c_src, c_row, (n_col, n_pair * n_col)))
+        row_links=_flat_links(row_classes, pair),
+        col_op=csr_from_coo(c_sign, c_pair * n_col + c_dst, c_src,
+                            (n_pair * n_col, n_col)))
 
 
 def _chunk_rows(plan: _SigmaPlan, max_memory_gb: float) -> int:
@@ -236,14 +234,12 @@ def _chunk_rows(plan: _SigmaPlan, max_memory_gb: float) -> int:
 
 
 def _chunk_tables(plan: _SigmaPlan, rows: int) -> tuple:
-    """(r0, r1, scatter, gather) of each chunk of `rows` rows.
+    """(r0, r1, scatter) of each chunk of `rows` rows.
 
-    Per chunk [r0, r1) of m rows: scatter, (n_pair * m, n_row), takes the
+    Per chunk [r0, r1) of m rows, scatter, (n_pair * m, n_row), takes the
     links whose dst lies in the chunk to the fused pair * m + row index of
-    the chunk's D; gather, (n_row, n_pair * m), takes those whose src does
-    back to the rows they reach.  The gather is full height, its other rows
-    empty, so that it adds into the whole output in place; that costs
-    n_row + 1 index entries per chunk.  Cached on the plan.
+    the chunk's D.  Read transposed it is the chunk's gather, from G back
+    to every row the links reach.  Cached on the plan.
     """
     tables = plan.chunks.get(rows)
     if tables is None:
@@ -252,14 +248,10 @@ def _chunk_tables(plan: _SigmaPlan, rows: int) -> tuple:
         for r0 in range(0, plan.n_row, rows):
             r1 = min(plan.n_row, r0 + rows)
             m = r1 - r0
-            s = slice(*np.searchsorted(dst, [r0, r1]))
-            g = (src >= r0) & (src < r1)
-            tables.append((
-                r0, r1,
-                csr_from_coo(sign[s], pair[s] * m + dst[s] - r0, src[s],
-                             (plan.n_pair * m, plan.n_row)),
-                csr_from_coo(sign[g], dst[g], pair[g] * m + src[g] - r0,
-                             (plan.n_row, plan.n_pair * m))))
+            s = (dst >= r0) & (dst < r1)
+            tables.append((r0, r1, csr_from_coo(
+                sign[s], pair[s] * m + dst[s] - r0, src[s],
+                (plan.n_pair * m, plan.n_row))))
         tables = plan.chunks[rows] = tuple(tables)
     return tables
 
@@ -270,9 +262,10 @@ def _sigma_chunk(plan: _SigmaPlan, h2p: np.ndarray, chunk: tuple,
 
     work is the call's workspace: two flat buffers A, B of n_pair * n_col
     values per row of a full chunk, and two of n_col per row.  A holds D,
-    then G^T; B the column part of D, then G.
+    then G^T; B the column part of D, then G.  Each gather is the
+    scatter of its side read transposed.
     """
-    r0, r1, scatter, gather = chunk
+    r0, r1, scatter = chunk
     m, n_pair, n_col = r1 - r0, plan.n_pair, plan.n_col
     A, B = (w[:n_pair * m * n_col] for w in work[:2])
     Ct, Y = (w[:n_col * m].reshape(n_col, m) for w in work[2:])
@@ -283,11 +276,11 @@ def _sigma_chunk(plan: _SigmaPlan, h2p: np.ndarray, chunk: tuple,
               B.reshape(n_pair, n_col, m).transpose(0, 2, 1))
     csr_add(scatter, C, A.reshape(-1, n_col))
     np.matmul(h2p, A.reshape(n_pair, -1), out=B.reshape(n_pair, -1))
-    csr_add(gather, B.reshape(-1, n_col), out)
+    csr_add(scatter, B.reshape(-1, n_col), out, transpose=True)
     np.copyto(A.reshape(n_pair, n_col, m),
               B.reshape(n_pair, m, n_col).transpose(0, 2, 1))
     Y.fill(0.0)
-    csr_add(plan.col_gather, A.reshape(-1, m), Y)
+    csr_add(plan.col_op, A.reshape(-1, m), Y, transpose=True)
     out[r0:r1] += Y.T
 
 
@@ -317,14 +310,15 @@ def sigma(space: CasSpace, ints: IntegralSet, vec: np.ndarray, *,
     Phys. 89, 2185 (1988)) builds the packed intermediate
     D_P = (E_pq + E_qp) vec over the n(n+1)/2 pairs p >= q, contracts it
     with the packed two-electron matrix and gathers back; every string
-    scatter and gather is one CSR product of the plan (_SigmaPlan), added
-    in place.  The rows of the plan are processed in chunks of
-    _chunk_rows, sized by row_bytes under max_memory_gb (and under
-    CHUNK_BYTES, so that a chunk stays in cache), and the vectors of a
-    block one at a time per chunk.  Each call allocates one workspace that
-    every chunk and vector reuses: two buffers of one chunk's D (holding
-    in turn D, its column part, the contracted G and its transpose) and
-    two of n_col values per row, so no chunk allocates.
+    scatter is one CSR product of the plan (_SigmaPlan), and every gather
+    the same table read transposed, added in place.  The rows of the plan
+    are processed in chunks of _chunk_rows, sized by row_bytes under
+    max_memory_gb (and under CHUNK_BYTES, so that a chunk stays in
+    cache), and the vectors of a block one at a time per chunk.  Each call
+    allocates one workspace that every chunk and vector reuses: two
+    buffers of one chunk's D (holding in turn D, its column part, the
+    contracted G and its transpose) and two of n_col values per row, so
+    no chunk allocates.
     """
     v = np.asarray(vec, dtype=float)
     if v.ndim not in (1, 2) or v.shape[0] != space.size:

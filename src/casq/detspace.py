@@ -6,8 +6,12 @@ bitstrings, so orbital counts well beyond 64 are supported.  The basis
 ordering is lexicographic in the occupied-orbital tuples, with the
 alpha string as the slow index: position = i_alpha * n_beta_strings + i_beta.
 
-Every string operator table (E_pq, occupations, spin ladders and spin
-flips) is built from one per-string annihilation map, `annihilators`.
+This module alone decides how a string operator is stored: the
+annihilation maps a_p as one stacked (src, dst, sign) class
+(`annihilators`) and E_pq as size classes of (group ids, src, dst, sign)
+(`excitation_links`).  Sigma, the occupations, the spin ladders and
+flips and the transition densities read these arrays as they are, in
+either direction (dst -> src is the adjoint), and store no other copy.
 """
 
 from __future__ import annotations
@@ -106,13 +110,14 @@ def _strings(n_orb: int, n_occ: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def annihilators(n_orb: int, k: int):
-    """a_p on the k-electron strings of n_orb orbitals, one entry per p.
+    """a_p on the k-electron strings of n_orb orbitals, stacked over p.
 
-    Entry p is (src, dst, sign): the k-string indices with p occupied,
-    the (k-1)-string index left by a_p, and (-1)^(electrons below p).
-    Removing one fixed orbital keeps the lexicographic string order, so
-    src and dst both ascend.  Read dst -> src, entry p is a+_p on the
-    (k-1)-strings with the same sign.
+    Returns (src, dst, sign), each of shape (n_orb, C(n_orb-1, k-1)): row
+    p holds the k-string indices with p occupied, the (k-1)-string index
+    left by a_p, and (-1)^(electrons below p).  Removing one fixed orbital
+    keeps the lexicographic string order, so src and dst both ascend along
+    a row.  Read dst -> src, row p is a+_p on the (k-1)-strings with the
+    same sign.
     """
     lower = {s: i for i, s in enumerate(_strings(n_orb, k - 1))} if k else {}
     maps = [([], [], []) for _ in range(n_orb)]
@@ -122,17 +127,17 @@ def annihilators(n_orb: int, k: int):
             src.append(i)
             dst.append(lower[s ^ (1 << p)])
             sign.append(-1.0 if below & 1 else 1.0)
-    return tuple((np.asarray(src, dtype=np.int64),
-                  np.asarray(dst, dtype=np.int64),
-                  np.asarray(sign)) for src, dst, sign in maps)
+    shape = (n_orb, comb(n_orb - 1, k - 1) if k else 0)
+    return tuple(np.array([m[j] for m in maps], dtype=dtype).reshape(shape)
+                 for j, dtype in enumerate((np.int64, np.int64, float)))
 
 
 @lru_cache(maxsize=None)
 def occupation_matrix(n_orb: int, k: int) -> np.ndarray:
     """(strings, n_orb) array, 1.0 where a k-electron string occupies p."""
     occ = np.zeros((comb(n_orb, k), n_orb))
-    for p, (src, _, _) in enumerate(annihilators(n_orb, k)):
-        occ[src, p] = 1.0
+    src = annihilators(n_orb, k)[0]
+    occ[src, np.arange(n_orb)[:, None]] = 1.0
     return occ
 
 
@@ -140,22 +145,36 @@ def occupation_matrix(n_orb: int, k: int) -> np.ndarray:
 def excitation_links(n_orb: int, k: int):
     """E_pq = a+_p a_q on the k-electron strings, composed from annihilators.
 
-    Returns a tuple over p*n_orb+q groups of (src, dst, sign) arrays,
-    src ascending.  The diagonal p=q groups are the occupation entries
-    (sign 1).
+    Returns the non-empty groups p*n_orb+q by size class, each class
+    (group ids, src, dst, sign) with the ids ascending, shape (groups,),
+    and the rest (groups, entries), src ascending along a row: the
+    diagonal E_pp groups of C(n-1, k-1) entries (src = dst, sign 1),
+    then the off-diagonal ones of C(n-2, k-1).  There are no classes at
+    k = 0 and no off-diagonal class at k = n_orb.  Built one p at a time.
     """
-    ann = annihilators(n_orb, k)
-    groups = []
-    for p_src, p_dst, p_sign in ann:
-        # position in a_p's table of each (k-1)-string, -1 if p occupied
-        slot = np.full(comb(n_orb, max(k - 1, 0)), -1)
-        slot[p_dst] = np.arange(p_dst.size)
-        for q_src, q_dst, q_sign in ann:
-            at = slot[q_dst]
-            hit = at >= 0
-            at = at[hit]
-            groups.append((q_src[hit], p_src[at], q_sign[hit] * p_sign[at]))
-    return tuple(groups)
+    if k == 0:
+        return ()
+    n = n_orb
+    src, dst, sign = annihilators(n, k)
+    diagonal = (np.arange(n) * (n + 1), src, src, np.ones(src.shape))
+    if k == n:
+        return (diagonal,)
+    gid = np.array([p * n + q for p in range(n) for q in range(n) if q != p])
+    shape = (gid.size, comb(n - 2, k - 1))
+    off = np.empty(shape, np.int64), np.empty(shape, np.int64), np.empty(shape)
+    # position in a_p's row of each (k-1)-string, -1 where p is occupied
+    slot = np.full(comb(n, k - 1), -1)
+    for p in range(n):
+        q = np.arange(n) != p
+        slot[dst[p]] = np.arange(src.shape[1])
+        at = slot[dst[q]]
+        hit = at >= 0
+        at = at[hit]
+        for out, col in zip(off, (src[q][hit], src[p][at],
+                                  sign[q][hit] * sign[p][at])):
+            out[p * (n - 1):(p + 1) * (n - 1)] = col.reshape(n - 1, -1)
+        slot[dst[p]] = -1
+    return diagonal, (gid, *off)
 
 
 @dataclass(frozen=True, eq=False)

@@ -384,7 +384,7 @@ def parse_run_config(text: str, *, default_cas: tuple[int, int] | None = None,
     cas_keys: dict[str, int] = {}
     roots: dict[int, int] = {}
     options: dict[str, dict] = {"davidson": {}, "spectrum": {}}
-    given: set[str] = set()
+    given: dict[str, int] = {}      # key, roots by multiplicity -> line
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -394,10 +394,12 @@ def parse_run_config(text: str, *, default_cas: tuple[int, int] | None = None,
         key, _, value = body.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if key in given:
-            raise ParseError(f"line {lineno}: {key} given twice")
-        given.add(key)
         m = re.fullmatch(r"roots_mult_(\d+)", key)
+        name = f"roots_mult_{int(m.group(1))}" if m else key
+        if name in given:
+            raise ParseError(f"line {lineno}: {name} given twice "
+                             f"(first on line {given[name]})")
+        given[name] = lineno
         if m:
             roots[int(m.group(1))] = _parse_value(int, value, key, lineno)
         elif key in ("cas_nelec", "cas_norb"):

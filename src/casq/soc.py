@@ -84,19 +84,25 @@ def component_blocks(basis: SocStateBasis, multiplets: list[Multiplet]):
 def _flip_tdm(links, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
     """gamma[p,q,i,j] = <bra_i|a+_p a_q|ket_j> over a spin flip's string
     operands (ket columns in its source space, bra columns in its target).
-    Per beta map, the ket columns it reaches, signed, and the bra columns
-    they land on go through the group-batched kernel over the alpha class;
+    The creating spin's map is read dst -> src.  Per row of the beta map,
+    the ket columns it reaches, signed, and the bra columns they land on
+    go through the group-batched kernel over the alpha map as one class;
     entries sum alpha-major, as a (p, q) table over determinants would."""
     target, space, creates, alpha, beta, crossing = links
+    (a_src, a_dst, a_sign), (b_src, b_dst, b_sign) = alpha, beta
     n = space.n_orb
     bra = bra.reshape(len(target.alpha_strings), len(target.beta_strings), -1)
     ket = ket.reshape(len(space.alpha_strings), len(space.beta_strings), -1)
     out = np.empty((n, n, bra.shape[2], ket.shape[2]))
     # the beta operator's orbital is p when beta creates, q otherwise
-    at = out if creates == "beta" else out.transpose(1, 0, 2, 3)
-    for g, (src, dst, sign) in enumerate(beta):
-        cols = ket[:, src] * (crossing * sign)[:, None]
-        at[g] = _link_densities(alpha, n, bra[:, dst], cols)
+    if creates == "beta":
+        b_src, b_dst, at = b_dst, b_src, out
+    else:
+        a_src, a_dst, at = a_dst, a_src, out.transpose(1, 0, 2, 3)
+    alpha = ((np.arange(n), a_src, a_dst, a_sign),)
+    for g in range(n):
+        cols = ket[:, b_src[g]] * (crossing * b_sign[g])[:, None]
+        at[g] = _link_densities(alpha, n, bra[:, b_dst[g]], cols)
     return out
 
 

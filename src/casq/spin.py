@@ -2,15 +2,15 @@
 
 Determinants are stored as (alpha ops ascending)(beta ops ascending)
 acting on the vacuum, so a beta-string operator picks up one extra sign
-per alpha electron it crosses.  Every operator here is built from the
-per-string annihilation map `detspace.annihilators` (a_p on the
-k-electron strings, read backwards as a+_p on the (k-1)-electron
-strings) through the factorization
+per alpha electron it crosses.  Every operator here reads the stacked
+string maps of `detspace.annihilators` as stored (a_p on the k-electron
+strings, read backwards as a+_p on the (k-1)-electron strings) through
+the factorization
 
     a+_pb a_qa = (beta a+_p) o (alpha a_q) . (-1)^(n_alpha - 1),
 
 where the crossing sign counts the alphas left after a_qa.  A spin flip
-is kept as its string factors; S- is their p = q trace, one CSR table
+is kept as its two string maps; S- is their p = q trace, one CSR table
 over determinants, and S+ of a block is the S- table of the block above
 read transposed.
 """
@@ -21,7 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import _creator_classes
 from .csr import csr_add, csr_from_coo
 from .detspace import CasSpace, annihilators, enumerate_cas
 
@@ -45,17 +44,17 @@ def _s_minus_links(space: CasSpace):
     """(lower space, table, False): S- = sum_p a+_pb a_pa into ms2-2 as one
     CSR table, rows the lower block's determinants and columns this
     block's.  Its entries are, for each p, the outer product of the alpha
-    a_p and beta a+_p string maps (the creator classes of n_alpha - 1 read
-    dst -> src, and of n_beta).  Column indices ascend within each row, so
-    that _ladder sums every image element in ascending source order
-    whichever direction the table is read.
+    a_p and beta a+_p string maps (row p of annihilators(n, n_alpha), and
+    of annihilators(n, n_beta + 1) read dst -> src).  Column indices
+    ascend within each row, so that _ladder sums every image element in
+    ascending source order whichever direction the table is read.
     """
     lower = _lower_space(space)
     if lower is None:
         return None
     n, nb, tb = space.n_orb, len(space.beta_strings), len(lower.beta_strings)
-    (_, a_dst, a_src, a_sign), = _creator_classes(n, space.n_alpha - 1)
-    (_, b_src, b_dst, b_sign), = _creator_classes(n, space.n_beta)
+    a_src, a_dst, a_sign = annihilators(n, space.n_alpha)
+    b_dst, b_src, b_sign = annihilators(n, space.n_beta + 1)
     src = (a_src[:, :, None] * nb + b_src[:, None]).ravel()
     dst = (a_dst[:, :, None] * tb + b_dst[:, None]).ravel()
     sign = ((-1.0) ** (space.n_alpha - 1) * a_sign[:, :, None]
@@ -157,31 +156,27 @@ def project_spin(space: CasSpace, vecs: np.ndarray) -> np.ndarray:
 def flip_lower_links(space: CasSpace):
     """String operands of the spin flip a+_pb a_qa: ms2 -> ms2-2.
 
-    Returns (lower space, space, "beta", alpha classes, beta maps,
-    crossing): a_q on the alpha strings as one size class of n_orb groups
-    (analysis._creator_classes read dst -> src), a+_p on the beta strings
-    as n_orb (src, dst, sign) maps, and the sign (-1)^(n_alpha - 1).  Used
-    for the Delta M_S = -1 blocks of the spin-orbit matrix.
+    Returns (lower space, space, "beta", alpha map, beta map, crossing):
+    the detspace.annihilators tables of a_q on the alpha strings and of
+    a_p on the (n_beta + 1)-strings, the creating (beta) map to be read
+    dst -> src as a+_p, and the sign (-1)^(n_alpha - 1).  Used for the
+    Delta M_S = -1 blocks of the spin-orbit matrix.
     """
     lower = _lower_space(space)
     if lower is None:
         return None
     n = space.n_orb
-    alpha = tuple((gid, dst, src, sign) for gid, src, dst, sign
-                  in _creator_classes(n, space.n_alpha - 1))
-    beta = tuple((dst, src, sign) for src, dst, sign
-                 in annihilators(n, space.n_beta + 1))
-    return lower, space, "beta", alpha, beta, (-1.0) ** (space.n_alpha - 1)
+    return (lower, space, "beta", annihilators(n, space.n_alpha),
+            annihilators(n, space.n_beta + 1), (-1.0) ** (space.n_alpha - 1))
 
 
 @lru_cache(maxsize=None)
 def flip_raise_links(space: CasSpace):
     """String operands of the spin flip a+_pa a_qb: ms2 -> ms2+2.
 
-    Returns (upper space, space, "alpha", alpha classes, beta maps,
-    crossing) as in flip_lower_links: a+_p on the alpha strings as
-    analysis._creator_classes, a_q on the beta strings as
-    detspace.annihilators, from
+    Returns (upper space, space, "alpha", alpha map, beta map, crossing)
+    as in flip_lower_links: a_p on the (n_alpha + 1)-strings, the creating
+    (alpha) map read dst -> src as a+_p, and a_q on the beta strings, from
 
         a+_pa a_qb = (alpha a+_p) o (beta a_q) . (-1)^n_alpha,
 
@@ -192,5 +187,5 @@ def flip_raise_links(space: CasSpace):
         return None
     upper = enumerate_cas(space.n_elec, space.n_orb, space.ms2 + 2)
     n = space.n_orb
-    return (upper, space, "alpha", _creator_classes(n, space.n_alpha),
+    return (upper, space, "alpha", annihilators(n, space.n_alpha + 1),
             annihilators(n, space.n_beta), (-1.0) ** space.n_alpha)

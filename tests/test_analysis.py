@@ -1,4 +1,3 @@
-from math import comb
 from unittest import mock
 
 import numpy as np
@@ -7,7 +6,6 @@ from hypothesis import example, given
 
 from casq import analysis, soc
 from casq.analysis import (
-    _excitation_classes,
     decompose,
     format_decomposition,
     natural_occupations,
@@ -95,29 +93,6 @@ def test_block_densities_match_fock_oracle(case):
         assert np.allclose(_flip_tdm(links, bra, ket), ref, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n_orb", [1, 2, 3, 5])
-def test_excitation_classes_stack_the_links_by_size(n_orb):
-    # diagonal groups of C(n-1, k-1) entries, off-diagonal ones of
-    # C(n-2, k-1); none at k = 0, only the diagonal at k = n_orb
-    for k in range(n_orb + 1):
-        links = excitation_links(n_orb, k)
-        classes = _excitation_classes(n_orb, k)
-        sizes = {src.shape[1] for _, src, _, _ in classes}
-        expect = {comb(n_orb - 1, k - 1)} if k else set()
-        if 0 < k < n_orb:
-            expect.add(comb(n_orb - 2, k - 1))
-        assert sizes == expect
-        seen = []
-        for gid, src, dst, sign in classes:
-            assert np.all(np.diff(gid) > 0)
-            for g, row in zip(gid, zip(src, dst, sign)):
-                seen.append(g)
-                for got, want in zip(row, links[g]):
-                    assert np.array_equal(got, want)
-        assert sorted(seen) == [g for g, (src, _, _) in enumerate(links)
-                                if src.size]
-
-
 def _loop_densities(classes, n_groups, bra, ket):
     """The kernel as a loop over groups: one gather and one GEMM each."""
     kb, kk = bra.shape[-1], ket.shape[-1]
@@ -137,7 +112,7 @@ def _loop_densities(classes, n_groups, bra, ket):
 @example((5, 3, 1, 2, 3, 7))      # alpha k = n_orb: no off-diagonal class
 @example((4, 2, 0, 3, 3, 8))      # k = n_orb on both spins
 def test_batch_cap_does_not_change_densities(case):
-    # same-spin tables and both spin flips' creator classes of a block, at
+    # same-spin tables and both spin flips' alpha maps of a block, at
     # one batch per class, at a cap below one group (a batch per group)
     # and at caps of 2, 3 and 5 groups of each class (ragged batches):
     # bit-identical to a loop over groups, and to the Fock oracle within
@@ -150,10 +125,10 @@ def test_batch_cap_does_not_change_densities(case):
     na, nb = len(space.alpha_strings), len(space.beta_strings)
     # (size classes, bra and ket as the kernel takes them, oracle)
     b3, k3 = bra.reshape(na, nb, kb), ket.reshape(na, nb, kk)
-    tables = [(_excitation_classes(n_orb, space.n_alpha), b3, k3,
+    tables = [(excitation_links(n_orb, space.n_alpha), b3, k3,
                _fock_pair_densities(n_orb, space, space, bra, ket,
                                     ("alpha", "alpha"))),
-              (_excitation_classes(n_orb, space.n_beta),
+              (excitation_links(n_orb, space.n_beta),
                b3.transpose(1, 0, 2), k3.transpose(1, 0, 2),
                _fock_pair_densities(n_orb, space, space, bra, ket,
                                     ("beta", "beta")))]
@@ -162,7 +137,8 @@ def test_batch_cap_does_not_change_densities(case):
         for _, src, _, _ in classes:
             caps.update(step * src.shape[1] * b3.shape[1] * (kb + kk) * 8
                         for step in (2, 3, 5))
-    # (operands, bra columns, oracle); each a_q reaches m rows
+    # (operands, bra columns, oracle); each alpha entry gathers m rows,
+    # one per entry of a beta map row
     flips = []
     for table, spins in ((flip_lower_links, ("beta", "alpha")),
                          (flip_raise_links, ("alpha", "beta"))):
@@ -171,10 +147,9 @@ def test_batch_cap_does_not_change_densities(case):
             f_bra = _columns(rng, links[0], kb)
             flips.append((links, f_bra, _fock_pair_densities(
                 n_orb, links[0], space, f_bra, ket, spins)))
-            m = links[4][0][0].size
-            for _, src, _, _ in links[3]:
-                caps.update(step * src.shape[1] * m * (kb + kk) * 8
-                            for step in (2, 3, 5))
+            m = links[4][0].shape[1]
+            caps.update(step * links[3][0].shape[1] * m * (kb + kk) * 8
+                        for step in (2, 3, 5))
     for classes, b3, k3, ref in tables:
         want = _loop_densities(classes, n_orb ** 2, b3, k3)
         assert np.allclose(want.reshape(ref.shape), ref, rtol=0, atol=1e-12)

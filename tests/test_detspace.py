@@ -1,10 +1,12 @@
 from dataclasses import replace
+from math import comb
 
 import numpy as np
 import pytest
 
 from casq.detspace import (
     Determinant,
+    annihilators,
     cas_dimension,
     enumerate_cas,
     excitation_links,
@@ -104,30 +106,69 @@ def test_single_signs_against_fock_oracle():
 
 @pytest.mark.parametrize("n_orb", range(1, 7))
 def test_string_tables_against_fock_oracle(n_orb):
-    # E_pq groups and occupation matrices of every k-electron string set
-    # against a+_p a_q in the one-spin Fock space (basis index = bitstring):
-    # int64 indices, src ascending, no entries at k = 0 and no off-diagonal
-    # entries at k = n_orb
+    # the stacked a_p maps, the E_pq size classes and the occupation
+    # matrices of every k-electron string set against a_p and a+_p a_q in
+    # the one-spin Fock space (basis index = bitstring): int64 indices, a_p
+    # rows of shape (n, C(n-1, k-1)) with src and dst ascending, E_pq rows
+    # with src ascending; a group in no class (every group at k = 0, the
+    # off-diagonal ones at k = n_orb) is zero on the strings
     cre = [creation_matrix(n_orb, p) for p in range(n_orb)]
     for k in range(n_orb + 1):
         strings = enumerate_cas(k, n_orb, k).alpha_strings
         rows = [fock_index(s, 0, n_orb) for s in strings]
-        groups = excitation_links(n_orb, k)
+        lower = ([fock_index(s, 0, n_orb) for s
+                  in enumerate_cas(k - 1, n_orb, k - 1).alpha_strings]
+                 if k else [])
         occ = occupation_matrix(n_orb, k)
-        assert len(groups) == n_orb * n_orb
         assert occ.shape == (len(strings), n_orb)
+        src, dst, sign = annihilators(n_orb, k)
+        assert src.shape == dst.shape == sign.shape == (
+            n_orb, comb(n_orb - 1, k - 1) if k else 0)
+        assert src.dtype == dst.dtype == np.int64
         for p in range(n_orb):
             assert np.array_equal(occ[:, p], np.diag(cre[p] @ cre[p].T)[rows])
-            for q in range(n_orb):
-                src, dst, sign = groups[p * n_orb + q]
-                assert src.dtype == dst.dtype == np.int64
-                assert np.all(np.diff(src) > 0)
-                if k == 0 or (k == n_orb and p != q):
-                    assert src.size == 0
+            assert np.all(np.diff(src[p]) > 0) and np.all(np.diff(dst[p]) > 0)
+            table = np.zeros((len(lower), len(strings)))
+            table[dst[p], src[p]] = sign[p]
+            assert np.array_equal(table, cre[p].T[np.ix_(lower, rows)])
+        missing = set(range(n_orb * n_orb))
+        for gid, g_src, g_dst, g_sign in excitation_links(n_orb, k):
+            assert g_src.dtype == g_dst.dtype == np.int64
+            for g, s, d, w in zip(gid, g_src, g_dst, g_sign):
+                missing.remove(g)
+                assert np.all(np.diff(s) > 0)
+                p, q = divmod(int(g), n_orb)
                 table = np.zeros((len(strings), len(strings)))
-                table[dst, src] = sign
+                table[d, s] = w
                 ref = (cre[p] @ cre[q].T)[np.ix_(rows, rows)]
                 assert np.array_equal(table, ref)
+        for g in missing:
+            p, q = divmod(g, n_orb)
+            assert k == 0 or (k == n_orb and p != q)
+            assert not (cre[p] @ cre[q].T)[np.ix_(rows, rows)].any()
+
+
+@pytest.mark.parametrize("n_orb", [1, 2, 3, 5])
+def test_excitation_classes_stack_the_links_by_size(n_orb):
+    # diagonal groups of C(n-1, k-1) entries, off-diagonal ones of
+    # C(n-2, k-1); none at k = 0, only the diagonal at k = n_orb; ids
+    # ascend within a class and every non-empty group is in one class
+    for k in range(n_orb + 1):
+        classes = excitation_links(n_orb, k)
+        sizes = {src.shape[1] for _, src, _, _ in classes}
+        expect = {comb(n_orb - 1, k - 1)} if k else set()
+        if 0 < k < n_orb:
+            expect.add(comb(n_orb - 2, k - 1))
+        assert sizes == expect
+        seen = []
+        for gid, src, dst, sign in classes:
+            assert gid.shape == src.shape[:1]
+            assert src.shape == dst.shape == sign.shape
+            assert np.all(np.diff(gid) > 0)
+            seen.extend(gid.tolist())
+        diagonal = [p * (n_orb + 1) for p in range(n_orb)]
+        assert sorted(seen) == ([] if k == 0 else diagonal if k == n_orb
+                                else list(range(n_orb * n_orb)))
 
 
 def test_relative_sign_against_fock_oracle():

@@ -171,12 +171,17 @@ def test_repeated_sections_and_keys_name_the_repeat():
     # the last of two values would otherwise win silently
     with pytest.raises(ParseError, match="line 3: section DIP_X given twice"):
         parse_property_integrals("DIP_X\n1 0 0 1\ndip_x\n2 0 0 2\n", 2)
-    for text, line, key in (
-            ("davidson_tol=1e-9\ncas_nelec=2\ndavidson_tol=1e-8\n", 3,
+    # (text, repeating line, first line, key); roots_mult_02 repeats the
+    # multiplicity of roots_mult_2, as --roots-mult 02=3 would
+    for text, line, first, key in (
+            ("davidson_tol=1e-9\ncas_nelec=2\ndavidson_tol=1e-8\n", 3, 1,
              "davidson_tol"),
             ("cas_nelec=3\nroots_mult_2=1\ncas_norb=3\nRoots_Mult_2 = 2\n", 4,
-             "roots_mult_2")):
-        with pytest.raises(ParseError, match=f"line {line}: {key} given twice"):
+             2, "roots_mult_2"),
+            ("cas_nelec=3\ncas_norb=3\nroots_mult_2=1\nroots_mult_02=3\n", 4,
+             3, "roots_mult_2")):
+        with pytest.raises(ParseError, match=f"line {line}: {key} given "
+                                             rf"twice \(first on line {first}\)"):
             parse_run_config(text)
 
 

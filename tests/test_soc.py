@@ -124,12 +124,12 @@ def test_hermiticity_check_catches_a_corrupted_flip_table(monkeypatch):
     lower_links = soc.flip_lower_links
 
     def corrupted(space):
-        # negate the signs of the beta creator a+_p for p = 1 (in a new
-        # tuple: the cached operands stay intact)
-        *head, beta, crossing = lower_links(space)
-        src, dst, sign = beta[1]
-        beta = beta[:1] + ((src, dst, -sign),) + beta[2:]
-        return (*head, beta, crossing)
+        # negate the signs of the beta creator a+_p for p = 1 (in a copy of
+        # the sign array: the cached operands stay intact)
+        *head, (src, dst, sign), crossing = lower_links(space)
+        sign = sign.copy()
+        sign[1] = -sign[1]
+        return (*head, (src, dst, sign), crossing)
 
     monkeypatch.setattr(soc, "flip_lower_links", corrupted)
     with pytest.raises(PhaseConsistencyError):
