@@ -1,74 +1,83 @@
 """One-particle densities, natural occupations and wave-function analysis.
 
-Every density runs one kernel, _link_densities, over link tables in the
-size-class form that detspace stores: the E_pq classes of
-excitation_links, or a spin flip's alpha map as one class of n groups.
+Every transition density runs one kernel, _ri_densities, on a resolution
+of the identity over the strings with one electron fewer or more (J. Olsen
+et al., J. Chem. Phys. 89, 2185 (1988)), as sigma does:
+
+    same-spin       <bra|a+_p a_q|ket>  =  <a_p bra|a_q ket>
+    lowering flip   <D|a+_pb a_qa|C>    =  <a_pb D|a_qa C>
+    raising flip    <C|a+_pa a_qb|D>    = -<a+_qb C|a+_pa D>
+
+A raising flip's intermediates hold one electron more than a lowering
+flip's, so the two directions of a spin flip are separate evaluations.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .casci import CiState
-from .detspace import CasSpace, excitation_links
+from .csr import Csr, csr_add, csr_from_coo
+from .detspace import CasSpace, string_slots
 
 
-# bytes of bra and ket rows that one batch of link groups gathers; a group
-# larger than this runs alone.  A d-shell call is one batch per size class,
-# a CAS(9,9) call with 16 columns one group per batch, same-spin or an alpha
-# group of a spin flip over one beta map row; caps of 0.25-2 MiB ran the
-# same-spin call alike, 8 and 32 MiB 1.1-2x slower.
-BATCH_BYTES = 2 * 2**20
+# bytes of bra and ket intermediates that one chunk of strings gathers (at
+# least one string).  On one BLAS thread, same-spin calls of 16 columns on
+# CAS(9,9) and CAS(11,10) ran alike at 0.25-1 MiB and up to 2x slower at
+# 4-64 MiB; unchunked, CAS(13,13) with 4 columns took 2.7 GB.
+CHUNK_BYTES = 2**20
 
 
-def _link_densities(classes, n_groups: int, bra: np.ndarray,
-                    ket: np.ndarray) -> np.ndarray:
-    """out[g, i, j] = sum_e sign_e bra[dst_e, :, i] . ket[src_e, :, j].
+@lru_cache(maxsize=None)
+def _slot_table(n_orb: int, k: int, by_dst: bool, pairs: bool) -> Csr:
+    """One row per (string, slot, slot) of string_slots(n_orb, k, by_dst),
+    (string, slot) unless pairs, with one entry, the slots' sign product,
+    in the column p*n_orb + q of their orbitals, or p."""
+    orb, _, sign = string_slots(n_orb, k, by_dst)
+    if pairs:
+        orb = orb[:, :, None] * n_orb + orb[:, None]
+        sign = sign[:, :, None] * sign[:, None]
+    return csr_from_coo(sign.ravel(), np.arange(orb.size), orb.ravel(),
+                        (orb.size, n_orb ** (1 + pairs)))
 
-    bra (rows, m, k_b) and ket (rows', m, k_k) are indexed along their
-    first axis by a link table's dst and src; the middle axis is summed
-    over.  The table is given by size class as detspace stores it,
-    (group ids, src, dst, sign) with (n_class, E) entries, for n_groups
-    groups in all; absent groups give zeros.  Each batch of a class is one gather of bra rows, one of
-    ket rows and one stacked GEMM (b, k_b, E*m) @ (b, E*m, k_k), each
-    slice the same BLAS call as a GEMM per group, so the result does not
-    depend on the batching.  A batch gathers at most BATCH_BYTES, or one
-    group.
-    """
-    m, kb, kk = bra.shape[1], bra.shape[-1], ket.shape[-1]
-    out = np.zeros((n_groups, kb, kk))
-    for gid, src, dst, sign in classes:
-        n_class, e = src.shape
-        step = max(1, BATCH_BYTES // max(1, e * m * (kb + kk) * bra.itemsize))
-        for b in range(0, n_class, step):
-            batch = slice(b, b + step)
-            rows = bra[dst[batch]]
-            rows *= sign[batch, :, None, None]
-            n_b = len(rows)
-            out[gid[batch]] = np.matmul(
-                rows.reshape(n_b, e * m, kb).transpose(0, 2, 1),
-                ket[src[batch]].reshape(n_b, e * m, kk))
+
+def _ri_densities(n_orb: int, k: int, by_dst: bool, bra: np.ndarray,
+                  ket: np.ndarray, rows=None) -> np.ndarray:
+    """out[l, u, i*k_k + j], summed over the strings g of string_slots(
+    n_orb, k, by_dst) and the first axes of bra (R, strings, k_b) and ket
+    (R', strings', k_k).  Each g gathers the ket strings its slots reach
+    and, without rows (same-spin, u = p*n_orb + q), the bra strings alike;
+    with rows, its own bra string, and per l the rows (bra r, ket r', sign
+    on the bra) of rows[l], u the slot's orbital.  A chunk of strings
+    gathers at most CHUNK_BYTES for one batched matmul per l; the
+    _slot_table, read transposed by csr_add, adds the products in
+    ascending g, so the sums do not depend on the chunking."""
+    pairs, (kb, kk) = rows is None, (bra.shape[-1], ket.shape[-1])
+    rows = [(slice(None), slice(None), None)] if pairs else rows
+    strings = string_slots(n_orb, k, by_dst)[1]
+    table = _slot_table(n_orb, k, by_dst, pairs)
+    (n_g, sk), sb = strings.shape, strings.shape[1] if pairs else 1
+    out = np.zeros((len(rows), table.n_col, kb * kk))
+    size = (bra.shape[0] * sb * kb + ket.shape[0] * sk * kk) * bra.itemsize
+    step = max(1, CHUNK_BYTES // max(1, size))
+    for g0 in range(0, n_g, step):
+        g = strings[g0:g0 + step]
+        c, r0, r1 = len(g), g0 * sb * sk, (g0 + len(g)) * sb * sk
+        B, K = bra[:, g] if pairs else bra[:, g0:g0 + c, None], ket[:, g]
+        part = Csr(table.indptr[r0:r1 + 1] - r0, table.indices[r0:r1],
+                   table.data[r0:r1], table.n_col)
+        for l, (r_bra, r_ket, sign) in enumerate(rows):
+            x, y = B[r_bra], K[r_ket]
+            if sign is not None:
+                x *= sign[:, None, None, None]
+            prod = np.matmul(x.transpose(1, 2, 3, 0).reshape(c, sb * kb, -1),
+                             y.transpose(1, 0, 2, 3).reshape(c, -1, sk * kk))
+            prod = prod.reshape(c, sb, kb, sk, kk).transpose(0, 1, 3, 2, 4)
+            csr_add(part, np.ascontiguousarray(prod).reshape(-1, kb * kk),
+                    out[l], transpose=True)
     return out
-
-
-def _spin_densities(space: CasSpace, bra: np.ndarray,
-                    ket: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(gamma_alpha, gamma_beta) as (n*n, k_b, k_k) arrays.
-
-    bra (n_alpha, n_beta, s, k_b) and ket (n_alpha, n_beta, s, k_k) are
-    summed over their determinant axes and their third axis s: alpha
-    works on the (n_alpha, n_beta * s) view, beta on a transposed copy,
-    each over the size classes of its string count's excitation table.
-    """
-    n = space.n_orb
-    na, nb = bra.shape[:2]
-    kb, kk = bra.shape[-1], ket.shape[-1]
-    ga = _link_densities(excitation_links(n, space.n_alpha), n * n,
-                         bra.reshape(na, -1, kb), ket.reshape(na, -1, kk))
-    gb = _link_densities(excitation_links(n, space.n_beta), n * n,
-                         bra.transpose(1, 0, 2, 3).reshape(nb, -1, kb),
-                         ket.transpose(1, 0, 2, 3).reshape(nb, -1, kk))
-    return ga, gb
 
 
 def spin_transition_densities(space: CasSpace, bra: np.ndarray,
@@ -78,21 +87,29 @@ def spin_transition_densities(space: CasSpace, bra: np.ndarray,
     bra and ket are one vector or a stack of columns, both in space; the
     output axis of a 1-D argument is dropped, so two vectors give (n, n).
     """
-    n = space.n_orb
-    na = len(space.alpha_strings)
-    bra = np.asarray(bra)
-    ket = np.asarray(ket)
+    n, na = space.n_orb, len(space.alpha_strings)
+    bra, ket = np.asarray(bra), np.asarray(ket)
     shape = (n, n) + bra.shape[1:] + ket.shape[1:]
-    ga, gb = _spin_densities(space, bra.reshape(na, -1, 1, bra[0].size),
-                             ket.reshape(na, -1, 1, ket[0].size))
+    bra, ket = (v.reshape(na, -1, v[0].size) for v in (bra, ket))
+    ga = _ri_densities(n, space.n_alpha, True, bra.transpose(1, 0, 2),
+                       ket.transpose(1, 0, 2))
+    gb = _ri_densities(n, space.n_beta, True, bra, ket)
     return ga.reshape(shape), gb.reshape(shape)
 
 
-def transition_density(space: CasSpace, bra: np.ndarray,
-                       ket: np.ndarray) -> np.ndarray:
-    """Spin-traced transition density <bra|E_pq|ket> (columns as above)."""
-    ga, gb = spin_transition_densities(space, bra, ket)
-    return ga + gb
+def flip_transition_densities(links, bra: np.ndarray,
+                              ket: np.ndarray) -> np.ndarray:
+    """gamma[p,q,i,j] = <bra_i|a+_p a_q|ket_j> of a spin flip from its
+    operands (spin.flip_lower_links or flip_raise_links), ket columns in
+    its source space and bra columns in its target."""
+    target, source, (k, by_dst), beta = links
+    n = source.n_orb
+    bra, ket = (np.asarray(v).reshape(-1, len(s.beta_strings), len(v[0]))
+                .transpose(1, 0, 2) for v, s in ((bra, target), (ket, source)))
+    out = _ri_densities(n, k, by_dst, bra, ket, list(zip(*beta)))
+    out = out.reshape(n, n, bra.shape[2], ket.shape[2])
+    # rows run over the beta orbital: p of a lowering, q of a raising
+    return out if by_dst else out.transpose(1, 0, 2, 3)
 
 
 def one_rdm(space: CasSpace, states: list[CiState] | list[np.ndarray],
@@ -107,9 +124,14 @@ def one_rdm(space: CasSpace, states: list[CiState] | list[np.ndarray],
     vecs = np.column_stack([getattr(st, "coeffs", st)
                             for st in states])[:, keep]
     # the state axis joins the summed axis: sum_i w_i <v_i|E_pq|v_i>
-    ket = vecs.reshape(len(space.alpha_strings), -1, vecs.shape[1], 1)
-    ga, gb = _spin_densities(space, ket * weights[keep][:, None], ket)
-    dm = (ga + gb).reshape(space.n_orb, space.n_orb)
+    n, na = space.n_orb, len(space.alpha_strings)
+    ket = vecs.reshape(na, -1, vecs.shape[1])
+    bra = ket * weights[keep]
+    dm = _ri_densities(n, space.n_alpha, True, bra.reshape(na, -1).T[..., None],
+                       ket.reshape(na, -1).T[..., None])
+    dm += _ri_densities(n, space.n_beta, True, *(v.transpose(0, 2, 1).reshape(
+        -1, v.shape[1], 1) for v in (bra, ket)))
+    dm = dm.reshape(n, n)
     dm = (dm + dm.T) / 2.0
     trace_err = abs(np.trace(dm) - space.n_elec)
     if trace_err > 1e-10:

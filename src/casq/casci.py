@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from itertools import islice
 from math import isqrt
 
 import numpy as np
@@ -46,6 +45,9 @@ SMALL_SPACE = 400
 # thread the build of 3,136 determinants took 0.23 s at 2**16 or 2**17 and
 # 0.25-0.29 s at 2**19-2**21.
 PAIR_CHUNK = 2**17
+
+# dense_solve's degenerate clusters (Hartree); eigh splits exact ones ~1e-14
+DEGENERACY_TOL = 1e-8
 
 # largest Rayleigh-quotient drift of a laddered multiplet component from
 # its top component's energy (Hartree)
@@ -195,34 +197,23 @@ class _SigmaPlan:
         return 4 * 8 * self.n_pair * self.n_col
 
 
-def _flat_links(classes, pair):
-    """(pair, src, dst, sign) of the detspace.excitation_links size
-    classes, flattened (empty when the spin has no electron)."""
-    none = (np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)
-    return tuple(np.concatenate([a.ravel() for a in x]) for x in zip(none, *(
-        (np.repeat(pair[gid], src.shape[1]), src, dst, sign)
-        for gid, src, dst, sign in classes)))
-
-
 @lru_cache(maxsize=None)
 def _sigma_plan(space: CasSpace) -> _SigmaPlan:
     n = space.n_orb
     a_links = excitation_links(n, space.n_alpha)
     b_links = excitation_links(n, space.n_beta)
-    count_a = sum(src.size for _, src, _, _ in a_links)
-    count_b = sum(src.size for _, src, _, _ in b_links)
-    transpose = count_b > count_a
-    row_classes, col_classes = (b_links, a_links) if transpose else (a_links, b_links)
+    transpose = b_links[0].size > a_links[0].size
     pair = _pair_index(n).ravel()
+    (r_gid, *row), (c_gid, c_src, c_dst, c_sign) = (
+        (b_links, a_links) if transpose else (a_links, b_links))
     n_pair = n * (n + 1) // 2
     n_row, n_col = ((len(space.beta_strings), len(space.alpha_strings))
                     if transpose else
                     (len(space.alpha_strings), len(space.beta_strings)))
-    c_pair, c_src, c_dst, c_sign = _flat_links(col_classes, pair)
     return _SigmaPlan(
         transpose=transpose, n_row=n_row, n_col=n_col, n_pair=n_pair,
-        row_links=_flat_links(row_classes, pair),
-        col_op=csr_from_coo(c_sign, c_pair * n_col + c_dst, c_src,
+        row_links=(pair[r_gid], *row),
+        col_op=csr_from_coo(c_sign, pair[c_gid] * n_col + c_dst, c_src,
                             (n_pair * n_col, n_col)))
 
 
@@ -502,17 +493,35 @@ def _spin_projector(space: CasSpace, n_roots: int):
 
 def dense_solve(space: CasSpace, ints: IntegralSet,
                 n_roots: int) -> list[CiState]:
-    """Brute-force eigensolver on the explicitly built H: the lowest
-    n_roots eigenvectors of spin S = M_S, those whose norm^2 within the
-    range of the spin-S projector exceeds 1/2."""
+    """Brute-force eigensolver on the explicitly built H: its lowest
+    n_roots eigenvectors of spin S = M_S.  In a cluster of eigenvalues
+    closer than DEGENERACY_TOL, eigh's vectors U, these span the unit
+    eigenvalues of U^T P_S U: all of U, none of it, or a rotation."""
     project = _spin_projector(space, n_roots)
     w, U = np.linalg.eigh(dense_hamiltonian(space, ints))
-    keep = list(islice((k for k, u in enumerate(U.T)     # lowest first
-                        if u @ project(u.copy()) > 0.5), n_roots))
-    if len(keep) < n_roots:
-        raise InvariantBreach(f"only {len(keep)} of the {n_roots} roots of "
-                              f"spin S = M_S lie in the projected range")
-    return _finalize_states(space, w[keep], U[:, keep])
+    cuts = [0, *np.flatnonzero(np.diff(w) > DEGENERACY_TOL) + 1, w.size]
+    energies, vectors, s, m = [], [], 0, 0
+    for a, b in zip(cuts, cuts[1:]):
+        if b > m:       # one projection of n_roots columns or more
+            s, m = a, min(w.size, max(b, a + n_roots))
+            PU = project(U[:, s:m].copy())
+        Uc, wc = U[:, a:b], w[a:b]
+        M = Uc.T @ PU[:, a - s:b - s]
+        rank = round(float(np.trace(M)))       # eigenvalues of M are 0 or 1
+        if 0 < rank < b - a:    # spin-S states degenerate with others
+            occ, V = np.linalg.eigh(M)
+            V = V[:, occ > 0.5]
+            wc, Y = np.linalg.eigh(V.T @ (wc[:, None] * V))
+            Uc = Uc @ (V @ Y)
+        energies.extend(wc[:rank])
+        vectors.append(Uc[:, :rank])
+        if len(energies) >= n_roots:
+            break
+    else:
+        raise InvariantBreach(f"only {len(energies)} of the {n_roots} roots "
+                              f"of spin S = M_S lie in the projected range")
+    return _finalize_states(space, np.array(energies[:n_roots]),
+                            np.hstack(vectors)[:, :n_roots])
 
 
 def solve_davidson(space: CasSpace, ints: IntegralSet, n_roots: int,

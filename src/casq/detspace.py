@@ -8,10 +8,11 @@ alpha string as the slow index: position = i_alpha * n_beta_strings + i_beta.
 
 This module alone decides how a string operator is stored: the
 annihilation maps a_p as one stacked (src, dst, sign) class
-(`annihilators`) and E_pq as size classes of (group ids, src, dst, sign)
-(`excitation_links`).  Sigma, the occupations, the spin ladders and
-flips and the transition densities read these arrays as they are, in
-either direction (dst -> src is the adjoint), and store no other copy.
+(`annihilators`), the same entries grouped by string (`string_slots`),
+and E_pq as flat (group ids, src, dst, sign) arrays (`excitation_links`).
+Sigma, the occupations, the spin ladders and flips and the transition
+densities read these arrays as they are, in either direction (dst -> src
+is the adjoint), and store no other copy.
 """
 
 from __future__ import annotations
@@ -133,6 +134,21 @@ def annihilators(n_orb: int, k: int):
 
 
 @lru_cache(maxsize=None)
+def string_slots(n_orb: int, k: int, by_dst: bool):
+    """annihilators(n_orb, k) as (orb, other, sign), each (strings, slots),
+    slots in ascending orbital p: by_dst by (k-1)-string, one slot per
+    empty p, other the k-string a+_p reaches; else by k-string, one slot
+    per occupied p, other the (k-1)-string a_p leaves."""
+    src, dst, sign = annihilators(n_orb, k)
+    key, other = (dst, src) if by_dst else (src, dst)
+    orb = np.broadcast_to(np.arange(n_orb)[:, None], src.shape)
+    order = np.lexsort((orb.ravel(), key.ravel()))
+    shape = ((comb(n_orb, k - 1) if k else 0, n_orb - k + 1) if by_dst
+             else (comb(n_orb, k), k))
+    return tuple(a.ravel()[order].reshape(shape) for a in (orb, other, sign))
+
+
+@lru_cache(maxsize=None)
 def occupation_matrix(n_orb: int, k: int) -> np.ndarray:
     """(strings, n_orb) array, 1.0 where a k-electron string occupies p."""
     occ = np.zeros((comb(n_orb, k), n_orb))
@@ -143,38 +159,15 @@ def occupation_matrix(n_orb: int, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def excitation_links(n_orb: int, k: int):
-    """E_pq = a+_p a_q on the k-electron strings, composed from annihilators.
-
-    Returns the non-empty groups p*n_orb+q by size class, each class
-    (group ids, src, dst, sign) with the ids ascending, shape (groups,),
-    and the rest (groups, entries), src ascending along a row: the
-    diagonal E_pp groups of C(n-1, k-1) entries (src = dst, sign 1),
-    then the off-diagonal ones of C(n-2, k-1).  There are no classes at
-    k = 0 and no off-diagonal class at k = n_orb.  Built one p at a time.
-    """
-    if k == 0:
-        return ()
-    n = n_orb
-    src, dst, sign = annihilators(n, k)
-    diagonal = (np.arange(n) * (n + 1), src, src, np.ones(src.shape))
-    if k == n:
-        return (diagonal,)
-    gid = np.array([p * n + q for p in range(n) for q in range(n) if q != p])
-    shape = (gid.size, comb(n - 2, k - 1))
-    off = np.empty(shape, np.int64), np.empty(shape, np.int64), np.empty(shape)
-    # position in a_p's row of each (k-1)-string, -1 where p is occupied
-    slot = np.full(comb(n, k - 1), -1)
-    for p in range(n):
-        q = np.arange(n) != p
-        slot[dst[p]] = np.arange(src.shape[1])
-        at = slot[dst[q]]
-        hit = at >= 0
-        at = at[hit]
-        for out, col in zip(off, (src[q][hit], src[p][at],
-                                  sign[q][hit] * sign[p][at])):
-            out[p * (n - 1):(p + 1) * (n - 1)] = col.reshape(n - 1, -1)
-        slot[dst[p]] = -1
-    return diagonal, (gid, *off)
+    """E_pq = a+_p a_q on the k-electron strings as flat arrays (p*n_orb +
+    q, src, dst, sign), one entry per ordered pair of slots (p, q) of a
+    (k-1)-string in string_slots: a_q leaves it from src, a+_p reaches
+    dst.  A group p*n_orb + q has C(n-1, k-1) entries when p = q (src =
+    dst, sign 1), C(n-2, k-1) otherwise; none at k = 0."""
+    orb, other, sign = string_slots(n_orb, k, True)
+    return tuple(a.ravel() for a in np.broadcast_arrays(
+        orb[:, :, None] * n_orb + orb[:, None], other[:, None],
+        other[:, :, None], sign[:, :, None] * sign[:, None]))
 
 
 @dataclass(frozen=True, eq=False)

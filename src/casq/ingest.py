@@ -18,6 +18,7 @@ Run configuration: flat ``key=value`` lines, ``#`` comments.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass, field, fields
 from typing import Mapping
@@ -238,6 +239,11 @@ def read_fcidump(text: str) -> FcidumpData:
     n_orb = header_ints["NORB"]
     if n_orb < 1:
         raise ParseError(f"NORB={n_orb} invalid")
+    need = 8 * (n_orb ** 4 + n_orb ** 2)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ParseError(f"NORB={n_orb} needs {need} bytes of integrals, "
+                         f"more than the {memory} bytes of physical memory")
 
     h = np.zeros((n_orb, n_orb))
     g2 = np.zeros((n_orb, n_orb, n_orb, n_orb))

@@ -9,8 +9,8 @@ elements over multiplet components reduce to spin-conserving and
 spin-flip one-particle transition densities, evaluated for all
 components of one pair of M_S blocks at once, spin flips straight from
 their alpha and beta string maps.  The Delta M_S = -1 and +1 blocks come
-from independent lowering and raising operands, so the Hermiticity check
-compares two separate evaluations of every element.
+from independent operands and intermediates (one electron fewer, one
+more), so the Hermiticity check compares two evaluations of each element.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _link_densities, spin_transition_densities
+from .analysis import flip_transition_densities, spin_transition_densities
 from .casci import InvariantBreach, Multiplet
 from .ingest import PropertyIntegrals
 from .spin import flip_lower_links, flip_raise_links
@@ -81,31 +81,6 @@ def component_blocks(basis: SocStateBasis, multiplets: list[Multiplet]):
     return blocks
 
 
-def _flip_tdm(links, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """gamma[p,q,i,j] = <bra_i|a+_p a_q|ket_j> over a spin flip's string
-    operands (ket columns in its source space, bra columns in its target).
-    The creating spin's map is read dst -> src.  Per row of the beta map,
-    the ket columns it reaches, signed, and the bra columns they land on
-    go through the group-batched kernel over the alpha map as one class;
-    entries sum alpha-major, as a (p, q) table over determinants would."""
-    target, space, creates, alpha, beta, crossing = links
-    (a_src, a_dst, a_sign), (b_src, b_dst, b_sign) = alpha, beta
-    n = space.n_orb
-    bra = bra.reshape(len(target.alpha_strings), len(target.beta_strings), -1)
-    ket = ket.reshape(len(space.alpha_strings), len(space.beta_strings), -1)
-    out = np.empty((n, n, bra.shape[2], ket.shape[2]))
-    # the beta operator's orbital is p when beta creates, q otherwise
-    if creates == "beta":
-        b_src, b_dst, at = b_dst, b_src, out
-    else:
-        a_src, a_dst, at = a_dst, a_src, out.transpose(1, 0, 2, 3)
-    alpha = ((np.arange(n), a_src, a_dst, a_sign),)
-    for g in range(n):
-        cols = ket[:, b_src[g]] * (crossing * b_sign[g])[:, None]
-        at[g] = _link_densities(alpha, n, bra[:, b_dst[g]], cols)
-    return out
-
-
 def soc_matrix(basis: SocStateBasis, blocks: dict,
                prop: PropertyIntegrals) -> np.ndarray:
     """Complex Hermitian H_SO (Hartree) over the `component_blocks` of basis.
@@ -124,9 +99,9 @@ def soc_matrix(basis: SocStateBasis, blocks: dict,
             continue
         low, low_space, D, _ = blocks[ms2 - 2]
         # <low|a+_pb a_qa|C> and <C|a+_pa a_qb|low>, from separate operands
-        down = _flip_tdm(flip_lower_links(space), D, C)
+        down = flip_transition_densities(flip_lower_links(space), D, C)
         H[np.ix_(low, idx)] = np.einsum("pq,pqij->ij", 1j * zx - zy, down)
-        up = _flip_tdm(flip_raise_links(low_space), C, D)
+        up = flip_transition_densities(flip_raise_links(low_space), C, D)
         H[np.ix_(idx, low)] = np.einsum("pq,pqij->ij", 1j * zx + zy, up)
     H[np.abs(basis.two_s[:, None] - basis.two_s) > 2] = 0.0
     resid = float(np.max(np.abs(H - H.conj().T)))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import transition_density
+from .analysis import spin_transition_densities
 from .casci import CiState
 from .ingest import PropertyIntegrals
 from .units import FWHM_TO_SIGMA, HARTREE_TO_EV
@@ -55,9 +55,9 @@ def transition_table(states: list[CiState],
                and state.multiplicity == ground.multiplicity]
     mu = np.zeros((len(states), 3))
     if allowed:
-        dens = transition_density(ground.space, ground.coeffs, np.column_stack(
-            [states[k].coeffs for k in allowed]))
-        mu[allowed] = np.einsum("kpq,pqj->jk", prop.D, dens)
+        C = np.column_stack([states[k].coeffs for k in allowed])
+        ga, gb = spin_transition_densities(ground.space, ground.coeffs, C)
+        mu[allowed] = np.einsum("kpq,pqj->jk", prop.D, ga + gb)
     lines = []
     for k, state in enumerate(states[1:], start=1):
         forbidden = k not in allowed

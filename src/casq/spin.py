@@ -154,38 +154,32 @@ def project_spin(space: CasSpace, vecs: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def flip_lower_links(space: CasSpace):
-    """String operands of the spin flip a+_pb a_qa: ms2 -> ms2-2.
-
-    Returns (lower space, space, "beta", alpha map, beta map, crossing):
-    the detspace.annihilators tables of a_q on the alpha strings and of
-    a_p on the (n_beta + 1)-strings, the creating (beta) map to be read
-    dst -> src as a+_p, and the sign (-1)^(n_alpha - 1).  Used for the
-    Delta M_S = -1 blocks of the spin-orbit matrix.
+    """String operands of the spin flip a+_pb a_qa: ms2 -> ms2-2, for
+    analysis.flip_transition_densities: (lower space, space, the key
+    (n_alpha, True) of a_q in detspace.string_slots, and for each p the
+    row of a_p on the (n_beta + 1)-strings as (lower block's beta
+    strings, this block's, sign times (-1)^(n_alpha - 1))).
     """
     lower = _lower_space(space)
     if lower is None:
         return None
-    n = space.n_orb
-    return (lower, space, "beta", annihilators(n, space.n_alpha),
-            annihilators(n, space.n_beta + 1), (-1.0) ** (space.n_alpha - 1))
+    src, dst, sign = annihilators(space.n_orb, space.n_beta + 1)
+    return (lower, space, (space.n_alpha, True),
+            (src, dst, (-1.0) ** (space.n_alpha - 1) * sign))
 
 
 @lru_cache(maxsize=None)
 def flip_raise_links(space: CasSpace):
-    """String operands of the spin flip a+_pa a_qb: ms2 -> ms2+2.
-
-    Returns (upper space, space, "alpha", alpha map, beta map, crossing)
-    as in flip_lower_links: a_p on the (n_alpha + 1)-strings, the creating
-    (alpha) map read dst -> src as a+_p, and a_q on the beta strings, from
-
-        a+_pa a_qb = (alpha a+_p) o (beta a_q) . (-1)^n_alpha,
-
-    never from the lowering operands, so the Delta M_S = +1 blocks of the
-    spin-orbit matrix are evaluated independently of the -1 blocks.
+    """String operands of the spin flip a+_pa a_qb: ms2 -> ms2+2, as in
+    flip_lower_links: a+_p by the key (n_alpha + 1, False), and for each q
+    the row of a_q on this block's beta strings, (upper block's, this
+    block's, sign times (-1)^n_alpha), from a+_pa a_qb = (alpha a+_p) o
+    (beta a_q) . (-1)^n_alpha; never from the lowering operands, so the
+    two directions are independent evaluations.
     """
     if space.n_alpha == space.n_orb or space.n_beta == 0:
         return None
     upper = enumerate_cas(space.n_elec, space.n_orb, space.ms2 + 2)
-    n = space.n_orb
-    return (upper, space, "alpha", annihilators(n, space.n_alpha + 1),
-            annihilators(n, space.n_beta), (-1.0) ** space.n_alpha)
+    src, dst, sign = annihilators(space.n_orb, space.n_beta)
+    return (upper, space, (space.n_alpha + 1, False),
+            (dst, src, (-1.0) ** space.n_alpha * sign))

@@ -7,9 +7,11 @@ sphere) so it shares no code path with the package under test.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
+from scipy import sparse
 from scipy.special import lpmv, roots_legendre
 
 from casq.detspace import CasSpace
@@ -80,16 +82,23 @@ def fock_one_electron(coeff: np.ndarray, n_orb: int) -> np.ndarray:
 
     coeff is (2n, 2n) over spin orbitals in alpha-block-first order.
     """
+    return _fock_one_electron(coeff, n_orb).toarray()
+
+
+def _fock_one_electron(coeff: np.ndarray, n_orb: int) -> sparse.csr_array:
+    """fock_one_electron as a sparse matrix: the products of the dense
+    creation matrices, each stored sparse, are sparse too."""
     n_so = 2 * n_orb
-    dim = 1 << n_so
-    cre = [creation_matrix(n_so, k) for k in range(n_so)]
-    ann = [m.T for m in cre]
-    H = np.zeros((dim, dim), dtype=complex)
-    for i in range(n_so):
-        for j in range(n_so):
-            if coeff[i, j] != 0.0:
-                H += coeff[i, j] * cre[i] @ ann[j]
+    cre = _sparse_creators(n_so)
+    H = sparse.csr_array((1 << n_so, 1 << n_so), dtype=complex)
+    for i, j in zip(*np.nonzero(coeff)):
+        H = H + coeff[i, j] * (cre[i] @ cre[j].T)
     return H
+
+
+@lru_cache(maxsize=None)
+def _sparse_creators(n_so: int) -> list:
+    return [sparse.csr_array(creation_matrix(n_so, k)) for k in range(n_so)]
 
 
 def fock_index(alpha: int, beta: int, n_orb: int) -> int:
@@ -113,6 +122,10 @@ def fock_block(op: np.ndarray, space: CasSpace) -> np.ndarray:
 
 def fock_spin_ops(n_orb: int):
     """(S+, S-, Sz) over the Fock space."""
+    return tuple(op.toarray() for op in _fock_spin_ops(n_orb))
+
+
+def _fock_spin_ops(n_orb: int):
     n_so = 2 * n_orb
     cp = np.zeros((n_so, n_so))
     cm = np.zeros((n_so, n_so))
@@ -122,14 +135,12 @@ def fock_spin_ops(n_orb: int):
         cm[n_orb + p, p] = 1.0            # a+_pb a_pa
         cz[p, p] = 0.5
         cz[n_orb + p, n_orb + p] = -0.5
-    return (fock_one_electron(cp, n_orb).real,
-            fock_one_electron(cm, n_orb).real,
-            fock_one_electron(cz, n_orb).real)
+    return tuple(_fock_one_electron(c, n_orb).real for c in (cp, cm, cz))
 
 
 def fock_s_squared(n_orb: int) -> np.ndarray:
-    sp, sm, sz = fock_spin_ops(n_orb)
-    return sm @ sp + sz @ (sz + np.eye(sz.shape[0]))
+    sp, sm, sz = _fock_spin_ops(n_orb)
+    return (sm @ sp + sz @ sz + sz).toarray()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -109,14 +111,21 @@ def spin_purity_field(n_elec: int):
 
 def spin_filtered_energies(ints, space, mult: int, count: int | None = None):
     """The lowest `count` energies of multiplicity mult in `space` (all of
-    them by default), from one full eigh of its H filtered by <S^2>."""
+    them by default): eigh of H within the S(S+1) eigenspace of the Fock
+    oracle's S^2 block, exact in degenerate eigenspaces of H too."""
     from casq.casci import dense_hamiltonian
-    from casq.spin import s_squared
 
-    w, U = np.linalg.eigh(dense_hamiltonian(space, ints))
-    s2 = np.array([s_squared(space, u) for u in U.T])
-    labels = np.rint(np.sqrt(1.0 + 4.0 * s2)).astype(int)    # 2S+1
-    return w[labels == mult][:count]
+    s2, Q = np.linalg.eigh(_fock_s_squared_block(space))
+    s = (mult - 1) / 2.0
+    Q = Q[:, np.abs(s2 - s * (s + 1.0)) < 1e-6]
+    return np.linalg.eigvalsh(Q.T @ dense_hamiltonian(space, ints) @ Q)[:count]
+
+
+@lru_cache(maxsize=None)
+def _fock_s_squared_block(space):
+    from _oracles import fock_block, fock_s_squared
+
+    return fock_block(fock_s_squared(space.n_orb), space)
 
 
 def _symmetrize_8fold(g: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from casq.gtensor import format_gap_report, gap_report
 from casq.ingest import (DavidsonOptions, IntegralSet, RunConfig,
                          read_fcidump, set_chem, write_fcidump)
 from casq.ligandfield import LigandFieldModel, build_ligand_field_model, preset_model
-from casq.soc import _flip_tdm
+from casq.analysis import flip_transition_densities
 from casq.spin import flip_lower_links, flip_raise_links
 from casq.units import EV_TO_HARTREE, G_E, HARTREE_TO_CM
 
@@ -313,8 +313,8 @@ def test_criterion_09_performance_17_12():
         C = rng.standard_normal((big.size, 4))
         D = rng.standard_normal((low.size, 4))
         t0 = time.perf_counter()
-        down = _flip_tdm(flip_lower_links(big), D, C)
-        up = _flip_tdm(flip_raise_links(low), C, D)
+        down = flip_transition_densities(flip_lower_links(big), D, C)
+        up = flip_transition_densities(flip_raise_links(low), C, D)
         dt = time.perf_counter() - t0
         diff = np.max(np.abs(down - up.transpose(1, 0, 3, 2)))
         assert diff <= 1e-12 * np.max(np.abs(down))

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 
-from casq import analysis, soc
+from casq import analysis
 from casq.analysis import (
     decompose,
+    flip_transition_densities,
     format_decomposition,
     natural_occupations,
     one_rdm,
     spin_transition_densities,
-    transition_density,
 )
 from casq.casci import CiState, dense_solve
-from casq.detspace import Determinant, enumerate_cas, excitation_links
-from casq.soc import _flip_tdm
+from casq.detspace import Determinant, enumerate_cas
 from casq.spin import flip_lower_links, flip_raise_links, s_squared
 
 from _oracles import creation_matrix, fock_one_electron, space_projector
@@ -90,81 +89,55 @@ def test_block_densities_match_fock_oracle(case):
         other = links[0]
         bra, ket = _columns(rng, other, kb), _columns(rng, space, kk)
         ref = _fock_pair_densities(n_orb, other, space, bra, ket, spins)
-        assert np.allclose(_flip_tdm(links, bra, ket), ref, rtol=0, atol=1e-12)
-
-
-def _loop_densities(classes, n_groups, bra, ket):
-    """The kernel as a loop over groups: one gather and one GEMM each."""
-    kb, kk = bra.shape[-1], ket.shape[-1]
-    out = np.zeros((n_groups, kb, kk))
-    for gid, src, dst, sign in classes:
-        for g, s, d, w in zip(gid, src, dst, sign):
-            rows = bra[d] * w[:, None, None]
-            out[g] = rows.reshape(-1, kb).T @ ket[s].reshape(-1, kk)
-    return out
+        got = flip_transition_densities(links, bra, ket)
+        assert np.allclose(got, ref, rtol=0, atol=1e-12)
 
 
 @given(stacked_block())
-@example((0, 1, 0, 2, 1, 3))      # n_orb = 1, k = 0: no class at all
-@example((2, 1, 0, 0, 3, 4))      # n_orb = 1, k = n_orb: one group
+@example((0, 1, 0, 2, 1, 3))      # n_orb = 1, k = 0: no string to gather
+@example((2, 1, 0, 0, 3, 4))      # n_orb = 1, k = n_orb: one string
 @example((1, 1, 1, 1, 0, 5))      # n_orb = 1, alpha k = 1, beta k = 0
 @example((2, 3, 2, 3, 2, 6))      # beta k = 0; a flip up only from below
-@example((5, 3, 1, 2, 3, 7))      # alpha k = n_orb: no off-diagonal class
+@example((5, 3, 1, 2, 3, 7))      # alpha k = n_orb: one slot per string
 @example((4, 2, 0, 3, 3, 8))      # k = n_orb on both spins
-def test_batch_cap_does_not_change_densities(case):
-    # same-spin tables and both spin flips' alpha maps of a block, at
-    # one batch per class, at a cap below one group (a batch per group)
-    # and at caps of 2, 3 and 5 groups of each class (ragged batches):
-    # bit-identical to a loop over groups, and to the Fock oracle within
-    # 1e-12
+def test_chunk_size_does_not_change_densities(case):
+    # same-spin densities and both spin flips of a block, in one chunk,
+    # one string per chunk and chunks of 2, 3 and 5 strings (ragged):
+    # bit-identical to each other, and to the Fock oracle within 1e-12
     n_elec, n_orb, ms2, kb, kk, seed = case
     rng = np.random.default_rng(seed)
     space = enumerate_cas(n_elec, n_orb, ms2)
     kb, kk = max(kb, 1), max(kk, 1)
     bra, ket = _columns(rng, space, kb), _columns(rng, space, kk)
     na, nb = len(space.alpha_strings), len(space.beta_strings)
-    # (size classes, bra and ket as the kernel takes them, oracle)
-    b3, k3 = bra.reshape(na, nb, kb), ket.reshape(na, nb, kk)
-    tables = [(excitation_links(n_orb, space.n_alpha), b3, k3,
-               _fock_pair_densities(n_orb, space, space, bra, ket,
-                                    ("alpha", "alpha"))),
-              (excitation_links(n_orb, space.n_beta),
-               b3.transpose(1, 0, 2), k3.transpose(1, 0, 2),
-               _fock_pair_densities(n_orb, space, space, bra, ket,
-                                    ("beta", "beta")))]
-    caps = {2 ** 62, 1}
-    for classes, b3, k3, _ in tables:
-        for _, src, _, _ in classes:
-            caps.update(step * src.shape[1] * b3.shape[1] * (kb + kk) * 8
-                        for step in (2, 3, 5))
-    # (operands, bra columns, oracle); each alpha entry gathers m rows,
-    # one per entry of a beta map row
-    flips = []
+    # (densities at the current chunk size, oracle); the bytes of one
+    # string's intermediates: slots times the rest of a side's strings
+    calls = [(lambda: spin_transition_densities(space, bra, ket),
+              [_fock_pair_densities(n_orb, space, space, bra, ket, (s, s))
+               for s in ("alpha", "beta")])]
+    slots_a, slots_b = n_orb - space.n_alpha + 1, n_orb - space.n_beta + 1
+    sizes = {(nb * slots_a, nb * slots_a), (na * slots_b, na * slots_b)}
     for table, spins in ((flip_lower_links, ("beta", "alpha")),
                          (flip_raise_links, ("alpha", "beta"))):
         links = table(space)
         if links is not None:
             f_bra = _columns(rng, links[0], kb)
-            flips.append((links, f_bra, _fock_pair_densities(
-                n_orb, links[0], space, f_bra, ket, spins)))
-            m = links[4][0].shape[1]
-            caps.update(step * links[3][0].shape[1] * m * (kb + kk) * 8
-                        for step in (2, 3, 5))
-    for classes, b3, k3, ref in tables:
-        want = _loop_densities(classes, n_orb ** 2, b3, k3)
-        assert np.allclose(want.reshape(ref.shape), ref, rtol=0, atol=1e-12)
+            calls.append((lambda links=links, f_bra=f_bra:
+                          [flip_transition_densities(links, f_bra, ket)],
+                          [_fock_pair_densities(n_orb, links[0], space,
+                                                f_bra, ket, spins)]))
+            slots = slots_a if links[2][1] else space.n_alpha + 1
+            sizes.add((len(links[0].beta_strings), nb * slots))
+    caps = {2 ** 62, 1} | {step * (b * kb + k * kk) * 8
+                           for b, k in sizes for step in (2, 3, 5)}
+    for densities, refs in calls:
+        want = densities()
+        for got, ref in zip(want, refs):
+            assert np.allclose(got, ref, rtol=0, atol=1e-12)
         for cap in sorted(caps):
-            with mock.patch.object(analysis, "BATCH_BYTES", cap):
-                got = analysis._link_densities(classes, n_orb ** 2, b3, k3)
-            assert np.array_equal(got, want)
-    for links, f_bra, ref in flips:
-        with mock.patch.object(soc, "_link_densities", _loop_densities):
-            want = _flip_tdm(links, f_bra, ket)
-        assert np.allclose(want, ref, rtol=0, atol=1e-12)
-        for cap in sorted(caps):
-            with mock.patch.object(analysis, "BATCH_BYTES", cap):
-                got = _flip_tdm(links, f_bra, ket)
-            assert np.array_equal(got, want)
+            with mock.patch.object(analysis, "CHUNK_BYTES", cap):
+                got = densities()
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_one_rdm_single_determinant():
@@ -213,7 +186,7 @@ def test_transition_density_ground_excited_orthogonal():
     ints = make_random_integrals(4, 61)
     space = enumerate_cas(3, 4, 1)
     states = dense_solve(space, ints, 3)
-    g = transition_density(space, states[0].coeffs, states[1].coeffs)
+    g = sum(spin_transition_densities(space, states[0].coeffs, states[1].coeffs))
     # no particular structure required, but the contraction with identity
     # (= overlap * n_elec) must vanish for orthogonal states
     assert abs(np.trace(g)) < 1e-10

@@ -537,3 +537,16 @@ def test_variational_monotonicity_under_orbital_growth():
     ints6 = IntegralSet(h=h6, g2=g6, core_energy=ints5.core_energy)
     e6 = dense_solve(enumerate_cas(4, 6, 0), ints6, 1)[0].energy
     assert e6 <= e5 + 1e-12
+
+
+def test_dense_solve_takes_spin_roots_from_degenerate_clusters():
+    # h = diag(0..5), g = 0: states of different spin are exactly
+    # degenerate, and eigh returns an arbitrary basis of each eigenspace
+    ints = IntegralSet(h=np.diag(np.arange(6.0)), g2=np.zeros((6,) * 4))
+    for (n_elec, ms2, n_roots), want in (((4, 0, 4), [2, 3, 4, 4]),
+                                         ((5, 1, 5), [4, 5, 5, 6, 6])):
+        space = enumerate_cas(n_elec, 6, ms2)
+        states = dense_solve(space, ints, n_roots)
+        assert np.allclose([s.energy for s in states], want, rtol=0, atol=1e-12)
+        exact = ms2 * (ms2 + 2) / 4.0
+        assert all(abs(s.s2_expect - exact) < 1e-12 for s in states)

@@ -178,15 +178,16 @@ def test_spin_impure_roots_exit_three(tmp_path, monkeypatch, capsys):
 
 
 def test_phase_inconsistency_exits_three(tmp_path, monkeypatch, capsys):
-    # a wrong crossing sign in the raising spin flip breaks the Hermiticity
-    # of the SOC matrix built from the projected roots' ladder phases
+    # a wrong crossing sign in the raising spin flip (every sign of its
+    # beta rows negated) breaks the Hermiticity of the SOC matrix built
+    # from the projected roots' ladder phases
     import casq.soc
 
     links = casq.soc.flip_raise_links
 
     def flipped(space):
-        *operands, crossing = links(space)
-        return (*operands, -crossing)
+        *operands, (bra_rows, ket_rows, sign) = links(space)
+        return (*operands, (bra_rows, ket_rows, -sign))
 
     monkeypatch.setattr(casq.soc, "flip_raise_links", flipped)
     code, _, manifest = run_cli(["gtensor", "--lf", "d9-planar"], tmp_path)
@@ -342,6 +343,27 @@ def test_casci_missing_fcidump(tmp_path):
         ["casci", "--fcidump", str(tmp_path / "absent.fcidump")], tmp_path)
     assert code == 1
     assert manifest["status"] == "failed"
+
+
+def test_casci_on_a_header_only_fcidump(tmp_path):
+    # every integral is zero, so every spin is degenerate with every other:
+    # the dense route takes the doublets by projection (it exited 3)
+    (tmp_path / "zero.fcidump").write_text("&FCI NORB=4,NELEC=3,MS2=1,/\n")
+    code, _, manifest = run_cli(
+        ["casci", "--fcidump", str(tmp_path / "zero.fcidump")], tmp_path)
+    assert code == 0 and manifest["exit_code"] == 0
+
+
+def test_norb_beyond_physical_memory_is_an_input_error(tmp_path):
+    # refused before its integral arrays (74.5 GiB of g2) are allocated
+    (tmp_path / "huge.fcidump").write_text("&FCI NORB=100000,NELEC=2,MS2=0,/\n")
+    code, _, manifest = run_cli(
+        ["casci", "--fcidump", str(tmp_path / "huge.fcidump")], tmp_path)
+    assert code == 1
+    assert manifest["status"] == "failed" and manifest["exit_code"] == 1
+    assert manifest["error"]["type"] == "ParseError"
+    assert "NORB=100000" in manifest["error"]["message"]
+    assert "bytes" in manifest["error"]["message"]
 
 
 def test_casci_requires_one_source(tmp_path, capsys):

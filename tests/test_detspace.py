@@ -132,16 +132,17 @@ def test_string_tables_against_fock_oracle(n_orb):
             table[dst[p], src[p]] = sign[p]
             assert np.array_equal(table, cre[p].T[np.ix_(lower, rows)])
         missing = set(range(n_orb * n_orb))
-        for gid, g_src, g_dst, g_sign in excitation_links(n_orb, k):
-            assert g_src.dtype == g_dst.dtype == np.int64
-            for g, s, d, w in zip(gid, g_src, g_dst, g_sign):
-                missing.remove(g)
-                assert np.all(np.diff(s) > 0)
-                p, q = divmod(int(g), n_orb)
-                table = np.zeros((len(strings), len(strings)))
-                table[d, s] = w
-                ref = (cre[p] @ cre[q].T)[np.ix_(rows, rows)]
-                assert np.array_equal(table, ref)
+        gid, g_src, g_dst, g_sign = excitation_links(n_orb, k)
+        assert g_src.dtype == g_dst.dtype == np.int64
+        for g in np.unique(gid):
+            missing.remove(g)
+            s, d = g_src[gid == g], g_dst[gid == g]
+            assert np.unique(s).size == s.size
+            p, q = divmod(int(g), n_orb)
+            table = np.zeros((len(strings), len(strings)))
+            table[d, s] = g_sign[gid == g]
+            ref = (cre[p] @ cre[q].T)[np.ix_(rows, rows)]
+            assert np.array_equal(table, ref)
         for g in missing:
             p, q = divmod(g, n_orb)
             assert k == 0 or (k == n_orb and p != q)
@@ -151,24 +152,19 @@ def test_string_tables_against_fock_oracle(n_orb):
 @pytest.mark.parametrize("n_orb", [1, 2, 3, 5])
 def test_excitation_classes_stack_the_links_by_size(n_orb):
     # diagonal groups of C(n-1, k-1) entries, off-diagonal ones of
-    # C(n-2, k-1); none at k = 0, only the diagonal at k = n_orb; ids
-    # ascend within a class and every non-empty group is in one class
+    # C(n-2, k-1); none at k = 0, only the diagonal at k = n_orb; the four
+    # arrays are flat and of one length
     for k in range(n_orb + 1):
-        classes = excitation_links(n_orb, k)
-        sizes = {src.shape[1] for _, src, _, _ in classes}
-        expect = {comb(n_orb - 1, k - 1)} if k else set()
-        if 0 < k < n_orb:
-            expect.add(comb(n_orb - 2, k - 1))
-        assert sizes == expect
-        seen = []
-        for gid, src, dst, sign in classes:
-            assert gid.shape == src.shape[:1]
-            assert src.shape == dst.shape == sign.shape
-            assert np.all(np.diff(gid) > 0)
-            seen.extend(gid.tolist())
-        diagonal = [p * (n_orb + 1) for p in range(n_orb)]
-        assert sorted(seen) == ([] if k == 0 else diagonal if k == n_orb
-                                else list(range(n_orb * n_orb)))
+        gid, src, dst, sign = excitation_links(n_orb, k)
+        assert gid.ndim == 1 and gid.shape == src.shape == dst.shape == sign.shape
+        groups, sizes = np.unique(gid, return_counts=True)
+        diagonal = groups // n_orb == groups % n_orb
+        assert set(sizes[diagonal]) == ({comb(n_orb - 1, k - 1)} if k else set())
+        assert set(sizes[~diagonal]) == ({comb(n_orb - 2, k - 1)}
+                                         if 0 < k < n_orb else set())
+        assert groups.tolist() == (
+            [] if k == 0 else [p * (n_orb + 1) for p in range(n_orb)]
+            if k == n_orb else list(range(n_orb * n_orb)))
 
 
 def test_relative_sign_against_fock_oracle():

@@ -6,12 +6,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casq import casci, driver
 from casq.detspace import cas_dimension, enumerate_cas
-from casq.ingest import DavidsonOptions, RunConfig
+from casq.ingest import DavidsonOptions, IntegralSet, RunConfig
 from casq.ligandfield import LigandFieldModel, build_ligand_field_model
 
 from conftest import make_random_integrals, spin_filtered_energies, spin_purity_field
@@ -30,13 +30,30 @@ def _problems(draw):
             0, min(6, cas_dimension(n_elec, n_orb, two_s) - above)))
     if not any(roots.values()):
         roots[top % 2 + 1] = 1
-    return n_elec, n_orb, roots, draw(st.integers(0, 2 ** 16))
+    # random integrals, or a diagonal h with integer spacing (equal orbital
+    # energies included) and zero or Coulomb-only g: states of different
+    # spin are then exactly degenerate
+    return (n_elec, n_orb, roots, draw(st.integers(0, 2 ** 16)),
+            draw(st.sampled_from(["random", "zero g", "coulomb g"])))
 
 
+def _integrals(n_orb, seed, kind):
+    if kind == "random":
+        return make_random_integrals(n_orb, seed)
+    rng = np.random.default_rng(seed)
+    g = np.zeros((n_orb,) * 4)
+    if kind == "coulomb g":
+        J = rng.integers(0, 3, (n_orb, n_orb)) / 2.0
+        g[np.arange(n_orb)[:, None], np.arange(n_orb)[:, None],
+          np.arange(n_orb), np.arange(n_orb)] = J + J.T
+    return IntegralSet(h=np.diag(rng.integers(0, 3, n_orb).astype(float)), g2=g)
+
+
+@settings(max_examples=50)
 @given(_problems(), st.booleans())
 def test_solve_multiplets_matches_full_eigh(problem, at_floor):
-    n_elec, n_orb, roots, seed = problem
-    ints = make_random_integrals(n_orb, seed)
+    n_elec, n_orb, roots, seed, kind = problem
+    ints = _integrals(n_orb, seed, kind)
     # these blocks hold at most 100 determinants: an automatic guess_dim
     # (0) sends them to the dense route, guess_dim at its floor to Davidson
     floor = max(roots.values())

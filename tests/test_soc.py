@@ -126,10 +126,10 @@ def test_hermiticity_check_catches_a_corrupted_flip_table(monkeypatch):
     def corrupted(space):
         # negate the signs of the beta creator a+_p for p = 1 (in a copy of
         # the sign array: the cached operands stay intact)
-        *head, (src, dst, sign), crossing = lower_links(space)
+        *head, (bra_rows, ket_rows, sign) = lower_links(space)
         sign = sign.copy()
         sign[1] = -sign[1]
-        return (*head, (src, dst, sign), crossing)
+        return (*head, (bra_rows, ket_rows, sign))
 
     monkeypatch.setattr(soc, "flip_lower_links", corrupted)
     with pytest.raises(PhaseConsistencyError):

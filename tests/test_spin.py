@@ -8,7 +8,7 @@ from casq.casci import (InvariantBreach, _spin_flip, assemble_multiplets,
                         dense_solve, solve_davidson)
 from casq.detspace import Determinant, cas_dimension, enumerate_cas
 from casq.ingest import DavidsonOptions
-from casq.soc import _flip_tdm
+from casq.analysis import flip_transition_densities
 from casq.spin import (
     LadderAnnihilation,
     _ladder,
@@ -148,14 +148,14 @@ def test_ms_independence_of_doublet_spectrum():
 
 
 def _flip_oracle_check(links, space, target, spins, rng):
-    """_flip_tdm of one column each way against the Fock oracle's
-    <w|a+_p a_q|v> for every (p, q), spins (creator, annihilator)."""
+    """flip_transition_densities of one column each way against the Fock
+    oracle's <w|a+_p a_q|v> for every (p, q), spins (creator, annihilator)."""
     n_orb = space.n_orb
     Pv = space_projector(space)
     Pw = space_projector(target)
     v = rng.standard_normal(space.size)
     w = rng.standard_normal(target.size)
-    got = _flip_tdm(links, w[:, None], v[:, None])[:, :, 0, 0]
+    got = flip_transition_densities(links, w[:, None], v[:, None])[:, :, 0, 0]
     offset = {"alpha": 0, "beta": n_orb}
     for p in range(n_orb):
         for q in range(n_orb):
