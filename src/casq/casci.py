@@ -294,7 +294,8 @@ def _absorbed_eri(ints: IntegralSet, n_elec: int) -> np.ndarray:
 
 
 def sigma(space: CasSpace, ints: IntegralSet, vec: np.ndarray, *,
-          max_memory_gb: float = 2.0) -> np.ndarray:
+          max_memory_gb: float = 2.0,
+          out: np.ndarray | None = None) -> np.ndarray:
     """Matrix-free H @ vec over the determinant basis; vec is (N,) or (N, k).
 
     For each vector the string-driven kernel (Olsen et al., J. Chem.
@@ -305,38 +306,60 @@ def sigma(space: CasSpace, ints: IntegralSet, vec: np.ndarray, *,
     the same table read transposed, added in place.  The rows of the plan
     are processed in chunks of _chunk_rows, sized by row_bytes under
     max_memory_gb (and under CHUNK_BYTES, so that a chunk stays in
-    cache), and the vectors of a block one at a time per chunk.  Each call
-    allocates one workspace that every chunk and vector reuses: two
-    buffers of one chunk's D (holding in turn D, its column part, the
+    cache), and the vectors of a block one at a time through all chunks.
+    Each call allocates one workspace that every chunk and vector reuses:
+    two buffers of one chunk's D (holding in turn D, its column part, the
     contracted G and its transpose) and two of n_col values per row, so
     no chunk allocates.
+
+    The result is written into `out`, a float64 array of vec's shape that
+    does not overlap vec (by default a new F-ordered one), and returned.
+    A vector is copied only when it is strided or the plan reads it
+    transposed, and then into one buffer of one vector that the whole
+    block reuses; a result column of out likewise goes through a second
+    such buffer.
     """
     v = np.asarray(vec, dtype=float)
     if v.ndim not in (1, 2) or v.shape[0] != space.size:
         raise ValueError(f"vector of shape {v.shape}: length != space size {space.size}")
+    if out is None:
+        out = np.empty(v.shape, order="F")
+    elif out.shape != v.shape or out.dtype != np.float64:
+        raise ValueError(f"out of shape {out.shape} and dtype {out.dtype} for "
+                         f"a sigma of shape {v.shape}: need float64 of its shape")
+    elif np.may_share_memory(out, v):
+        raise ValueError("out overlaps the vectors sigma reads")
     if space.n_elec == 0:
-        return ints.core_energy * v
-    k = 1 if v.ndim == 1 else v.shape[1]
-    # one (n_row, n_col) matrix per vector: a view of v when v is one
-    # vector or a Fortran-ordered block and alpha strings are the rows
-    C = v.reshape(space.size, k).T.reshape(k, len(space.alpha_strings),
-                                           len(space.beta_strings))
+        return np.multiply(v, ints.core_energy, out=out)
     plan = _sigma_plan(space)
-    C = np.ascontiguousarray(C.transpose(0, 2, 1) if plan.transpose else C)
-    out = ints.core_energy * C
     h2p = _absorbed_eri(ints, space.n_elec)
     rows = _chunk_rows(plan, max_memory_gb)
     # _sigma_chunk's workspace: per call, since one cached on the plan
     # would stay allocated between calls
     work = tuple(np.empty(n * rows * plan.n_col)
                  for n in (plan.n_pair, plan.n_pair, 1, 1))
-    for chunk in _chunk_tables(plan, rows):
-        for Cj, oj in zip(C, out):
-            _sigma_chunk(plan, h2p, chunk, Cj, oj, work)
-    del C
-    if plan.transpose:
-        out = out.transpose(0, 2, 1)
-    return np.ascontiguousarray(out).reshape(k, space.size).T.reshape(v.shape)
+    chunks = _chunk_tables(plan, rows)
+    shape = len(space.alpha_strings), len(space.beta_strings)
+    v2, out2 = v.reshape(space.size, -1), out.reshape(space.size, -1)
+    # each vector as an (n_row, n_col) matrix is a view when its column is
+    # contiguous and alpha strings are the rows, else a copy in one buffer
+    cbuf, obuf = (np.empty((plan.n_row, plan.n_col))
+                  if plan.transpose or a.strides[0] != a.itemsize else None
+                  for a in (v2, out2))
+    for vj, oj in zip(v2.T, out2.T):
+        C, O = vj.reshape(shape), oj.reshape(shape)
+        if plan.transpose:
+            C, O = C.T, O.T
+        if cbuf is not None:
+            np.copyto(cbuf, C)
+            C = cbuf
+        Oj = O if obuf is None else obuf
+        np.multiply(C, ints.core_energy, out=Oj)
+        for chunk in chunks:
+            _sigma_chunk(plan, h2p, chunk, C, Oj, work)
+        if obuf is not None:
+            np.copyto(O, obuf)
+    return out
 
 
 def sigma_block(space: CasSpace, ints: IntegralSet, block: np.ndarray,
@@ -543,15 +566,12 @@ def solve_davidson(space: CasSpace, ints: IntegralSet, n_roots: int,
         return dense_solve(space, ints, n_roots)
     diag = hamiltonian_diagonal(space, ints).ravel()
     gd = max(options.guess_dim or max(32, 2 * n_roots), n_roots)
-    sel = np.argsort(diag, kind="stable")[:gd]
+    sel = np.argsort(diag, kind="stable")[:gd].copy()
     w, U = np.linalg.eigh(dense_hamiltonian(space, ints, sel))
-    n_start = min(gd, n_roots + 3)
-    v0 = np.zeros((N, n_start))
-    v0[sel] = U[:, :n_start]
     result = davidson_lowest(
-        lambda block: sigma_block(space, ints, block),
-        diag, n_roots, v0, tol=options.tol, max_iter=options.max_iter,
-        project=project, pspace=(sel, w, U))
+        lambda block, out: sigma_block(space, ints, block, out=out),
+        diag, n_roots, (sel, U[:, :min(gd, n_roots + 3)]), tol=options.tol,
+        max_iter=options.max_iter, project=project, pspace=(sel, w, U))
     return _finalize_states(space, result.energies, result.vectors)
 
 

@@ -52,6 +52,14 @@ def csr_from_coo(data, rows, cols, shape) -> Csr:
                np.asarray(data, dtype=float)[order], shape[1])
 
 
+def csr_rows(A: Csr, r0: int, r1: int) -> Csr:
+    """Rows r0:r1 of A as a table of their own: views of A's column
+    indices and values, which keep their order within each row."""
+    p0, p1 = A.indptr[r0], A.indptr[r1]
+    return Csr(A.indptr[r0:r1 + 1] - p0, A.indices[p0:p1], A.data[p0:p1],
+               A.n_col)
+
+
 @lru_cache(maxsize=None)
 def _sparsetools():
     """scipy's compiled scipy.sparse._sparsetools extension, loaded from

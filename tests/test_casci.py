@@ -162,6 +162,37 @@ def test_sigma_block_is_bit_reproducible():
     assert np.max(np.abs(one_row - first)) < 1e-12
 
 
+@pytest.mark.parametrize("n_elec,n_orb,ms2,transpose",
+                         [(4, 5, 0, False), (7, 6, 1, True)])
+def test_sigma_writes_into_out(n_elec, n_orb, ms2, transpose):
+    # Davidson hands sigma the F-ordered columns of its sigma V buffer: what
+    # sigma writes there is bit-identical to a fresh sigma, vector by
+    # vector, for C- and F-ordered blocks and a strided 1-D vector, and no
+    # other column of the buffer changes
+    ints = make_random_integrals(n_orb, 38)
+    space = enumerate_cas(n_elec, n_orb, ms2)
+    assert _sigma_plan(space).transpose == transpose
+    block = np.random.default_rng(38).standard_normal((space.size, 3))
+    ref = sigma(space, ints, block)
+    for j in range(3):
+        assert np.array_equal(sigma(space, ints, block[:, j]), ref[:, j])
+    for vec in (block, np.asfortranarray(block), block[:, 1]):
+        buf = np.full((space.size, 5), np.nan, order="F")
+        out = buf[:, 1:4] if vec.ndim == 2 else buf[:, 1]
+        assert sigma(space, ints, vec, out=out) is out
+        assert np.array_equal(out, sigma(space, ints, vec))
+        assert np.isnan(buf[:, [0, 4]]).all()
+    # a C-ordered out, strided column by column
+    assert np.array_equal(sigma(space, ints, block, out=np.empty(block.shape)),
+                          ref)
+    for bad in (np.empty((space.size, 2)),
+                np.empty(block.shape, dtype=np.float32)):
+        with pytest.raises(ValueError, match="out of shape"):
+            sigma(space, ints, block, out=bad)
+    with pytest.raises(ValueError, match="overlaps"):
+        sigma(space, ints, block, out=block)
+
+
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
 @pytest.mark.parametrize("k", [1, 3])
 def test_csr_add_matches_the_scipy_product(index_dtype, k):
