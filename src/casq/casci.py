@@ -17,6 +17,8 @@ They are cross-checked in the test suite.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from math import isqrt
@@ -58,6 +60,10 @@ RAYLEIGH_TOL = 1e-8
 # Xeon, CAS(17,12) M_S = 1/2 took 0.27 s per vector in one 171 MB chunk and
 # 0.10-0.13 s in 33 MB chunks).
 CHUNK_BYTES = 32 * 2**20
+
+# the environment variables by which BLAS libraries read their thread
+# count when numpy loads
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # largest |<S^2> - S(S+1)| of a root solved within the range of the spin-S
 # projector, or gap of a laddered M_S < 0 component from its _spin_flip: a
@@ -293,6 +299,22 @@ def _absorbed_eri(ints: IntegralSet, n_elec: int) -> np.ndarray:
     return 0.5 * h2.reshape(n * n, n * n)[np.ix_(pq, pq)]
 
 
+def _sigma_threads() -> int:
+    """Threads that share a sigma block's vectors: the cores that BLAS
+    leaves idle, max(1, cpus // blas_threads), where blas_threads is the
+    first positive integer set in BLAS_THREAD_VARS.  With none set, BLAS
+    uses every core, and sigma one thread."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    for var in BLAS_THREAD_VARS:
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
+
+
 def sigma(space: CasSpace, ints: IntegralSet, vec: np.ndarray, *,
           max_memory_gb: float = 2.0,
           out: np.ndarray | None = None) -> np.ndarray:
@@ -304,20 +326,28 @@ def sigma(space: CasSpace, ints: IntegralSet, vec: np.ndarray, *,
     with the packed two-electron matrix and gathers back; every string
     scatter is one CSR product of the plan (_SigmaPlan), and every gather
     the same table read transposed, added in place.  The rows of the plan
-    are processed in chunks of _chunk_rows, sized by row_bytes under
-    max_memory_gb (and under CHUNK_BYTES, so that a chunk stays in
-    cache), and the vectors of a block one at a time through all chunks.
-    Each call allocates one workspace that every chunk and vector reuses:
-    two buffers of one chunk's D (holding in turn D, its column part, the
-    contracted G and its transpose) and two of n_col values per row, so
-    no chunk allocates.
+    are processed in chunks of _chunk_rows // T rows, sized by row_bytes
+    under max_memory_gb (and under CHUNK_BYTES, so that a chunk stays in
+    cache), and each vector of a block through all chunks.
+
+    The vectors of a block are shared among min(T, k) threads, T =
+    _sigma_threads() the cores that BLAS leaves idle, the calling thread
+    one of them: each takes the next vector until none is left.  Every
+    step of a vector releases the interpreter lock (the compiled CSR
+    products, np.copyto and the GEMM).  Each thread owns one workspace,
+    allocated here before any thread starts, that all its chunks and
+    vectors reuse: two buffers of one chunk's D (holding in turn D, its
+    column part, the contracted G and its transpose) and two of n_col
+    values per row, so no chunk allocates.  T does not depend on k, so a
+    vector's chunks, and its result, are the same bits in any block and
+    under any thread schedule; the first exception of any thread is
+    raised here, after every thread has finished.
 
     The result is written into `out`, a float64 array of vec's shape that
     does not overlap vec (by default a new F-ordered one), and returned.
     A vector is copied only when it is strided or the plan reads it
-    transposed, and then into one buffer of one vector that the whole
-    block reuses; a result column of out likewise goes through a second
-    such buffer.
+    transposed, and then into one buffer of one vector per thread; a
+    result column of out likewise goes through a second such buffer.
     """
     v = np.asarray(vec, dtype=float)
     if v.ndim not in (1, 2) or v.shape[0] != space.size:
@@ -333,32 +363,55 @@ def sigma(space: CasSpace, ints: IntegralSet, vec: np.ndarray, *,
         return np.multiply(v, ints.core_energy, out=out)
     plan = _sigma_plan(space)
     h2p = _absorbed_eri(ints, space.n_elec)
-    rows = _chunk_rows(plan, max_memory_gb)
-    # _sigma_chunk's workspace: per call, since one cached on the plan
-    # would stay allocated between calls
-    work = tuple(np.empty(n * rows * plan.n_col)
-                 for n in (plan.n_pair, plan.n_pair, 1, 1))
+    threads = _sigma_threads()
+    rows = max(1, _chunk_rows(plan, max_memory_gb) // threads)
     chunks = _chunk_tables(plan, rows)
     shape = len(space.alpha_strings), len(space.beta_strings)
     v2, out2 = v.reshape(space.size, -1), out.reshape(space.size, -1)
     # each vector as an (n_row, n_col) matrix is a view when its column is
-    # contiguous and alpha strings are the rows, else a copy in one buffer
-    cbuf, obuf = (np.empty((plan.n_row, plan.n_col))
-                  if plan.transpose or a.strides[0] != a.itemsize else None
-                  for a in (v2, out2))
-    for vj, oj in zip(v2.T, out2.T):
-        C, O = vj.reshape(shape), oj.reshape(shape)
-        if plan.transpose:
-            C, O = C.T, O.T
-        if cbuf is not None:
-            np.copyto(cbuf, C)
-            C = cbuf
-        Oj = O if obuf is None else obuf
-        np.multiply(C, ints.core_energy, out=Oj)
-        for chunk in chunks:
-            _sigma_chunk(plan, h2p, chunk, C, Oj, work)
-        if obuf is not None:
-            np.copyto(O, obuf)
+    # contiguous and alpha strings are the rows, else a copy in a buffer
+    copy_in, copy_out = (plan.transpose or a.strides[0] != a.itemsize
+                         for a in (v2, out2))
+    # each thread's workspace and buffers, per call, since ones cached on
+    # the plan would stay allocated between calls
+    buffers = [(tuple(np.empty(n * rows * plan.n_col)
+                      for n in (plan.n_pair, plan.n_pair, 1, 1)),
+                *(np.empty((plan.n_row, plan.n_col)) if copy else None
+                  for copy in (copy_in, copy_out)))
+               for _ in range(max(1, min(threads, v2.shape[1])))]
+    columns = iter(range(v2.shape[1]))      # next() is atomic under the GIL
+    errors = []
+
+    def run(work, cbuf, obuf):
+        try:
+            for j in columns:
+                if errors:
+                    return
+                C, O = v2[:, j].reshape(shape), out2[:, j].reshape(shape)
+                if plan.transpose:
+                    C, O = C.T, O.T
+                if cbuf is not None:
+                    np.copyto(cbuf, C)
+                    C = cbuf
+                Oj = O if obuf is None else obuf
+                np.multiply(C, ints.core_energy, out=Oj)
+                for chunk in chunks:
+                    _sigma_chunk(plan, h2p, chunk, C, Oj, work)
+                if obuf is not None:
+                    np.copyto(O, obuf)
+        except BaseException as exc:    # re-raised below, after the join
+            errors.append(exc)
+
+    workers = [threading.Thread(target=run, args=b) for b in buffers[1:]]
+    for worker in workers:
+        worker.start()
+    try:
+        run(*buffers[0])
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
     return out
 
 
@@ -475,16 +528,19 @@ class CiState:
                 f"ms2={self.ms2}, <S2>={self.s2_expect:.6f})")
 
 
-def _sign_fix(vec: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(vec)))
-    return -vec if vec[k] < 0 else vec
-
-
 def _finalize_states(space: CasSpace, energies: np.ndarray,
                      vectors: np.ndarray) -> list[CiState]:
-    """Sign-fix and normalize roots of spin S = M_S, checking their <S^2>."""
-    vectors = np.stack([_sign_fix(v) / np.linalg.norm(v)
-                        for v in np.asarray(vectors, dtype=float).T], axis=1)
+    """Sign-fix and normalize roots of spin S = M_S, checking their <S^2>.
+
+    The roots are copied once, into an F-ordered block whose columns are
+    negated (when the entry of largest magnitude is negative) and divided
+    by their norms in place, so each state's coeffs is a contiguous
+    column of it."""
+    vectors = np.array(vectors, dtype=float, order="F")
+    for v in vectors.T:
+        if v[np.argmax(np.abs(v))] < 0:
+            np.negative(v, out=v)
+        v /= np.linalg.norm(v)
     s2 = np.diag(s_squared_matrix(space, vectors))
     exact = space.ms2 * (space.ms2 + 2) / 4.0
     worst = float(np.max(np.abs(s2 - exact)))

@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 input error (command-line usage errors
 included), 2 numerical non-convergence, 3 internal invariant breach.
 Every run writes out/manifest.json, on failure paths included.  The
 BLAS thread count is set by OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
-MKL_NUM_THREADS before start-up; the manifest records their values.
+MKL_NUM_THREADS before start-up; the manifest records their values and
+the number of threads that share sigma's vectors, the cores BLAS leaves
+idle.
 """
 
 from __future__ import annotations
@@ -47,9 +49,6 @@ ORACLE_RESIDUAL_TOL = 1e-8
 # determinants below this weight (percent) are left out of the state table
 DECOMPOSITION_PERCENT = 1.0
 
-# read by the BLAS libraries when numpy loads; recorded in the manifest
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
 
 class UsageError(ValueError):
     """Malformed command line or environment: an input error (exit 1)."""
@@ -73,7 +72,9 @@ class Manifest:
             "config": {},
             "inputs": {},
             "artifact_version": __version__,
-            "blas_threads": {var: os.environ.get(var) for var in _THREAD_VARS},
+            "blas_threads": {var: os.environ.get(var)
+                             for var in casci.BLAS_THREAD_VARS},
+            "sigma_threads": casci._sigma_threads(),
             "timings_s": {},
             "warnings": [],
             "status": "running",

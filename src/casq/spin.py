@@ -116,14 +116,23 @@ def s_squared(space: CasSpace, vec: np.ndarray) -> float:
 
 
 def s_squared_matrix(space: CasSpace, vecs: np.ndarray) -> np.ndarray:
-    """<v_i|S^2|v_j> for the columns of vecs (all in the same space)."""
+    """<v_i|S^2|v_j> for the columns of vecs (all in the same space).
+
+    The S+ image is formed column by column into an F-ordered block, so
+    an F-ordered vecs (as _finalize_states passes) is read without a
+    row-major copy; each image element sums its sources in the order of
+    one product over the whole block."""
     vecs = np.asarray(vecs)
     ms = space.ms2 / 2.0
     base = ms * (ms + 1.0) * (vecs.T @ vecs)
     links = _s_plus_links(space)
     if links is None:
         return base
-    _, raised = _ladder(links, vecs)
+    upper, table, _ = links
+    X = np.asfortranarray(vecs)
+    raised = np.zeros((upper.size, X.shape[1]), order="F")
+    for x, r in zip(X.T, raised.T):
+        csr_add(table, x[:, None], r[:, None], transpose=True)
     return base + raised.T @ raised
 
 

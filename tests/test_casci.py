@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from casq.casci import (
 from casq.csr import Csr, csr_add, csr_from_coo
 from casq.detspace import Determinant, cas_dimension, enumerate_cas, occupied_orbitals
 from casq.ingest import DavidsonOptions, IntegralSet
+from casq.spin import project_spin
 
 from _oracles import fock_block, fock_hamiltonian
 from conftest import make_model_integrals, make_random_integrals, spin_filtered_energies
@@ -294,6 +297,135 @@ def test_sigma_carries_no_state_between_calls(n_elec, n_orb, ms2, transpose,
         # a 1-vector call after a 3-vector call
         assert np.array_equal(sigma(space, ints, P[:, 0], max_memory_gb=cap),
                               first[:, 0])
+
+
+@pytest.mark.parametrize("n_elec,n_orb,ms2,transpose",
+                         [(4, 5, 0, False), (7, 6, 1, True)])
+def test_sigma_shares_a_block_among_threads(n_elec, n_orb, ms2, transpose,
+                                            monkeypatch):
+    ints = make_random_integrals(n_orb, 39)
+    space = enumerate_cas(n_elec, n_orb, ms2)
+    assert _sigma_plan(space).transpose == transpose
+    block = np.random.default_rng(39).standard_normal((space.size, 3))
+    monkeypatch.setattr(casci, "_sigma_threads", lambda: 1)
+    serial = sigma(space, ints, block)
+    monkeypatch.setattr(casci, "_sigma_threads", lambda: 2)
+    # each thread waits at its first chunk until the other has reached
+    # one, so the call completes only if two threads share the block
+    chunk, barrier, idents = casci._sigma_chunk, threading.Barrier(2, timeout=30), set()
+
+    def meet(*args):
+        if threading.get_ident() not in idents:
+            idents.add(threading.get_ident())
+            barrier.wait()
+        chunk(*args)
+    monkeypatch.setattr(casci, "_sigma_chunk", meet)
+    threaded = sigma(space, ints, block)
+    assert len(idents) == 2
+    monkeypatch.setattr(casci, "_sigma_chunk", chunk)
+    # T = 2 halves the rows per chunk, which changes only the last bits;
+    # at fixed T each column is its vector's own sigma bit for bit
+    assert np.max(np.abs(threaded - serial)) < 1e-12
+    for j in range(3):
+        assert np.array_equal(sigma(space, ints, block[:, j]), threaded[:, j])
+    buf = np.full((space.size, 5), np.nan, order="F")
+    assert np.array_equal(sigma(space, ints, block, out=buf[:, 1:4]), threaded)
+    assert np.isnan(buf[:, [0, 4]]).all()
+    assert sigma(space, ints, block[:, :0]).shape == (space.size, 0)
+
+    # an exception on the second vector reaches the caller with its own
+    # type, after every thread has finished
+    class Injected(Exception):
+        pass
+
+    def fail(plan, h2p, chunk_, C, out, work):
+        if np.isnan(C).any():
+            raise Injected
+        chunk(plan, h2p, chunk_, C, out, work)
+    monkeypatch.setattr(casci, "_sigma_chunk", fail)
+    block[:, 1] = np.nan
+    threads = threading.active_count()
+    with pytest.raises(Injected):
+        sigma(space, ints, block)
+    assert threading.active_count() == threads
+
+
+def test_sigma_threads_take_each_vector_once(monkeypatch):
+    # more threads than cores and a short switch interval: every column of
+    # out is written, each with its own vector's sigma
+    ints = make_random_integrals(5, 41)
+    space = enumerate_cas(4, 5, 0)
+    block = np.random.default_rng(41).standard_normal((space.size, 16))
+    monkeypatch.setattr(casci, "_sigma_threads", lambda: 8)
+    ref = np.stack([sigma(space, ints, v) for v in block.T], axis=1)
+    out = np.empty(block.shape, order="F")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            out.fill(np.nan)
+            sigma(space, ints, block, out=out)
+            assert np.array_equal(out, ref)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_sigma_threads_are_the_cores_blas_leaves_idle(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    for var in casci.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    # unset: BLAS takes every core
+    assert casci._sigma_threads() == 1
+    for env, threads in (({"OPENBLAS_NUM_THREADS": "1"}, 8),
+                         ({"OPENBLAS_NUM_THREADS": "2"}, 4),
+                         ({"MKL_NUM_THREADS": "3"}, 2),
+                         ({"OPENBLAS_NUM_THREADS": "16"}, 1),
+                         # the first positive integer is the one BLAS reads
+                         ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4),
+                         ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "2"}, 4),
+                         ({"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "1"}, 8),
+                         ({"OMP_NUM_THREADS": "-2"}, 1),
+                         ({"OMP_NUM_THREADS": "two"}, 1)):
+        with monkeypatch.context() as m:
+            for var, value in env.items():
+                m.setenv(var, value)
+            assert casci._sigma_threads() == threads, env
+    # where sched_getaffinity does not exist, every core counts
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert casci._sigma_threads() == 3
+
+
+def test_finalize_states_normalizes_one_copy_in_place():
+    # one F-ordered copy of the roots, sign-fixed and normalized column by
+    # column in place: bit-identical to normalizing each column apart, and
+    # at its peak the copy, the S+ image that <S^2> is taken from (an F
+    # block, raised without a row-major copy) and O(k^2)
+    space = enumerate_cas(9, 9, 1)
+    k, n_upper = 12, enumerate_cas(9, 9, 3).size
+    V = np.ascontiguousarray(project_spin(
+        space, np.random.default_rng(40).standard_normal((space.size, k))))
+    V = np.linalg.qr(V)[0] * np.linspace(-1.5, 1.5, k)
+    ref = [(-v if v[np.argmax(np.abs(v))] < 0 else v) / np.linalg.norm(v)
+           for v in V.T]
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        states = casci._finalize_states(space, np.arange(k, dtype=float), V)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 8 * (space.size + n_upper) * k + 2**14
+    for state, want in zip(states, ref):
+        assert state.coeffs.flags.c_contiguous
+        assert np.array_equal(state.coeffs, want)
+        assert abs(state.s2_expect - 0.75) < 1e-10
 
 
 def test_scipy_loads_with_the_first_sigma_only():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -805,3 +806,15 @@ def test_manifest_records_blas_thread_variables(tmp_path, monkeypatch):
     _, _, manifest = run_cli(["count", "--bogus"], tmp_path, "bad")
     assert manifest["exit_code"] == 1
     assert manifest["blas_threads"]["OMP_NUM_THREADS"] == "3"
+
+
+def test_manifest_records_sigma_threads(tmp_path, monkeypatch):
+    # sigma shares a block's vectors among the cores BLAS leaves idle
+    for var in casq.casci.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    args = ["count", "--nelec", "1", "--norb", "5", "--ms2", "1"]
+    _, _, manifest = run_cli(args, tmp_path, "unset")
+    assert manifest["sigma_threads"] == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    _, _, manifest = run_cli(args, tmp_path, "one")
+    assert manifest["sigma_threads"] == len(os.sched_getaffinity(0))
