@@ -25,7 +25,7 @@ from math import isqrt
 
 import numpy as np
 
-from .csr import Csr, csr_add, csr_from_coo
+from .csr import Csr, _sparsetools, csr_add, csr_from_coo
 from .davidson import DavidsonNotConverged, davidson_lowest  # noqa: F401 (re-export)
 from .detspace import (CasSpace, Determinant, cas_dimension,  # noqa: F401
                        enumerate_cas, excitation_links, occupation_matrix,
@@ -60,6 +60,17 @@ RAYLEIGH_TOL = 1e-8
 # Xeon, CAS(17,12) M_S = 1/2 took 0.27 s per vector in one 171 MB chunk and
 # 0.10-0.13 s in 33 MB chunks).
 CHUNK_BYTES = 32 * 2**20
+
+# Sigma's T threads split each vector's row chunks among them when the plan
+# has at least this many chunks per thread, and share a block's whole
+# vectors otherwise.  Davidson solves of 4 doublets and 1 quartet on one
+# BLAS thread (T = 2, shared 2-core host), split over whole-vector time,
+# medians of 4-10 interleaved runs: 0.99 / 1.00 / 1.04 / 0.95 / 0.97 / 0.95
+# / 0.94 at 1 / 3 / 8 / 14 / 18 / 30 / 58 chunks per thread (CAS(9,9),
+# (11,10), (17,12), (11,11), (7,13), (9,12), (13,12)); a first set of 4
+# runs at 14 read 1.02, so the crossover lies between 8 and 14, and 16
+# keeps a margin above it.
+SPLIT_CHUNKS = 16
 
 # the environment variables by which BLAS libraries read their thread
 # count when numpy loads
@@ -328,26 +339,39 @@ def sigma(space: CasSpace, ints: IntegralSet, vec: np.ndarray, *,
     the same table read transposed, added in place.  The rows of the plan
     are processed in chunks of _chunk_rows // T rows, sized by row_bytes
     under max_memory_gb (and under CHUNK_BYTES, so that a chunk stays in
-    cache), and each vector of a block through all chunks.
+    cache), and each vector through all chunks.
 
-    The vectors of a block are shared among min(T, k) threads, T =
-    _sigma_threads() the cores that BLAS leaves idle, the calling thread
-    one of them: each takes the next vector until none is left.  Every
-    step of a vector releases the interpreter lock (the compiled CSR
-    products, np.copyto and the GEMM).  Each thread owns one workspace,
-    allocated here before any thread starts, that all its chunks and
-    vectors reuse: two buffers of one chunk's D (holding in turn D, its
-    column part, the contracted G and its transpose) and two of n_col
-    values per row, so no chunk allocates.  T does not depend on k, so a
-    vector's chunks, and its result, are the same bits in any block and
-    under any thread schedule; the first exception of any thread is
-    raised here, after every thread has finished.
+    T = _sigma_threads() threads, the cores that BLAS leaves idle, share
+    the work, the calling thread one of them; every step of a vector
+    releases the interpreter lock (the compiled CSR products, np.copyto
+    and the GEMM).  How they share it depends on the space, never on k:
+
+    - with fewer than SPLIT_CHUNKS chunks per thread, min(T, k) threads
+      share a block's whole vectors, each taking the next vector until
+      none is left;
+    - with more, all T threads run every vector, each a fixed contiguous
+      share of its chunks.  Thread 0 adds its chunks into the result after
+      the core term, each other thread into its own zeroed accumulator,
+      and the accumulators are added into the result in thread order.
+      Copy-in, the core term and that sum run by row slices, one per
+      thread, between barriers; the threads start once per call.
+
+    Either way a vector's result is the same bits in any block, at any
+    place in it and under any thread schedule, for a given space, T and
+    cap.  Each thread owns one workspace that all its chunks and vectors
+    reuse: two buffers of one chunk's D (holding in turn D, its column
+    part, the contracted G and its transpose) and two of n_col values per
+    row.  Every buffer is allocated here before any thread starts, so no
+    chunk allocates, and the first exception of any thread is raised
+    here, after every thread has finished.
 
     The result is written into `out`, a float64 array of vec's shape that
     does not overlap vec (by default a new F-ordered one), and returned.
     A vector is copied only when it is strided or the plan reads it
-    transposed, and then into one buffer of one vector per thread; a
-    result column of out likewise goes through a second such buffer.
+    transposed, and a result column of out likewise goes through a
+    buffer: one of each per thread when the threads share whole vectors,
+    one of each per call when they split them (which then also hold T - 1
+    accumulators of one vector).
     """
     v = np.asarray(vec, dtype=float)
     if v.ndim not in (1, 2) or v.shape[0] != space.size:
@@ -368,45 +392,88 @@ def sigma(space: CasSpace, ints: IntegralSet, vec: np.ndarray, *,
     chunks = _chunk_tables(plan, rows)
     shape = len(space.alpha_strings), len(space.beta_strings)
     v2, out2 = v.reshape(space.size, -1), out.reshape(space.size, -1)
+    k = v2.shape[1]
     # each vector as an (n_row, n_col) matrix is a view when its column is
     # contiguous and alpha strings are the rows, else a copy in a buffer
     copy_in, copy_out = (plan.transpose or a.strides[0] != a.itemsize
                          for a in (v2, out2))
-    # each thread's workspace and buffers, per call, since ones cached on
-    # the plan would stay allocated between calls
-    buffers = [(tuple(np.empty(n * rows * plan.n_col)
-                      for n in (plan.n_pair, plan.n_pair, 1, 1)),
-                *(np.empty((plan.n_row, plan.n_col)) if copy else None
-                  for copy in (copy_in, copy_out)))
-               for _ in range(max(1, min(threads, v2.shape[1])))]
-    columns = iter(range(v2.shape[1]))      # next() is atomic under the GIL
-    errors = []
+    split = threads > 1 and len(chunks) // threads >= SPLIT_CHUNKS
+    team = threads if split else max(1, min(threads, k))
+    # per call, since buffers cached on the plan would stay allocated
+    # between calls
+    works = [tuple(np.empty(n * rows * plan.n_col)
+                   for n in (plan.n_pair, plan.n_pair, 1, 1))
+             for _ in range(team)]
+    buffers = [tuple(np.empty((plan.n_row, plan.n_col)) if copy else None
+                     for copy in (copy_in, copy_out))
+               for _ in range(1 if split else team)]
+    accs = [np.zeros((plan.n_row, plan.n_col))
+            for _ in range(team - 1 if split else 0)]
+    _sparsetools()          # its lru_cache does not lock a first call
 
-    def run(work, cbuf, obuf):
-        try:
-            for j in columns:
-                if errors:
-                    return
-                C, O = v2[:, j].reshape(shape), out2[:, j].reshape(shape)
-                if plan.transpose:
-                    C, O = C.T, O.T
-                if cbuf is not None:
-                    np.copyto(cbuf, C)
-                    C = cbuf
-                Oj = O if obuf is None else obuf
-                np.multiply(C, ints.core_energy, out=Oj)
-                for chunk in chunks:
-                    _sigma_chunk(plan, h2p, chunk, C, Oj, work)
+    def matrices(j, obuf):
+        """Vector j and its result as (n_row, n_col) matrices, and the
+        matrix the result is summed in: obuf, when it is not None."""
+        C, O = v2[:, j].reshape(shape), out2[:, j].reshape(shape)
+        if plan.transpose:
+            C, O = C.T, O.T
+        return C, O, O if obuf is None else obuf
+
+    def whole(t):
+        (cbuf, obuf), work = buffers[t], works[t]
+        for j in columns:
+            if errors:
+                return
+            C, O, Oj = matrices(j, obuf)
+            if cbuf is not None:
+                np.copyto(cbuf, C)
+                C = cbuf
+            np.multiply(C, ints.core_energy, out=Oj)
+            for chunk in chunks:
+                _sigma_chunk(plan, h2p, chunk, C, Oj, work)
+            if obuf is not None:
+                np.copyto(O, obuf)
+
+    def part(t):
+        (cbuf, obuf), work = buffers[0], works[t]
+        s = slice(t * plan.n_row // team, (t + 1) * plan.n_row // team)
+        group = chunks[t * len(chunks) // team:(t + 1) * len(chunks) // team]
+        for j in range(k + 1):
+            if j:           # vector j - 1: the sum, then its copy out
+                _, O, Oj = matrices(j - 1, obuf)
+                for acc in accs:
+                    Oj[s] += acc[s]
+                    acc[s] = 0.0
                 if obuf is not None:
-                    np.copyto(O, obuf)
-        except BaseException as exc:    # re-raised below, after the join
-            errors.append(exc)
+                    np.copyto(O[s], obuf[s])
+            if j == k:
+                return
+            C, _, Oj = matrices(j, obuf)
+            if cbuf is not None:
+                np.copyto(cbuf[s], C[s])
+                C = cbuf
+            np.multiply(C[s], ints.core_energy, out=Oj[s])
+            barrier.wait()
+            for chunk in group:
+                _sigma_chunk(plan, h2p, chunk, C, accs[t - 1] if t else Oj, work)
+            barrier.wait()
 
-    workers = [threading.Thread(target=run, args=b) for b in buffers[1:]]
+    def run(t):
+        try:
+            (part if split else whole)(t)
+        except BaseException as exc:    # re-raised below, after the join
+            # appended before the abort, so it comes before the
+            # BrokenBarrierError of every thread left waiting
+            errors.append(exc)
+            barrier.abort()
+
+    columns = iter(range(k))            # next() is atomic under the GIL
+    barrier, errors = threading.Barrier(team), []
+    workers = [threading.Thread(target=run, args=(t,)) for t in range(1, team)]
     for worker in workers:
         worker.start()
     try:
-        run(*buffers[0])
+        run(0)
     finally:
         for worker in workers:
             worker.join()

@@ -370,6 +370,157 @@ def test_sigma_threads_take_each_vector_once(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def _force_split(m, threads):
+    # every space splits its vectors' chunks among `threads` threads
+    m.setattr(casci, "SPLIT_CHUNKS", 0)
+    m.setattr(casci, "_sigma_threads", lambda: threads)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("n_elec,n_orb,ms2,transpose",
+                         [(4, 5, 0, False), (7, 6, 1, True)])
+def test_sigma_splits_each_vector_among_threads(n_elec, n_orb, ms2, transpose,
+                                                threads, monkeypatch):
+    ints = make_random_integrals(n_orb, 42)
+    space = enumerate_cas(n_elec, n_orb, ms2)
+    assert _sigma_plan(space).transpose == transpose
+    block = np.random.default_rng(42).standard_normal((space.size, 3))
+    serial = sigma(space, ints, block)
+    _force_split(monkeypatch, threads)
+    # each thread meets the others at its first chunk, so the call
+    # completes only if every thread runs a share of the first vector
+    chunk, barrier, idents = casci._sigma_chunk, threading.Barrier(threads, timeout=30), set()
+
+    def meet(*args):
+        if threading.get_ident() not in idents:
+            idents.add(threading.get_ident())
+            barrier.wait()
+        chunk(*args)
+    monkeypatch.setattr(casci, "_sigma_chunk", meet)
+    split = sigma(space, ints, block[:, :1])
+    assert len(idents) == threads
+    monkeypatch.setattr(casci, "_sigma_chunk", chunk)
+    # the split sums each vector's chunks in another order: the last bits
+    # differ from T = 1, and at fixed T a column is its vector's own sigma
+    # bit for bit, in any block, at any place and in any call
+    first = sigma(space, ints, block)
+    assert np.array_equal(first[:, :1], split)
+    assert np.max(np.abs(first - serial)) < 1e-12
+    for j in range(3):
+        assert np.array_equal(sigma(space, ints, block[:, j]), first[:, j])
+    for vec in (block, np.asfortranarray(block)):
+        assert np.array_equal(sigma(space, ints, vec), first)
+        buf = np.full((space.size, 5), np.nan, order="F")
+        assert sigma(space, ints, vec, out=buf[:, 1:4]) is not None
+        assert np.array_equal(buf[:, 1:4], first)
+        assert np.isnan(buf[:, [0, 4]]).all()
+    assert np.array_equal(sigma(space, ints, block, out=np.empty(block.shape)),
+                          first)
+    assert sigma(space, ints, block[:, :0]).shape == (space.size, 0)
+    # one row per chunk: many chunks per thread, the last group shorter
+    cap = 0.5 * _sigma_plan(space).row_bytes / 2 ** 30
+    assert np.max(np.abs(sigma(space, ints, block, max_memory_gb=cap)
+                         - serial)) < 1e-12
+
+
+def test_sigma_splits_among_more_threads_than_chunks(monkeypatch):
+    # CAS(2,2) M_S = 0: two rows, so at most two chunks for three threads
+    ints = make_random_integrals(2, 43)
+    space = enumerate_cas(2, 2, 0)
+    assert _sigma_plan(space).n_row == 2
+    block = np.random.default_rng(43).standard_normal((space.size, 3))
+    _force_split(monkeypatch, 3)
+    got = sigma(space, ints, block)
+    assert np.max(np.abs(got - dense_hamiltonian(space, ints) @ block)) < 1e-12
+    assert np.array_equal(sigma(space, ints, block[:, 2]), got[:, 2])
+
+
+@st.composite
+def cas_space(draw):
+    """A CAS(n_e, n_o <= 5) space, a thread count and a seed."""
+    n_orb = draw(st.integers(1, 5))
+    return (draw(st.integers(1, 2 * n_orb)), n_orb, draw(st.integers(2, 3)),
+            draw(st.integers(0, 2 ** 16)))
+
+
+@given(cas_space())
+@example((5, 5, 2, 1))      # M_S = 1/2 and 3/2 on either side of the plan
+@example((7, 5, 3, 2))      # beta strings as the plan's rows
+def test_split_sigma_is_h_on_every_ms_block(case):
+    n_elec, n_orb, threads, seed = case
+    ints = make_random_integrals(n_orb, seed)
+    top = min(n_elec, 2 * n_orb - n_elec)
+    with pytest.MonkeyPatch.context() as m:
+        _force_split(m, threads)
+        for ms2 in range(-top, top + 1, 2):
+            space = enumerate_cas(n_elec, n_orb, ms2)
+            block = np.random.default_rng(seed).standard_normal((space.size, 2))
+            got = sigma(space, ints, block)
+            assert np.max(np.abs(got - dense_hamiltonian(space, ints) @ block)) < 1e-12
+            assert np.array_equal(sigma(space, ints, block[:, 1]), got[:, 1])
+
+
+def test_split_sigma_raises_a_workers_exception(monkeypatch):
+    # a failure in a chunk group other than the calling thread's reaches
+    # the caller with its own type, not as the barrier's BrokenBarrierError
+    # of the threads it left waiting, after every thread has finished
+    ints = make_random_integrals(5, 44)
+    space = enumerate_cas(4, 5, 0)
+    block = np.random.default_rng(44).standard_normal((space.size, 3))
+    _force_split(monkeypatch, 3)
+    chunk = casci._sigma_chunk
+
+    class Injected(Exception):
+        pass
+
+    def fail(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise Injected
+        chunk(*args)
+    monkeypatch.setattr(casci, "_sigma_chunk", fail)
+    threads = threading.active_count()
+    with pytest.raises(Injected):
+        sigma(space, ints, block)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("n_elec,n_orb,transpose", [(9, 9, False), (11, 9, True)])
+def test_split_sigma_holds_one_copy_of_each_kind(n_elec, n_orb, transpose,
+                                                 monkeypatch):
+    # a split call on a C-ordered block holds one copy-in buffer, one
+    # copy-out buffer when the plan reads the vectors transposed, T - 1
+    # accumulators of one vector and T chunk workspaces; threads that
+    # share whole vectors would hold a copy-in and a copy-out each
+    threads = 3
+    ints = make_random_integrals(n_orb, 45)
+    space = enumerate_cas(n_elec, n_orb, 1)
+    plan = _sigma_plan(space)
+    assert plan.transpose == transpose
+    block = np.random.default_rng(45).standard_normal((space.size, 4))
+    out = np.empty(block.shape, order="F")
+    _force_split(monkeypatch, threads)
+    cap = 3.5 * plan.row_bytes / 2 ** 30       # one row per chunk at T = 3
+    assert _chunk_rows(plan, cap) // threads == 1
+    sigma(space, ints, block, max_memory_gb=cap, out=out)    # chunk tables
+    vector = 8 * space.size
+    work = 8 * (2 * plan.n_pair + 2) * plan.n_col
+    bound = (1 + transpose + threads - 1) * vector + threads * work
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sigma(space, ints, block, max_memory_gb=cap, out=out)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= bound + 2**15
+    if transpose:       # threads sharing whole vectors hold 2T copies
+        assert bound + 2**15 < 2 * threads * vector + threads * work
+
+
 def test_sigma_threads_are_the_cores_blas_leaves_idle(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
                         raising=False)
@@ -453,6 +604,33 @@ s_squared_matrix(big, project_spin(big, vecs))
 assert big.size > 400 and _sparsetools.cache_info().misses == 1
 for name in ('scipy', 'scipy.sparse'):
     assert name not in sys.modules, name
+"""
+    path = f"import sys; sys.path.insert(0, {str(Path(casci.__file__).parents[1])!r})"
+    run = subprocess.run([sys.executable, "-c", path + code],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_first_split_sigma_loads_scipy_once():
+    # the extension's lru_cache does not lock a first call: sigma loads it
+    # in the calling thread before any of its threads runs a product, so a
+    # process whose first product is a split sigma loads it once.  A slow
+    # load keeps the first caller inside it until the other thread comes.
+    code = """
+import importlib.util, time
+import numpy as np
+from casq import casci
+load = importlib.util.module_from_spec
+importlib.util.module_from_spec = lambda spec: time.sleep(0.2) or load(spec)
+from casq.csr import _sparsetools
+from casq.detspace import enumerate_cas
+from casq.ingest import IntegralSet
+casci.SPLIT_CHUNKS, casci._sigma_threads = 0, lambda: 2
+space = enumerate_cas(5, 6, 1)
+sigma = casci.sigma(space, IntegralSet(h=np.eye(6), g2=np.zeros((6,) * 4)),
+                    np.ones(space.size), max_memory_gb=1e-6)
+info = _sparsetools.cache_info()
+assert info.misses == 1 and info.currsize == 1, info
 """
     path = f"import sys; sys.path.insert(0, {str(Path(casci.__file__).parents[1])!r})"
     run = subprocess.run([sys.executable, "-c", path + code],
