@@ -61,15 +61,15 @@ RAYLEIGH_TOL = 1e-8
 # 0.10-0.13 s in 33 MB chunks).
 CHUNK_BYTES = 32 * 2**20
 
-# Sigma's T threads split each vector's row chunks among them when the plan
-# has at least this many chunks per thread, and share a block's whole
-# vectors otherwise.  Davidson solves of 4 doublets and 1 quartet on one
-# BLAS thread (T = 2, shared 2-core host), split over whole-vector time,
-# medians of 4-10 interleaved runs: 0.99 / 1.00 / 1.04 / 0.95 / 0.97 / 0.95
-# / 0.94 at 1 / 3 / 8 / 14 / 18 / 30 / 58 chunks per thread (CAS(9,9),
-# (11,10), (17,12), (11,11), (7,13), (9,12), (13,12)); a first set of 4
-# runs at 14 read 1.02, so the crossover lies between 8 and 14, and 16
-# keeps a margin above it.
+# Sigma's T threads form one team that splits each vector's row chunks when
+# the plan has at least this many chunks per thread, and teams of one thread
+# that share a block's whole vectors otherwise.  Davidson solves of 4
+# doublets and 1 quartet on one BLAS thread (T = 2, shared 2-core host),
+# split over whole-vector time, medians of 4-10 interleaved runs: 0.99 /
+# 1.00 / 1.04 / 0.95 / 0.97 / 0.95 / 0.94 at 1 / 3 / 8 / 14 / 18 / 30 / 58
+# chunks per thread (CAS(9,9), (11,10), (17,12), (11,11), (7,13), (9,12),
+# (13,12)); a first set of 4 runs at 14 read 1.02, so the crossover lies
+# between 8 and 14, and 16 keeps a margin above it.
 SPLIT_CHUNKS = 16
 
 # the environment variables by which BLAS libraries read their thread
@@ -311,10 +311,10 @@ def _absorbed_eri(ints: IntegralSet, n_elec: int) -> np.ndarray:
 
 
 def _sigma_threads() -> int:
-    """Threads that share a sigma block's vectors: the cores that BLAS
-    leaves idle, max(1, cpus // blas_threads), where blas_threads is the
-    first positive integer set in BLAS_THREAD_VARS.  With none set, BLAS
-    uses every core, and sigma one thread."""
+    """Threads that run a sigma call: the cores that BLAS leaves idle,
+    max(1, cpus // blas_threads), where blas_threads is the first
+    positive integer set in BLAS_THREAD_VARS.  With none set, BLAS uses
+    every core, and sigma one thread."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:      # no sched_getaffinity on this platform
@@ -344,34 +344,32 @@ def sigma(space: CasSpace, ints: IntegralSet, vec: np.ndarray, *,
     T = _sigma_threads() threads, the cores that BLAS leaves idle, share
     the work, the calling thread one of them; every step of a vector
     releases the interpreter lock (the compiled CSR products, np.copyto
-    and the GEMM).  How they share it depends on the space, never on k:
+    and the GEMM).  They form min(T // tau, k) teams of tau threads, and
+    team m runs vectors m, m + teams, ...  The team size depends on the
+    space, never on k: tau = T when the plan has at least SPLIT_CHUNKS
+    chunks per thread, else 1.  Member i of a team runs a fixed
+    contiguous share of the chunks of each of its vectors.  Member 0 adds
+    its chunks into the result after the core term, each other member
+    into its own zeroed accumulator of the team, and the accumulators are
+    added into the result in member order.  Copy-in, the core term and
+    that sum run by row slices, one per member, between the barriers of
+    the team; the threads start once per call.
 
-    - with fewer than SPLIT_CHUNKS chunks per thread, min(T, k) threads
-      share a block's whole vectors, each taking the next vector until
-      none is left;
-    - with more, all T threads run every vector, each a fixed contiguous
-      share of its chunks.  Thread 0 adds its chunks into the result after
-      the core term, each other thread into its own zeroed accumulator,
-      and the accumulators are added into the result in thread order.
-      Copy-in, the core term and that sum run by row slices, one per
-      thread, between barriers; the threads start once per call.
-
-    Either way a vector's result is the same bits in any block, at any
-    place in it and under any thread schedule, for a given space, T and
-    cap.  Each thread owns one workspace that all its chunks and vectors
-    reuse: two buffers of one chunk's D (holding in turn D, its column
-    part, the contracted G and its transpose) and two of n_col values per
-    row.  Every buffer is allocated here before any thread starts, so no
-    chunk allocates, and the first exception of any thread is raised
-    here, after every thread has finished.
+    A vector's result is thus the same bits in any block, at any place in
+    it and under any thread schedule, for a given space, T and cap.  Each
+    thread owns one workspace that all its chunks and vectors reuse: two
+    buffers of one chunk's D (holding in turn D, its column part, the
+    contracted G and its transpose) and two of n_col values per row.
+    Every buffer is allocated here before any thread starts, so no chunk
+    allocates, and the first exception of any thread is raised here,
+    after every thread has finished.
 
     The result is written into `out`, a float64 array of vec's shape that
     does not overlap vec (by default a new F-ordered one), and returned.
     A vector is copied only when it is strided or the plan reads it
     transposed, and a result column of out likewise goes through a
-    buffer: one of each per thread when the threads share whole vectors,
-    one of each per call when they split them (which then also hold T - 1
-    accumulators of one vector).
+    buffer: one of each per team, beside its tau - 1 accumulators of one
+    vector.
     """
     v = np.asarray(vec, dtype=float)
     if v.ndim not in (1, 2) or v.shape[0] != space.size:
@@ -397,83 +395,62 @@ def sigma(space: CasSpace, ints: IntegralSet, vec: np.ndarray, *,
     # contiguous and alpha strings are the rows, else a copy in a buffer
     copy_in, copy_out = (plan.transpose or a.strides[0] != a.itemsize
                          for a in (v2, out2))
-    split = threads > 1 and len(chunks) // threads >= SPLIT_CHUNKS
-    team = threads if split else max(1, min(threads, k))
+    tau = threads if len(chunks) // threads >= SPLIT_CHUNKS else 1
+    teams = max(1, min(threads // tau, k))
     # per call, since buffers cached on the plan would stay allocated
     # between calls
     works = [tuple(np.empty(n * rows * plan.n_col)
                    for n in (plan.n_pair, plan.n_pair, 1, 1))
-             for _ in range(team)]
+             for _ in range(teams * tau)]
     buffers = [tuple(np.empty((plan.n_row, plan.n_col)) if copy else None
                      for copy in (copy_in, copy_out))
-               for _ in range(1 if split else team)]
-    accs = [np.zeros((plan.n_row, plan.n_col))
-            for _ in range(team - 1 if split else 0)]
+               for _ in range(teams)]
+    accs = [[np.zeros((plan.n_row, plan.n_col)) for _ in range(tau - 1)]
+            for _ in range(teams)]
+    barriers, errors = [threading.Barrier(tau) for _ in range(teams)], []
     _sparsetools()          # its lru_cache does not lock a first call
 
-    def matrices(j, obuf):
-        """Vector j and its result as (n_row, n_col) matrices, and the
-        matrix the result is summed in: obuf, when it is not None."""
-        C, O = v2[:, j].reshape(shape), out2[:, j].reshape(shape)
-        if plan.transpose:
-            C, O = C.T, O.T
-        return C, O, O if obuf is None else obuf
-
-    def whole(t):
-        (cbuf, obuf), work = buffers[t], works[t]
-        for j in columns:
-            if errors:
-                return
-            C, O, Oj = matrices(j, obuf)
-            if cbuf is not None:
-                np.copyto(cbuf, C)
-                C = cbuf
-            np.multiply(C, ints.core_energy, out=Oj)
-            for chunk in chunks:
-                _sigma_chunk(plan, h2p, chunk, C, Oj, work)
-            if obuf is not None:
-                np.copyto(O, obuf)
-
-    def part(t):
-        (cbuf, obuf), work = buffers[0], works[t]
-        s = slice(t * plan.n_row // team, (t + 1) * plan.n_row // team)
-        group = chunks[t * len(chunks) // team:(t + 1) * len(chunks) // team]
-        for j in range(k + 1):
-            if j:           # vector j - 1: the sum, then its copy out
-                _, O, Oj = matrices(j - 1, obuf)
-                for acc in accs:
-                    Oj[s] += acc[s]
-                    acc[s] = 0.0
-                if obuf is not None:
-                    np.copyto(O[s], obuf[s])
-            if j == k:
-                return
-            C, _, Oj = matrices(j, obuf)
+    def member(m, i):
+        """Member i of team m: its share of each of the team's vectors."""
+        (cbuf, obuf), acc, barrier = buffers[m], accs[m], barriers[m]
+        s = slice(i * plan.n_row // tau, (i + 1) * plan.n_row // tau)
+        group = chunks[i * len(chunks) // tau:(i + 1) * len(chunks) // tau]
+        for j in range(m, k, teams):
+            C, O = v2[:, j].reshape(shape), out2[:, j].reshape(shape)
+            if plan.transpose:
+                C, O = C.T, O.T
+            Oj = O if obuf is None else obuf
             if cbuf is not None:
                 np.copyto(cbuf[s], C[s])
                 C = cbuf
             np.multiply(C[s], ints.core_energy, out=Oj[s])
             barrier.wait()
             for chunk in group:
-                _sigma_chunk(plan, h2p, chunk, C, accs[t - 1] if t else Oj, work)
+                _sigma_chunk(plan, h2p, chunk, C, acc[i - 1] if i else Oj,
+                             works[m * tau + i])
             barrier.wait()
+            for a in acc:
+                Oj[s] += a[s]
+                a[s] = 0.0
+            if obuf is not None:
+                np.copyto(O[s], obuf[s])
 
-    def run(t):
+    def run(m, i):
         try:
-            (part if split else whole)(t)
+            member(m, i)
         except BaseException as exc:    # re-raised below, after the join
             # appended before the abort, so it comes before the
             # BrokenBarrierError of every thread left waiting
             errors.append(exc)
-            barrier.abort()
+            for barrier in barriers:
+                barrier.abort()
 
-    columns = iter(range(k))            # next() is atomic under the GIL
-    barrier, errors = threading.Barrier(team), []
-    workers = [threading.Thread(target=run, args=(t,)) for t in range(1, team)]
+    workers = [threading.Thread(target=run, args=divmod(t, tau))
+               for t in range(1, teams * tau)]
     for worker in workers:
         worker.start()
     try:
-        run(0)
+        run(0, 0)
     finally:
         for worker in workers:
             worker.join()

@@ -5,8 +5,7 @@ included), 2 numerical non-convergence, 3 internal invariant breach.
 Every run writes out/manifest.json, on failure paths included.  The
 BLAS thread count is set by OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
 MKL_NUM_THREADS before start-up; the manifest records their values and
-the number of threads that share sigma's vectors, the cores BLAS leaves
-idle.
+the number of threads that run sigma, the cores BLAS leaves idle.
 """
 
 from __future__ import annotations

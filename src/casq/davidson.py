@@ -19,21 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csr import row_blocks
+
 # Jacobi D_ii - theta and P-space w_j - theta are clamped away from zero, where
 # near-degenerate multiplet pairs and a start on P eigenvectors put theta.
 LEVEL_SHIFT = 1e-4
 
 # _orthonormalize drops a column when less than this share of its norm is left
 DROP_TOL = 1e-10
-
-# the GEMMs over all rows of V and sigma V (residuals, thick restarts) run
-# by row blocks of about this many bytes, so no N x m temporary is made; so
-# do the copies between a C-ordered block and F-ordered columns, which on
-# one BLAS thread took 0.6 ms by blocks and 1.9 ms in one np.copyto from C
-# to F for 12 columns of 52,920 rows.  The residuals of 12 roots on 84
-# columns took 13 ms by blocks of 2**18 bytes, 16 ms by 2**20 and 22 ms
-# as X, sigma X and R in whole.
-BLOCK_BYTES = 2**18
 
 
 @dataclass
@@ -63,14 +56,9 @@ def _c_view(block: np.ndarray) -> np.ndarray:
     return block.ravel(order="F").reshape(block.shape)
 
 
-def _row_blocks(n: int, width: int) -> list[slice]:
-    step = max(1, BLOCK_BYTES // (8 * max(width, 1)))
-    return [slice(r, min(n, r + step)) for r in range(0, n, step)]
-
-
 def _copy(dst: np.ndarray, src: np.ndarray) -> None:
     """dst[:] = src for (N, k) blocks, by row blocks."""
-    for r in _row_blocks(*dst.shape):
+    for r in row_blocks(*dst.shape):
         np.copyto(dst[r], src[r])
 
 
@@ -196,7 +184,7 @@ def davidson_lowest(matvec, diagonal: np.ndarray, n_roots: int,
         Yr = Y[:, :n_roots]          # the Ritz vectors are V Yr
         Yt = Yr * theta[:n_roots]
         R = np.empty((n, n_roots))
-        for r in _row_blocks(n, m):
+        for r in row_blocks(n, m):
             np.matmul(S[r], Yr, out=R[r])
             R[r] -= V[r] @ Yt
         norms = np.sqrt(np.einsum("ij,ij->j", R, R))
@@ -208,7 +196,7 @@ def davidson_lowest(matvec, diagonal: np.ndarray, n_roots: int,
         if m + todo.size > max_subspace:
             keep = max(min(max(2 * n_roots, n_roots + 4),
                            max_subspace - todo.size), n_roots)
-            for r in _row_blocks(n, m):
+            for r in row_blocks(n, m):
                 V[r, :keep] = V[r] @ Y[:, :keep]
                 S[r, :keep] = S[r] @ Y[:, :keep]
             m = keep

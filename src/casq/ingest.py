@@ -39,6 +39,12 @@ def finite_float(token: str) -> float:
     return value
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory: an input whose arrays would need more is
+    refused before they are allocated."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 @dataclass(frozen=True)
 class OrbitalSpace:
     """The active spatial orbitals."""
@@ -172,6 +178,14 @@ class SpectrumOptions:
         if self.fwhm_ev <= 0 or self.step_ev <= 0 or self.max_ev <= self.min_ev:
             raise ValueError("spectrum settings need fwhm_ev > 0, step_ev > 0 "
                              "and max_ev > min_ev")
+        # the grid and its curve, refused before they are allocated
+        need = 16 * ((self.max_ev - self.min_ev) / self.step_ev + 1)
+        memory = physical_memory()
+        if need > memory:
+            raise ValueError(f"a spectrum grid from {self.min_ev} to "
+                             f"{self.max_ev} eV by {self.step_ev} eV needs "
+                             f"{need:.3g} bytes, more than the {memory} "
+                             f"bytes of physical memory")
 
 
 @dataclass(frozen=True)
@@ -240,7 +254,7 @@ def read_fcidump(text: str) -> FcidumpData:
     if n_orb < 1:
         raise ParseError(f"NORB={n_orb} invalid")
     need = 8 * (n_orb ** 4 + n_orb ** 2)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    memory = physical_memory()
     if need > memory:
         raise ParseError(f"NORB={n_orb} needs {need} bytes of integrals, "
                          f"more than the {memory} bytes of physical memory")

@@ -21,18 +21,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .csr import csr_add, csr_from_coo, csr_rows
+from .csr import csr_add, csr_from_coo, csr_rows, row_blocks
 from .detspace import CasSpace, annihilators, enumerate_cas
 
 
 # apply_s_minus reads an image of smaller norm as zero: the state was M_S = -S
 S_MINUS_NORM_TOL = 1e-8
-
-# project_spin forms and subtracts each factor's S- image by row blocks of
-# about this many bytes, not as one (N, k) image: 12 columns of CAS(11,10)
-# M_S = 1/2 projected in 13.6 ms by blocks of 2**18 bytes, 14.0 ms by
-# 2**20, 16.2 ms by 2**16 and 14.9 ms in one image (one BLAS thread)
-BLOCK_BYTES = 2**18
 
 
 class LadderAnnihilation(ValueError):
@@ -144,9 +138,9 @@ def project_spin(space: CasSpace, vecs: np.ndarray) -> np.ndarray:
     one S+ and one S- scatter by csr_add through the one table between
     this block and the block above, since apply_s_minus refuses the zero
     S+ image of a pure spin-S vector.  Every factor reuses one buffer for
-    the S+ image and one of BLOCK_BYTES for the S- image, which is formed
-    and subtracted by row blocks of the table (csr_rows), each element
-    summed over its sources in the same order as in one product."""
+    the S+ image and one of csr.BLOCK_BYTES for the S- image, which is
+    formed and subtracted by row blocks of the table (csr_rows), each
+    element summed over its sources in the same order as in one product."""
     if space.ms2 < 0:
         raise ValueError(f"spin projection needs a top block ms2 >= 0, "
                          f"got ms2={space.ms2}")
@@ -159,19 +153,18 @@ def project_spin(space: CasSpace, vecs: np.ndarray) -> np.ndarray:
     upper, table, _ = raising = _s_plus_links(space)
     X = vecs.reshape(space.size, -1)             # a view of vecs
     raised = np.empty((upper.size, X.shape[1]))
-    rows = max(1, BLOCK_BYTES // (8 * X.shape[1]))
-    blocks = [(r0, csr_rows(table, r0, min(space.size, r0 + rows)))
-              for r0 in range(0, space.size, rows)]
-    lowered = np.empty((min(rows, space.size), X.shape[1]))
+    blocks = [(r, csr_rows(table, r.start, r.stop))
+              for r in row_blocks(space.size, X.shape[1])]
+    lowered = np.empty((blocks[0][0].stop, X.shape[1]))
     for two_s in range(ms2 + 2, top + 1, 2):     # 2S' of each higher spin
         _ladder(raising, X, raised)
         gap = (two_s * (two_s + 2) - ms2 * (ms2 + 2)) / 4.0
-        for r0, part in blocks:
-            low = lowered[:part.indptr.size - 1]
+        for r, part in blocks:
+            low = lowered[:r.stop - r.start]
             low.fill(0.0)
             csr_add(part, raised, low)
             low /= gap
-            X[r0:r0 + low.shape[0]] -= low
+            X[r] -= low
     return vecs
 
 

@@ -299,57 +299,6 @@ def test_sigma_carries_no_state_between_calls(n_elec, n_orb, ms2, transpose,
                               first[:, 0])
 
 
-@pytest.mark.parametrize("n_elec,n_orb,ms2,transpose",
-                         [(4, 5, 0, False), (7, 6, 1, True)])
-def test_sigma_shares_a_block_among_threads(n_elec, n_orb, ms2, transpose,
-                                            monkeypatch):
-    ints = make_random_integrals(n_orb, 39)
-    space = enumerate_cas(n_elec, n_orb, ms2)
-    assert _sigma_plan(space).transpose == transpose
-    block = np.random.default_rng(39).standard_normal((space.size, 3))
-    monkeypatch.setattr(casci, "_sigma_threads", lambda: 1)
-    serial = sigma(space, ints, block)
-    monkeypatch.setattr(casci, "_sigma_threads", lambda: 2)
-    # each thread waits at its first chunk until the other has reached
-    # one, so the call completes only if two threads share the block
-    chunk, barrier, idents = casci._sigma_chunk, threading.Barrier(2, timeout=30), set()
-
-    def meet(*args):
-        if threading.get_ident() not in idents:
-            idents.add(threading.get_ident())
-            barrier.wait()
-        chunk(*args)
-    monkeypatch.setattr(casci, "_sigma_chunk", meet)
-    threaded = sigma(space, ints, block)
-    assert len(idents) == 2
-    monkeypatch.setattr(casci, "_sigma_chunk", chunk)
-    # T = 2 halves the rows per chunk, which changes only the last bits;
-    # at fixed T each column is its vector's own sigma bit for bit
-    assert np.max(np.abs(threaded - serial)) < 1e-12
-    for j in range(3):
-        assert np.array_equal(sigma(space, ints, block[:, j]), threaded[:, j])
-    buf = np.full((space.size, 5), np.nan, order="F")
-    assert np.array_equal(sigma(space, ints, block, out=buf[:, 1:4]), threaded)
-    assert np.isnan(buf[:, [0, 4]]).all()
-    assert sigma(space, ints, block[:, :0]).shape == (space.size, 0)
-
-    # an exception on the second vector reaches the caller with its own
-    # type, after every thread has finished
-    class Injected(Exception):
-        pass
-
-    def fail(plan, h2p, chunk_, C, out, work):
-        if np.isnan(C).any():
-            raise Injected
-        chunk(plan, h2p, chunk_, C, out, work)
-    monkeypatch.setattr(casci, "_sigma_chunk", fail)
-    block[:, 1] = np.nan
-    threads = threading.active_count()
-    with pytest.raises(Injected):
-        sigma(space, ints, block)
-    assert threading.active_count() == threads
-
-
 def test_sigma_threads_take_each_vector_once(monkeypatch):
     # more threads than cores and a short switch interval: every column of
     # out is written, each with its own vector's sigma
@@ -370,25 +319,28 @@ def test_sigma_threads_take_each_vector_once(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def _force_split(m, threads):
-    # every space splits its vectors' chunks among `threads` threads
-    m.setattr(casci, "SPLIT_CHUNKS", 0)
+def _force_teams(m, threads, tau):
+    # every space runs `threads` threads in teams of tau: 1 or threads
+    m.setattr(casci, "SPLIT_CHUNKS", 0 if tau > 1 else float("inf"))
     m.setattr(casci, "_sigma_threads", lambda: threads)
 
 
-@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("threads,tau", [(2, 2), (3, 3), (2, 1), (3, 1)],
+                         ids=["2", "3", "2-tau1", "3-tau1"])
 @pytest.mark.parametrize("n_elec,n_orb,ms2,transpose",
                          [(4, 5, 0, False), (7, 6, 1, True)])
 def test_sigma_splits_each_vector_among_threads(n_elec, n_orb, ms2, transpose,
-                                                threads, monkeypatch):
+                                                threads, tau, monkeypatch):
     ints = make_random_integrals(n_orb, 42)
     space = enumerate_cas(n_elec, n_orb, ms2)
     assert _sigma_plan(space).transpose == transpose
     block = np.random.default_rng(42).standard_normal((space.size, 3))
+    monkeypatch.setattr(casci, "_sigma_threads", lambda: 1)
     serial = sigma(space, ints, block)
-    _force_split(monkeypatch, threads)
+    _force_teams(monkeypatch, threads, tau)
     # each thread meets the others at its first chunk, so the call
-    # completes only if every thread runs a share of the first vector
+    # completes only if every thread runs a share of the first vector of
+    # its team: one vector for a team of every thread, T for T teams
     chunk, barrier, idents = casci._sigma_chunk, threading.Barrier(threads, timeout=30), set()
 
     def meet(*args):
@@ -397,14 +349,15 @@ def test_sigma_splits_each_vector_among_threads(n_elec, n_orb, ms2, transpose,
             barrier.wait()
         chunk(*args)
     monkeypatch.setattr(casci, "_sigma_chunk", meet)
-    split = sigma(space, ints, block[:, :1])
+    met = sigma(space, ints, block[:, :threads // tau])
     assert len(idents) == threads
     monkeypatch.setattr(casci, "_sigma_chunk", chunk)
-    # the split sums each vector's chunks in another order: the last bits
-    # differ from T = 1, and at fixed T a column is its vector's own sigma
-    # bit for bit, in any block, at any place and in any call
+    # T threads sum each vector's chunks in another order than one (fewer
+    # rows per chunk, or T shares): the last bits differ from T = 1, and
+    # at fixed T a column is its vector's own sigma bit for bit, in any
+    # block, at any place and in any call
     first = sigma(space, ints, block)
-    assert np.array_equal(first[:, :1], split)
+    assert np.array_equal(first[:, :threads // tau], met)
     assert np.max(np.abs(first - serial)) < 1e-12
     for j in range(3):
         assert np.array_equal(sigma(space, ints, block[:, j]), first[:, j])
@@ -422,6 +375,22 @@ def test_sigma_splits_each_vector_among_threads(n_elec, n_orb, ms2, transpose,
     assert np.max(np.abs(sigma(space, ints, block, max_memory_gb=cap)
                          - serial)) < 1e-12
 
+    # an exception on the second vector reaches the caller with its own
+    # type, after every thread has finished
+    class Injected(Exception):
+        pass
+
+    def fail(plan, h2p, chunk_, C, out, work):
+        if np.isnan(C).any():
+            raise Injected
+        chunk(plan, h2p, chunk_, C, out, work)
+    monkeypatch.setattr(casci, "_sigma_chunk", fail)
+    block[:, 1] = np.nan
+    alive = threading.active_count()
+    with pytest.raises(Injected):
+        sigma(space, ints, block)
+    assert threading.active_count() == alive
+
 
 def test_sigma_splits_among_more_threads_than_chunks(monkeypatch):
     # CAS(2,2) M_S = 0: two rows, so at most two chunks for three threads
@@ -429,7 +398,7 @@ def test_sigma_splits_among_more_threads_than_chunks(monkeypatch):
     space = enumerate_cas(2, 2, 0)
     assert _sigma_plan(space).n_row == 2
     block = np.random.default_rng(43).standard_normal((space.size, 3))
-    _force_split(monkeypatch, 3)
+    _force_teams(monkeypatch, 3, 3)
     got = sigma(space, ints, block)
     assert np.max(np.abs(got - dense_hamiltonian(space, ints) @ block)) < 1e-12
     assert np.array_equal(sigma(space, ints, block[:, 2]), got[:, 2])
@@ -437,24 +406,28 @@ def test_sigma_splits_among_more_threads_than_chunks(monkeypatch):
 
 @st.composite
 def cas_space(draw):
-    """A CAS(n_e, n_o <= 5) space, a thread count and a seed."""
+    """A CAS(n_e, n_o <= 5) space, a thread count T, a team size (1 or T)
+    and a seed."""
     n_orb = draw(st.integers(1, 5))
-    return (draw(st.integers(1, 2 * n_orb)), n_orb, draw(st.integers(2, 3)),
-            draw(st.integers(0, 2 ** 16)))
+    threads = draw(st.integers(2, 3))
+    return (draw(st.integers(1, 2 * n_orb)), n_orb, threads,
+            draw(st.sampled_from([1, threads])), draw(st.integers(0, 2 ** 16)))
 
 
 @given(cas_space())
-@example((5, 5, 2, 1))      # M_S = 1/2 and 3/2 on either side of the plan
-@example((7, 5, 3, 2))      # beta strings as the plan's rows
+@example((5, 5, 2, 2, 1))   # M_S = 1/2 and 3/2 on either side of the plan
+@example((7, 5, 3, 3, 2))   # beta strings as the plan's rows
+@example((5, 5, 2, 1, 1))   # two one-thread teams, the first on two vectors
+@example((7, 5, 3, 1, 2))
 def test_split_sigma_is_h_on_every_ms_block(case):
-    n_elec, n_orb, threads, seed = case
+    n_elec, n_orb, threads, tau, seed = case
     ints = make_random_integrals(n_orb, seed)
     top = min(n_elec, 2 * n_orb - n_elec)
     with pytest.MonkeyPatch.context() as m:
-        _force_split(m, threads)
+        _force_teams(m, threads, tau)
         for ms2 in range(-top, top + 1, 2):
             space = enumerate_cas(n_elec, n_orb, ms2)
-            block = np.random.default_rng(seed).standard_normal((space.size, 2))
+            block = np.random.default_rng(seed).standard_normal((space.size, 3))
             got = sigma(space, ints, block)
             assert np.max(np.abs(got - dense_hamiltonian(space, ints) @ block)) < 1e-12
             assert np.array_equal(sigma(space, ints, block[:, 1]), got[:, 1])
@@ -467,7 +440,7 @@ def test_split_sigma_raises_a_workers_exception(monkeypatch):
     ints = make_random_integrals(5, 44)
     space = enumerate_cas(4, 5, 0)
     block = np.random.default_rng(44).standard_normal((space.size, 3))
-    _force_split(monkeypatch, 3)
+    _force_teams(monkeypatch, 3, 3)
     chunk = casci._sigma_chunk
 
     class Injected(Exception):
@@ -483,14 +456,44 @@ def test_split_sigma_raises_a_workers_exception(monkeypatch):
         sigma(space, ints, block)
     assert threading.active_count() == threads
 
+    # one of four one-thread teams fails on its first vector, vector 1 of
+    # 8, once every team has reached its first vector; the others go on
+    # only once the failing thread has ended, and stop at their next
+    # barrier, which it aborted: no team starts a second vector (team m
+    # runs vectors m and m + 4)
+    _force_teams(monkeypatch, 4, 1)
+    block = np.random.default_rng(44).standard_normal((space.size, 8))
+    block[:, 1] = np.nan
+    meet, failing, started = threading.Barrier(4, timeout=30), [], set()
+
+    def fail_one(plan, h2p, chunk_, C, out, work):
+        j = (1 if np.isnan(C[0, 0])
+             else int(np.flatnonzero(block[0] == C[0, 0])[0]))
+        if j not in started:
+            started.add(j)
+            if j == 1:
+                failing.append(threading.current_thread())
+            if j < 4:
+                meet.wait()
+        if j == 1:
+            raise Injected
+        failing[0].join(30)
+        chunk(plan, h2p, chunk_, C, out, work)
+    monkeypatch.setattr(casci, "_sigma_chunk", fail_one)
+    with pytest.raises(Injected):
+        sigma(space, ints, block)
+    assert threading.active_count() == threads
+    assert failing[0] is not threading.main_thread()
+    assert started == {0, 1, 2, 3}
+
 
 @pytest.mark.parametrize("n_elec,n_orb,transpose", [(9, 9, False), (11, 9, True)])
 def test_split_sigma_holds_one_copy_of_each_kind(n_elec, n_orb, transpose,
                                                  monkeypatch):
-    # a split call on a C-ordered block holds one copy-in buffer, one
-    # copy-out buffer when the plan reads the vectors transposed, T - 1
-    # accumulators of one vector and T chunk workspaces; threads that
-    # share whole vectors would hold a copy-in and a copy-out each
+    # a call by one team of T threads on a C-ordered block holds one
+    # copy-in buffer, one copy-out buffer when the plan reads the vectors
+    # transposed, T - 1 accumulators of one vector and T chunk workspaces;
+    # T one-thread teams would hold a copy-in and a copy-out each
     threads = 3
     ints = make_random_integrals(n_orb, 45)
     space = enumerate_cas(n_elec, n_orb, 1)
@@ -498,7 +501,7 @@ def test_split_sigma_holds_one_copy_of_each_kind(n_elec, n_orb, transpose,
     assert plan.transpose == transpose
     block = np.random.default_rng(45).standard_normal((space.size, 4))
     out = np.empty(block.shape, order="F")
-    _force_split(monkeypatch, threads)
+    _force_teams(monkeypatch, threads, threads)
     cap = 3.5 * plan.row_bytes / 2 ** 30       # one row per chunk at T = 3
     assert _chunk_rows(plan, cap) // threads == 1
     sigma(space, ints, block, max_memory_gb=cap, out=out)    # chunk tables
@@ -517,7 +520,7 @@ def test_split_sigma_holds_one_copy_of_each_kind(n_elec, n_orb, transpose,
         if not tracing:
             tracemalloc.stop()
     assert peak <= bound + 2**15
-    if transpose:       # threads sharing whole vectors hold 2T copies
+    if transpose:       # T one-thread teams hold 2T copies
         assert bound + 2**15 < 2 * threads * vector + threads * work
 
 

@@ -367,6 +367,23 @@ def test_norb_beyond_physical_memory_is_an_input_error(tmp_path):
     assert "bytes" in manifest["error"]["message"]
 
 
+def test_spectrum_grid_beyond_physical_memory_is_an_input_error(tmp_path):
+    # refused before the grid is allocated: 5e13 points (364 TiB) raised
+    # MemoryError, and a step that makes the point count overflow to
+    # infinity OverflowError, both exit 3
+    (tmp_path / "l.txt").write_text("2.0 1.0\n")
+    for name, cfg in (("fine", "spectrum_step_ev=1e-13\n"),
+                      ("inf", "spectrum_max_ev=1e308\nspectrum_step_ev=5e-324\n")):
+        (tmp_path / f"{name}.cfg").write_text(cfg)
+        code, out, manifest = run_cli(
+            ["spectrum", "--lines", str(tmp_path / "l.txt"),
+             "--config", str(tmp_path / f"{name}.cfg")], tmp_path, name)
+        assert code == 1
+        assert manifest["status"] == "failed" and manifest["exit_code"] == 1
+        assert "physical memory" in manifest["error"]["message"]
+        assert not (out / "spectrum.csv").exists()
+
+
 def test_casci_requires_one_source(tmp_path, capsys):
     code, _, _ = run_cli(["casci"], tmp_path)
     assert code == 1

@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from casq import casci, spin
+from casq import casci, csr
 from casq.casci import dense_hamiltonian, dense_solve, solve_davidson
 from casq.davidson import DavidsonNotConverged, davidson_lowest
 from casq.detspace import enumerate_cas, occupied_orbitals
@@ -228,5 +228,5 @@ def test_davidson_solve_holds_no_block_temporaries(monkeypatch):
     assert during
     assert max(during + [after]) - base <= held + workspace
     outside_sigma = (roots * (N + enumerate_cas(9, 9, 3).size) * 8
-                     + spin.BLOCK_BYTES)
+                     + csr.BLOCK_BYTES)
     assert max(before + [after]) - base <= held + outside_sigma
